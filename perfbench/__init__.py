@@ -1,0 +1,5 @@
+"""Benchmark harness for rimhooks: seeded workloads, correctness gate, traced layers.
+
+Run it as ``python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1``
+from the repository root; see ``perfbench/README.md``.
+"""
