@@ -15,8 +15,7 @@ from functools import lru_cache
 from typing import Literal, Sequence
 
 from .geometry import Cell, Partition, format_cell
-from .insertion import Tableau
-from .rpp import Rpp
+from .rpp import Rpp, Tableau, _add_along
 
 ChainKind = Literal["weak", "strict"]
 
@@ -24,14 +23,14 @@ ChainKind = Literal["weak", "strict"]
 GK_DEFAULT_BUDGET = 5_000_000
 
 
-def _hg_walk(pi: Rpp, start_col: int) -> list[Cell]:
-    shape = pi.shape
+def _hg_walk(shape: Partition, rows: list[list[int]], start_col: int) -> list[Cell]:
+    parts = shape.parts
     i, j = shape.col_length(start_col), start_col
     cells = [(i, j)]
     while True:
-        if pi.value_ext(i - 1, j) == pi.value((i, j)):
+        if (rows[i - 2][j - 1] if i > 1 else 0) == rows[i - 1][j - 1]:
             i -= 1
-        elif (i, j + 1) in shape:
+        elif j < parts[i - 1]:
             j += 1
         else:
             break
@@ -40,20 +39,26 @@ def _hg_walk(pi: Rpp, start_col: int) -> list[Cell]:
 
 
 def hg(pi: Rpp) -> Tableau:
-    """The Hillman-Grassl image of a reverse plane partition."""
+    """The Hillman-Grassl image of a reverse plane partition.
+
+    The walks decrement one grid in place, so the cost is
+    O(cells + hooks x hook length).
+    """
     shape = pi.shape
+    rows = [list(row) for row in pi.rows]
     grid = [[0] * p for p in shape.parts]
-    cur = pi
-    while not cur.is_zero():
-        start_col = next(
-            j
-            for j in range(1, shape.parts[0] + 1)
-            if cur.value((shape.col_length(j), j)) != 0
-        )
-        cells = _hg_walk(cur, start_col)
+    remaining = pi.size
+    start_col = 1
+    while remaining:
+        # A zero at the bottom of a column makes the whole column zero, and
+        # walks only decrement, so the start column never moves left.
+        while rows[shape.col_length(start_col) - 1][start_col - 1] == 0:
+            start_col += 1
+        cells = _hg_walk(shape, rows, start_col)
         end_row = cells[-1][0]
         grid[end_row - 1][start_col - 1] += 1
-        cur = cur.with_path(cells, -1)
+        _add_along(shape, rows, cells, -1)
+        remaining -= len(cells)
     return Tableau(shape, grid)
 
 
@@ -64,27 +69,29 @@ def hg_inv(tableau: Tableau) -> Rpp:
     descending then row ascending. Each is undone by walking from the end of
     the hook's row south on equality and west otherwise, down to the hook's
     column, and incrementing the walk. Comparisons read the grid before the
-    increments, mirroring the forward walk.
+    increments, mirroring the forward walk. The walks increment one grid in
+    place, so the cost is O(cells + hooks x hook length).
     """
     shape = tableau.shape
+    parts = shape.parts
     hooks: list[Cell] = []
     for u, count in tableau.entries():
         hooks.extend([u] * count)
     hooks.sort(key=lambda fs: (-fs[1], fs[0]))
-    cur = Rpp.zero(shape)
+    rows = [[0] * p for p in parts]
     for f, s in hooks:
         i, j = f, shape.row_length(f)
         cells = [(i, j)]
         while True:
-            if cur.value_ext(i + 1, j) == cur.value((i, j)):
+            if i < len(parts) and j <= parts[i] and rows[i][j - 1] == rows[i - 1][j - 1]:
                 i += 1
             elif j > s:
                 j -= 1
             else:
                 break
             cells.append((i, j))
-        cur = cur.with_path(cells, +1)
-    return cur
+        _add_along(shape, rows, cells, +1)
+    return Rpp(shape, rows)
 
 
 def _transpose_rows(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

@@ -21,11 +21,11 @@ from .enumeration import (
 )
 from .geometry import Partition, content_key, format_cell, parse_cell, revlex_key
 from .insertion import (
+    Factorization,
     InsertionFailure,
     Tableau,
+    _extractions,
     build,
-    extract_min,
-    extraction_path,
     factorize,
     try_insert,
 )
@@ -222,15 +222,12 @@ def cmd_insert(args) -> int:
 
 def cmd_factorize(args) -> int:
     pi = _read_grid(args, Rpp)
-    steps = []
     if args.paths:
-        cur = pi
-        while (step := extract_min(cur)) is not None:
-            hook, reduced = step
-            path = extraction_path(cur.min_candidate(), cur)
-            steps.append((hook.anchor, path))
-            cur = reduced
-    fact = factorize(pi)
+        steps = [(anchor, path) for anchor, path, _, _ in _extractions(pi)]
+        fact = Factorization(pi.shape, tuple(anchor for anchor, _ in steps))
+    else:
+        steps = []
+        fact = factorize(pi)
     tableau = fact.to_tableau()
     obj = {
         "anchors": [format_cell(u) for u in fact.anchors],
@@ -244,7 +241,7 @@ def cmd_factorize(args) -> int:
         ]
         lines.append("")
         for a, p in steps:
-            lines.append(f"extract {format_cell(a)} along {p}")
+            lines.append(f"extract {format_cell(a)} along {' '.join(map(format_cell, p))}")
     _emit_obj(args, obj, "\n".join(lines))
     return 0
 
@@ -402,6 +399,16 @@ def cmd_render(args) -> int:
 # --------------------------------------------------------------- parser
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_io(p, needs_shape=False, shape_required=False):
     p.add_argument("--in", dest="infile", metavar="PATH", help="read input from a file")
     p.add_argument("--out", dest="outfile", metavar="PATH", help="write output to a file")
@@ -520,7 +527,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-degree", type=int, dest="trace_degree")
     p.add_argument("--sample", type=int, help="randomly subsample heavy loops")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("enumerate", help="stream fillings or tableaux as JSON lines")

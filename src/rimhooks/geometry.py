@@ -226,14 +226,17 @@ class Partition:
         return regions
 
     def region(self, u: Cell) -> Region:
-        self._require(u)
-        return self._region_by_content[content(u)]
+        reg = self.region_or_none(u)
+        if reg is None:
+            self._require(u)  # raises: u lies outside the diagram
+        return reg
 
     def region_or_none(self, u: Cell) -> Region | None:
         """Like region, but None for cells outside the diagram."""
-        if u not in self:
-            return None
-        return self._region_by_content[content(u)]
+        i, j = u
+        if 1 <= i <= len(self.parts) and 1 <= j <= self.parts[i - 1]:
+            return self._region_by_content[j - i]
+        return None
 
     def rim_hook(self, u: Cell) -> "RimHook":
         """The rim-hook identified with the cell u.

@@ -10,8 +10,10 @@ succeeds and inverts the factorization.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator, Sequence
 
 from .geometry import (
     Cell,
@@ -19,15 +21,11 @@ from .geometry import (
     Region,
     RimHook,
     content_key,
-    east,
     format_cell,
-    north,
     parse_cell,
     revlex_key,
-    south,
-    west,
 )
-from .rpp import Rpp, ShapedGrid
+from .rpp import Rpp, Tableau, _add_along, _is_candidate
 
 
 class Orientation(Enum):
@@ -91,29 +89,6 @@ class LatticePath:
         return " ".join(format_cell(u) for u in self.cells)
 
 
-class Tableau(ShapedGrid):
-    """An unconstrained grid of counts, encoding a multiset of rim-hooks.
-
-    Entry t(u) is the multiplicity of the rim-hook anchored at u.
-    """
-
-    @property
-    def weighted_size(self) -> int:
-        """Total number of diagram cells covered by the encoded multiset."""
-        return sum(v * self.shape.hook_length(u) for u, v in self.entries() if v)
-
-    @property
-    def total(self) -> int:
-        return self.size
-
-    def anchors(self) -> list[Cell]:
-        """The multiset of anchors, weakly increasing in the rim-hook order."""
-        out = []
-        for u in sorted(self.shape.cells(), key=revlex_key):
-            out.extend([u] * self.value(u))
-        return out
-
-
 @dataclass(frozen=True)
 class Factorization:
     """A weakly increasing sequence of rim-hook anchors of one shape."""
@@ -170,6 +145,76 @@ class InsertionFailure:
         )
 
 
+_Grid = Sequence[Sequence[int]]
+
+
+def _compatible(shape: Partition, rows: _Grid, cells: Sequence[Cell]) -> bool:
+    """`is_compatible` for cells that all lie inside the shape."""
+    on_path = set(cells)
+    for u in cells:
+        i, j = u
+        v = rows[i - 1][j - 1]
+        if shape.region(u) in (Region.INNER_DIAG, Region.BAND_A):
+            if (i, j + 1) not in on_path or v != rows[i - 1][j]:
+                return False
+        if (i + 1, j) in on_path and v != rows[i][j - 1]:
+            return False
+    return True
+
+
+def _insertion_walk(shape: Partition, rows: _Grid, tail: Cell, length: int) -> list[Cell]:
+    """The cells of `insertion_path` for a rim-hook with this tail and length."""
+    parts = shape.parts
+    i, j = tail
+    cells = [tail]
+    for _ in range(length - 1):
+        if (
+            shape.region_or_none((i, j)) in (Region.BAND_B, Region.INNER_DIAG)
+            and i < len(parts)
+            and j <= parts[i]
+            and rows[i][j - 1] == rows[i - 1][j - 1]
+        ):
+            i += 1
+        else:
+            j -= 1
+        cells.append((i, j))
+    return cells
+
+
+def _extraction_walk(shape: Partition, rows: _Grid, v: Cell) -> list[Cell]:
+    """The cells of `extraction_path` from the candidate v."""
+    parts = shape.parts
+    i, j = v
+    cells = [v]
+    while True:
+        reg = shape.region((i, j))
+        if reg in (Region.OUTER_DIAG, Region.BAND_B) and rows[i - 1][j - 1] == (
+            rows[i - 2][j - 1] if i > 1 else 0
+        ):
+            i -= 1
+        elif reg in (Region.INNER_DIAG, Region.BAND_A) or j < parts[i - 1]:
+            j += 1
+        else:
+            break
+        cells.append((i, j))
+    return cells
+
+
+def _anchor_of_walk(shape: Partition, tail: Cell, length: int) -> Cell:
+    """Anchor of the unique rim-hook with this tail and this many cells."""
+    i, j = tail
+    if shape.row_length(i) != j:
+        raise RuntimeError(
+            f"path tail {format_cell((i, j))} is not at the end of row {i} of {shape}"
+        )
+    for col in range(1, j + 1):
+        if shape.hook_length((i, col)) == length:
+            return (i, col)
+    raise RuntimeError(
+        f"no rim-hook of {shape} has tail {format_cell((i, j))} and {length} cells"
+    )
+
+
 def is_compatible(path: LatticePath, pi: Rpp) -> bool:
     """Whether adding or subtracting 1 along the path respects the path rules.
 
@@ -177,18 +222,10 @@ def is_compatible(path: LatticePath, pi: Rpp) -> bool:
     followed east by a path cell of equal value, and vertically adjacent path
     cells must hold equal values.
     """
-    shape = pi.shape
     for u in path:
-        if u not in shape:
+        if u not in pi.shape:
             raise ValueError(f"path leaves the shape at {format_cell(u)}")
-    cells = set(path.cells)
-    for u in path:
-        if shape.region(u) in (Region.INNER_DIAG, Region.BAND_A):
-            if east(u) not in cells or pi.value(u) != pi.value(east(u)):
-                return False
-        if south(u) in cells and pi.value(u) != pi.value(south(u)):
-            return False
-    return True
+    return _compatible(pi.shape, pi.rows, path.cells)
 
 
 def insertion_path(hook: RimHook, pi: Rpp) -> LatticePath:
@@ -203,18 +240,7 @@ def insertion_path(hook: RimHook, pi: Rpp) -> LatticePath:
     """
     if hook.shape != pi.shape:
         raise ValueError(f"hook shape {hook.shape} does not match {pi.shape}")
-    shape = pi.shape
-    cur = hook.tail
-    cells = [cur]
-    for _ in range(len(hook) - 1):
-        reg = shape.region_or_none(cur)
-        if reg in (Region.BAND_B, Region.INNER_DIAG) and pi.value(cur) == pi.value_ext(
-            *south(cur)
-        ):
-            cur = south(cur)
-        else:
-            cur = west(cur)
-        cells.append(cur)
+    cells = _insertion_walk(pi.shape, pi.rows, hook.tail, len(hook))
     return LatticePath(tuple(cells), Orientation.SW)
 
 
@@ -253,38 +279,14 @@ def extraction_path(v: Cell, pi: Rpp) -> LatticePath:
     of a row when the value above is strictly smaller. Both greedy rules are
     deterministic, so no tie-breaking is ever needed.
     """
-    if v not in pi.candidates():
+    if not _is_candidate(pi.shape, pi.rows, v):
         raise ValueError(f"{format_cell(v)} is not a candidate of the filling")
-    shape = pi.shape
-    cur = v
-    cells = [cur]
-    while True:
-        reg = shape.region(cur)
-        if reg in (Region.OUTER_DIAG, Region.BAND_B) and pi.value(cur) == pi.value_ext(
-            *north(cur)
-        ):
-            cur = north(cur)
-        elif reg in (Region.INNER_DIAG, Region.BAND_A) or east(cur) in shape:
-            cur = east(cur)
-        else:
-            break
-        cells.append(cur)
-    return LatticePath(tuple(cells), Orientation.NE)
+    return LatticePath(tuple(_extraction_walk(pi.shape, pi.rows, v)), Orientation.NE)
 
 
 def rim_hook_of_path(path: LatticePath, shape: Partition) -> RimHook:
     """The unique rim-hook with the same tail and the same number of cells."""
-    i, j = path.tail
-    if shape.row_length(i) != j:
-        raise RuntimeError(
-            f"path tail {format_cell((i, j))} is not at the end of row {i} of {shape}"
-        )
-    for col in range(1, j + 1):
-        if shape.hook_length((i, col)) == len(path):
-            return shape.rim_hook((i, col))
-    raise RuntimeError(
-        f"no rim-hook of {shape} has tail {format_cell((i, j))} and {len(path)} cells"
-    )
+    return shape.rim_hook(_anchor_of_walk(shape, path.tail, len(path)))
 
 
 def is_factor(hook: RimHook, pi: Rpp) -> bool:
@@ -307,12 +309,51 @@ def is_factor(hook: RimHook, pi: Rpp) -> bool:
 
 def extract_min(pi: Rpp) -> tuple[RimHook, Rpp] | None:
     """Extract the rim-hook at the content-minimal candidate, or None at zero."""
-    v = pi.min_candidate()
-    if v is None:
+    step = next(_extractions(pi), None)
+    if step is None:
         return None
-    path = extraction_path(v, pi)
-    hook = rim_hook_of_path(path, pi.shape)
-    return hook, pi.with_path(path, -1)
+    anchor, _, rows, _ = step
+    return pi.shape.rim_hook(anchor), Rpp(pi.shape, rows)
+
+
+def _extractions(
+    pi: Rpp,
+) -> Iterator[tuple[Cell, list[Cell], list[list[int]], set[Cell]]]:
+    """The extraction chain of the lexicographic factorization, on one grid changed in place.
+
+    Yields (anchor, path cells, grid, candidates) per extraction; the grid and
+    the candidate set are the live state after that extraction. Whether a cell
+    is a candidate depends only on the cell and its west and north neighbours,
+    so after a path update only the path cells and their east and south
+    neighbours are re-tested. A heap with lazy deletion yields the
+    content-minimal candidate.
+    """
+    shape = pi.shape
+    rows = [list(row) for row in pi.rows]
+    candidates = {u for u in shape.cells() if _is_candidate(shape, rows, u)}
+    heap = [(content_key(u), u) for u in candidates]
+    heapq.heapify(heap)
+    anchors: list[Cell] = []
+    while candidates:
+        while heap[0][1] not in candidates:
+            heapq.heappop(heap)
+        path = _extraction_walk(shape, rows, heap[0][1])
+        anchor = _anchor_of_walk(shape, path[-1], len(path))
+        _add_along(shape, rows, path, -1)
+        if anchors and revlex_key(anchor) < revlex_key(anchors[-1]):
+            raise RuntimeError(
+                "extraction produced a decreasing hook sequence "
+                f"(shape {shape}, filling {pi.rows!r}, anchors {anchors + [anchor]})"
+            )
+        anchors.append(anchor)
+        for i, j in path:
+            for u in ((i, j), (i, j + 1), (i + 1, j)):
+                if not _is_candidate(shape, rows, u):
+                    candidates.discard(u)
+                elif u not in candidates:
+                    candidates.add(u)
+                    heapq.heappush(heap, (content_key(u), u))
+        yield anchor, path, rows, candidates
 
 
 def factorize(pi: Rpp) -> Factorization:
@@ -320,19 +361,9 @@ def factorize(pi: Rpp) -> Factorization:
 
     Repeatedly extracts at the content-minimal candidate until the zero
     filling remains. The resulting anchor sequence is weakly increasing in
-    the rim-hook order.
+    the rim-hook order. Costs O(cells + hooks x hook length).
     """
-    anchors: list[Cell] = []
-    cur = pi
-    while (step := extract_min(cur)) is not None:
-        hook, cur = step
-        if anchors and revlex_key(hook.anchor) < revlex_key(anchors[-1]):
-            raise RuntimeError(
-                "extraction produced a decreasing hook sequence "
-                f"(shape {pi.shape}, filling {pi.rows!r}, anchors {anchors + [hook.anchor]})"
-            )
-        anchors.append(hook.anchor)
-    return Factorization(pi.shape, tuple(anchors))
+    return Factorization(pi.shape, tuple(anchor for anchor, *_ in _extractions(pi)))
 
 
 def build(tableau: Tableau) -> Rpp:
@@ -341,17 +372,25 @@ def build(tableau: Tableau) -> Rpp:
     The multiset is sorted weakly increasing in the rim-hook order and
     inserted right to left (largest hook first). Every insertion succeeds;
     a failure would contradict the well-definedness theorem and aborts with
-    a diagnostic dump.
+    a diagnostic dump. The insertions update one grid in place, so the cost
+    is O(cells + hooks x hook length).
     """
+    shape = tableau.shape
     anchors = tableau.anchors()
-    cur = Rpp.zero(tableau.shape)
+    rows = [[0] * p for p in shape.parts]
     for step, anchor in enumerate(reversed(anchors), start=1):
-        result = try_insert(tableau.shape.rim_hook(anchor), cur)
-        if isinstance(result, InsertionFailure):
-            raise RuntimeError(
-                "lexicographic insertion failed, which contradicts the "
-                f"well-definedness theorem: shape {tableau.shape}, multiset "
-                f"{anchors}, step {step} at anchor {format_cell(anchor)}: {result}"
-            )
-        cur = result
-    return cur
+        tail = (anchor[0], shape.row_length(anchor[0]))
+        path = _insertion_walk(shape, rows, tail, shape.hook_length(anchor))
+        if all(u in shape for u in path) and _compatible(shape, rows, path):
+            try:
+                _add_along(shape, rows, path, +1)
+                continue
+            except ValueError:
+                pass
+        result = try_insert(shape.rim_hook(anchor), Rpp(shape, rows))
+        raise RuntimeError(
+            "lexicographic insertion failed, which contradicts the "
+            f"well-definedness theorem: shape {tableau.shape}, multiset "
+            f"{anchors}, step {step} at anchor {format_cell(anchor)}: {result}"
+        )
+    return Rpp(shape, rows)

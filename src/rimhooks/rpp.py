@@ -1,10 +1,12 @@
-"""Reverse plane partitions: extended-value lookup, sizes, traces, candidates."""
+"""Reverse plane partitions and hook-count tableaux: extended-value lookup,
+sizes, traces, candidates, and the in-place path update the bijection
+kernels share."""
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .geometry import (
     Cell,
@@ -12,8 +14,7 @@ from .geometry import (
     Region,
     content_key,
     format_cell,
-    north,
-    west,
+    revlex_key,
 )
 
 #: Extended values are plain ints inside the diagram, 0 north/west of it and
@@ -167,16 +168,8 @@ class Rpp(ShapedGrid):
         a band-A cell when it exceeds both its west and north neighbours
         (extended values, so first-column and first-row neighbours count as 0).
         """
-        found = set()
-        for u, v in self.entries():
-            reg = self.shape.region(u)
-            if reg is Region.OUTER_DIAG:
-                if v > self.value_ext(*west(u)):
-                    found.add(u)
-            elif reg is Region.BAND_A:
-                if v > self.value_ext(*west(u)) and v > self.value_ext(*north(u)):
-                    found.add(u)
-        return frozenset(found)
+        shape = self.shape
+        return frozenset(u for u in shape.cells() if _is_candidate(shape, self.rows, u))
 
     def min_candidate(self) -> Cell | None:
         """The content-order minimum of the candidates, None for the zero filling."""
@@ -184,6 +177,91 @@ class Rpp(ShapedGrid):
         if not cand:
             return None
         return min(cand, key=content_key)
+
+
+class Tableau(ShapedGrid):
+    """An unconstrained grid of counts, encoding a multiset of rim-hooks.
+
+    Entry t(u) is the multiplicity of the rim-hook anchored at u.
+    """
+
+    @property
+    def weighted_size(self) -> int:
+        """Total number of diagram cells covered by the encoded multiset."""
+        return sum(v * self.shape.hook_length(u) for u, v in self.entries() if v)
+
+    @property
+    def total(self) -> int:
+        return self.size
+
+    def anchors(self) -> list[Cell]:
+        """The multiset of anchors, weakly increasing in the rim-hook order."""
+        out = []
+        for u in sorted(self.shape.cells(), key=revlex_key):
+            out.extend([u] * self.value(u))
+        return out
+
+
+def _is_candidate(shape: Partition, rows: Sequence[Sequence[int]], u: Cell) -> bool:
+    """Whether u is one of `Rpp.candidates` of the filling `rows` of `shape`.
+
+    False outside the shape. Reads only u and its west and north neighbours.
+    """
+    reg = shape.region_or_none(u)
+    if reg is not Region.OUTER_DIAG and reg is not Region.BAND_A:
+        return False
+    i, j = u
+    v = rows[i - 1][j - 1]
+    if v <= (rows[i - 1][j - 2] if j > 1 else 0):
+        return False
+    return reg is Region.OUTER_DIAG or v > (rows[i - 2][j - 1] if i > 1 else 0)
+
+
+def _monotone_around(
+    rows: Sequence[Sequence[int]], parts: Sequence[int], cells: Iterable[Cell]
+) -> bool:
+    """Whether each entry at `cells` is non-negative and in order with its four neighbours.
+
+    These are exactly the checks of the Rpp constructor that involve the
+    entries at `cells`; `parts` gives the row lengths of `rows`.
+    """
+    n = len(parts)
+    for i, j in cells:
+        row = rows[i - 1]
+        v = row[j - 1]
+        if (
+            v < 0
+            or (j > 1 and row[j - 2] > v)
+            or (j < parts[i - 1] and row[j] < v)
+            or (i > 1 and rows[i - 2][j - 1] > v)
+            or (i < n and j <= parts[i] and rows[i][j - 1] < v)
+        ):
+            return False
+    return True
+
+
+def _add_along(
+    shape: Partition, rows: list[list[int]], cells: Sequence[Cell], delta: int
+) -> None:
+    """Add `delta` in place at every cell of `cells`, as `with_path` does on a copy.
+
+    `rows` must hold a reverse plane partition of `shape` on entry. Then only
+    edges that touch a changed cell can break, so only those are checked; on
+    a violation the entries are restored and the ValueError of the Rpp
+    constructor, naming the first offending cell, is raised.
+    """
+    for u in cells:
+        if u not in shape:
+            raise ValueError(f"cell {format_cell(u)} lies outside the shape {shape}")
+    for i, j in cells:
+        rows[i - 1][j - 1] += delta
+    if not _monotone_around(rows, shape.parts, cells):
+        try:
+            Rpp(shape, rows)
+        except ValueError:
+            for i, j in cells:
+                rows[i - 1][j - 1] -= delta
+            raise
 
 
 def validate(shape: Partition, rows: Iterable[Iterable[int]]) -> Rpp:

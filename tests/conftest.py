@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Iterator
 
 import pytest
+from hypothesis import strategies as st
 
 from rimhooks import Partition, Rpp
 
@@ -28,6 +29,26 @@ def all_partitions(max_size: int) -> list[Partition]:
     for n in range(1, max_size + 1):
         out.extend(Partition(parts) for parts in partitions_of(n))
     return out
+
+
+partitions = st.lists(st.integers(1, 6), min_size=0, max_size=5).map(
+    lambda parts: Partition(sorted(parts, reverse=True))
+)
+
+
+@st.composite
+def rpps(draw):
+    shape = draw(partitions.filter(bool))
+    grid = []
+    for i, p in enumerate(shape.parts, start=1):
+        row = []
+        for j in range(1, p + 1):
+            lo = row[-1] if row else 0
+            if i > 1 and shape.parts[i - 2] >= j:
+                lo = max(lo, grid[i - 2][j - 1])
+            row.append(lo + draw(st.integers(0, 3)))
+        grid.append(row)
+    return Rpp(shape, grid)
 
 
 @pytest.fixture

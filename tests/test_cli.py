@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rimhooks import Partition, Rpp, Tableau
 from rimhooks.cli import run
 
 RUNNING = "0 1 2 3\n1 2 2\n1\n"
@@ -143,6 +144,18 @@ class TestPeelingCommands:
         )
         assert out.strip().splitlines() == ["0 1 4", "2 3 4", "4 4"]
 
+    def test_xi_on_a_large_square_with_large_entries(self, capsys, monkeypatch):
+        # 10^4 cells peel one corner at a time without any recursion limit;
+        # entries climb to 999901
+        n = 100
+        rows = [[(i + j) * 5050 + (i * j) % 7 for j in range(n)] for i in range(n)]
+        pi = Rpp(Partition((n,) * n), rows)
+        code, out, _ = invoke(
+            capsys, monkeypatch, ["xi", "--format", "json"], stdin=pi.to_json()
+        )
+        assert code == 0
+        assert Tableau.from_json(out).weighted_size == pi.size
+
     def test_zeta_bad_corner(self, capsys, monkeypatch):
         code, _, err = invoke(
             capsys, monkeypatch, ["zeta", "--corner", "(1,1)"],
@@ -230,6 +243,13 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as err:
             run(["verify", "nonsense"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+        with pytest.raises(SystemExit) as err:
+            run(["verify", "golden", "--jobs", jobs])
+        assert err.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
 
 class TestEnumerateCommand:

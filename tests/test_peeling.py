@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from rimhooks import (
     Partition,
     Rpp,
+    Tableau,
     build,
     corner_is_tight,
     corner_toggle,
@@ -71,6 +74,19 @@ class TestPeel:
 
         for tab in enumerate_tableaux(shape, 6):
             assert peel_tableau(build(tab)) == tab
+
+    def test_inverts_build_on_a_large_square(self):
+        # 1600 corners: far past the depth at which a recursive peel fails
+        rng = random.Random(40)
+        counts = [[0] * 40 for _ in range(40)]
+        for _ in range(300):
+            counts[rng.randrange(40)][rng.randrange(40)] += 1
+        tab = Tableau(Partition((40,) * 40), counts)
+        assert peel_tableau(build(tab)) == tab
+
+    def test_rejects_a_chooser_that_returns_no_outer_corner(self, steep_example):
+        with pytest.raises(ValueError, match="not an outer corner"):
+            peel_tableau(steep_example, lambda shape: (1, shape.parts[0] - 1))
 
 
 def _force_first(first):

@@ -1,7 +1,11 @@
 """Cross-cutting invariants that tie several operations together."""
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from rimhooks import (
     Partition,
+    Rpp,
     content_key,
     extraction_path,
     is_compatible,
@@ -9,6 +13,9 @@ from rimhooks import (
     rim_hook_of_path,
 )
 from rimhooks.enumeration import enumerate_rpps, enumerate_sw_paths
+from rimhooks.insertion import _extractions
+from rimhooks.rpp import _add_along
+from conftest import rpps
 
 
 class TestFactorPathsReverseToExtractions:
@@ -76,3 +83,36 @@ class TestMinimalCandidateExtractionAlwaysWorks:
                         rim_hook_key(h) <= rim_hook_key(at_u) and is_factor(h, pi)
                         for h in shape.rim_hooks()
                     )
+
+
+class TestLocalShortcutsMatchFullChecks:
+    @settings(max_examples=150, deadline=None)
+    @given(rpps())
+    def test_incremental_candidates_equal_a_full_scan(self, pi):
+        full = pi.candidates()
+        for _, _, rows, candidates in _extractions(pi):
+            full = Rpp(pi.shape, rows).candidates()
+            assert candidates == full
+        assert not full
+
+    @settings(max_examples=300, deadline=None)
+    @given(rpps(), st.data())
+    def test_in_place_update_fails_exactly_when_the_constructor_does(self, pi, data):
+        shape = pi.shape
+        cells = [data.draw(st.sampled_from(list(shape.cells())))]
+        steps = data.draw(st.sampled_from((((-1, 0), (0, 1)), ((1, 0), (0, -1)))))
+        for _ in range(data.draw(st.integers(0, 8))):
+            di, dj = data.draw(st.sampled_from(steps))
+            cells.append((cells[-1][0] + di, cells[-1][1] + dj))
+        delta = data.draw(st.sampled_from((1, -1)))
+        rows = [list(row) for row in pi.rows]
+        try:
+            expected = pi.with_path(cells, delta)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                _add_along(shape, rows, cells, delta)
+            assert str(raised.value) == str(exc)
+            assert rows == [list(row) for row in pi.rows]
+        else:
+            _add_along(shape, rows, cells, delta)
+            assert rows == [list(row) for row in expected.rows]

@@ -16,25 +16,7 @@ from rimhooks import (
     parse_cell,
 )
 from rimhooks.enumeration import enumerate_rpps
-
-partitions = st.lists(st.integers(1, 6), min_size=0, max_size=5).map(
-    lambda parts: Partition(sorted(parts, reverse=True))
-)
-
-
-@st.composite
-def rpps(draw):
-    shape = draw(partitions.filter(bool))
-    grid = []
-    for i, p in enumerate(shape.parts, start=1):
-        row = []
-        for j in range(1, p + 1):
-            lo = row[-1] if row else 0
-            if i > 1 and shape.parts[i - 2] >= j:
-                lo = max(lo, grid[i - 2][j - 1])
-            row.append(lo + draw(st.integers(0, 3)))
-        grid.append(row)
-    return Rpp(shape, grid)
+from conftest import partitions, rpps
 
 
 @st.composite
