@@ -2,7 +2,15 @@
 # Every reverse plane partition factors uniquely into a weakly increasing
 # sequence of rim-hooks; re-inserting them largest-first rebuilds it.
 
-from rimhooks import Partition, Rpp, build, extract_min, extraction_path, factorize
+from rimhooks import (
+    Partition,
+    Rpp,
+    build,
+    content_key,
+    extraction_path,
+    factorize,
+    rim_hook_of_path,
+)
 from rimhooks.enumeration import enumerate_rpps, enumerate_tableaux
 from rimhooks.render import ascii_grid, ascii_rpp
 
@@ -15,11 +23,11 @@ print(ascii_rpp(pi))
 # candidate; each walk determines one rim-hook (same tail, same cell count)
 print("\nstep-by-step extraction:")
 cur = pi
-while (step := extract_min(cur)) is not None:
-    hook, reduced = step
-    walk = extraction_path(cur.min_candidate(), cur)
-    print(f"  candidates {sorted(cur.candidates())}, walk {walk} -> hook {hook.anchor}")
-    cur = reduced
+while candidates := cur.candidates():
+    walk = extraction_path(min(candidates, key=content_key), cur)
+    hook = rim_hook_of_path(walk, shape)
+    print(f"  candidates {sorted(candidates)}, walk {walk} -> hook {hook.anchor}")
+    cur = cur.with_path(walk, -1)
 assert cur.is_zero()
 
 fact = factorize(pi)

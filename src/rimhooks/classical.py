@@ -217,28 +217,43 @@ def rsk_inv(pair: SsytPair, shape: Partition | None = None) -> Tableau:
 
 def diag_partition(pi: Rpp, k: int) -> Partition:
     """The nonzero entries on diagonal k, sorted decreasingly."""
-    values = []
-    for i in range(1, pi.shape.length + 1):
-        j = i + k
-        if (i, j) in pi.shape:
-            v = pi.value((i, j))
-            if v:
-                values.append(v)
-    return Partition(sorted(values, reverse=True))
+    values = [
+        row[i + k - 1] for i, row in enumerate(pi.rows, start=1) if 1 <= i + k <= len(row)
+    ]
+    return Partition(sorted(filter(None, values), reverse=True))
+
+
+def _rectangle_corner(shape: Partition, k: int) -> Cell | None:
+    """The south-easternmost content-k cell, None when diagonal k is empty."""
+    parts = shape.parts
+    for i in range(len(parts), 0, -1):
+        if 1 <= i + k <= parts[i - 1]:
+            return (i, i + k)
+    return None
 
 
 def rectangle_cells(shape: Partition, k: int) -> tuple[Cell, ...]:
     """Cells weakly north-west of the south-easternmost content-k cell."""
-    best = None
-    for i in range(shape.length, 0, -1):
-        j = i + k
-        if (i, j) in shape:
-            best = (i, j)
-            break
-    if best is None:
+    corner = _rectangle_corner(shape, k)
+    if corner is None:
         return ()
     return tuple(
-        (i, j) for i in range(1, best[0] + 1) for j in range(1, best[1] + 1)
+        (i, j) for i in range(1, corner[0] + 1) for j in range(1, corner[1] + 1)
+    )
+
+
+@lru_cache(maxsize=64)
+def _rectangle_entries(tableau: Tableau, k: int) -> tuple[tuple[Cell, int], ...]:
+    """The nonzero entries of the content-k rectangle, row-major, as (cell, value)."""
+    corner = _rectangle_corner(tableau.shape, k)
+    if corner is None:
+        return ()
+    a, b = corner
+    return tuple(
+        ((i, j), v)
+        for i, row in enumerate(tableau.rows[:a], start=1)
+        for j, v in enumerate(row[:b], start=1)
+        if v
     )
 
 
@@ -314,9 +329,7 @@ def gk_chain_max(
         raise ValueError("the family needs at least one chain")
     if kind not in ("weak", "strict"):
         raise ValueError(f"unknown chain kind {kind!r}")
-    caps = tuple(
-        (u, tableau.value(u)) for u in rectangle_cells(tableau.shape, k) if tableau.value(u)
-    )
+    caps = _rectangle_entries(tableau, k)
     states = r
     for _, c in caps:
         states *= c + 1

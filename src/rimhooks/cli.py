@@ -19,7 +19,7 @@ from .enumeration import (
     enumerate_rpps,
     enumerate_tableaux,
 )
-from .geometry import Partition, content_key, format_cell, parse_cell, revlex_key
+from .geometry import Partition, content_key, format_cell, parse_cell
 from .insertion import (
     Factorization,
     InsertionFailure,
@@ -99,7 +99,7 @@ def cmd_info(args) -> int:
     regions = {format_cell(u): shape.region(u).value for u in shape.cells()}
     revlex_rank = {
         format_cell(u): n
-        for n, u in enumerate(sorted(shape.cells(), key=revlex_key), start=1)
+        for n, u in enumerate(shape.revlex_cells, start=1)
     }
     content_rank = {
         format_cell(u): n
@@ -294,6 +294,8 @@ def cmd_rsk_inv(args) -> int:
     text = _read_input(args)
     if args.format == "json":
         obj = json.loads(text)
+        if not (isinstance(obj, dict) and "p" in obj and "q" in obj):
+            raise DomainError("expected a JSON object with the keys 'p' and 'q'")
         pair = classical.SsytPair(Rpp.from_json_obj(obj["p"]), Rpp.from_json_obj(obj["q"]))
     else:
         first, _, second = text.partition("\n\n")
@@ -399,14 +401,21 @@ def cmd_render(args) -> int:
 # --------------------------------------------------------------- parser
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def _add_io(p, needs_shape=False, shape_required=False):
@@ -513,18 +522,18 @@ def make_parser() -> argparse.ArgumentParser:
         choices=("hook-product", "rpp", "trace-product", "trace"),
         help="which series to print",
     )
-    p.add_argument("--degree", type=int, default=10)
+    p.add_argument("--degree", type=_non_negative_int, default=10)
     p.set_defaults(fn=cmd_series)
 
     p = sub.add_parser("verify", help="run a property suite")
     _add_io(p)
     p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument("--shape", action="append", help="override the verification shapes")
-    p.add_argument("--size-bound", type=int, dest="size_bound")
-    p.add_argument("--weight-bound", type=int, dest="weight_bound")
-    p.add_argument("--path-size-bound", type=int, dest="path_size_bound")
-    p.add_argument("--degree", type=int, help="univariate series truncation")
-    p.add_argument("--trace-degree", type=int, dest="trace_degree")
+    p.add_argument("--size-bound", type=_non_negative_int, dest="size_bound")
+    p.add_argument("--weight-bound", type=_non_negative_int, dest="weight_bound")
+    p.add_argument("--path-size-bound", type=_non_negative_int, dest="path_size_bound")
+    p.add_argument("--degree", type=_non_negative_int, help="univariate series truncation")
+    p.add_argument("--trace-degree", type=_non_negative_int, dest="trace_degree")
     p.add_argument("--sample", type=int, help="randomly subsample heavy loops")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=_positive_int, default=1)
@@ -533,7 +542,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream fillings or tableaux as JSON lines")
     _add_io(p, needs_shape=True, shape_required=True)
     p.add_argument("what", choices=("rpps", "tableaux"))
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=_non_negative_int, required=True)
     p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
     p.set_defaults(fn=cmd_enumerate)
 

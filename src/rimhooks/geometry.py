@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import ge
 from typing import Iterable, Iterator
 
 Cell = tuple[int, int]
@@ -101,10 +102,9 @@ class Partition:
     """A weakly decreasing sequence of positive integers and its cell diagram."""
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
-        for a, b in zip(parts, parts[1:]):
-            if a < b:
-                raise ValueError(f"parts must be weakly decreasing, got {parts}")
+        parts = tuple(map(int, parts))
+        if not all(map(ge, parts, parts[1:])):
+            raise ValueError(f"parts must be weakly decreasing, got {parts}")
         if parts and parts[-1] <= 0:
             raise ValueError(f"parts must be positive, got {parts}")
         self.parts = parts
@@ -155,12 +155,11 @@ class Partition:
 
     @cached_property
     def _conjugate_parts(self) -> tuple[int, ...]:
-        if not self.parts:
-            return ()
-        conj = [0] * self.parts[0]
-        for p in self.parts:
-            for j in range(p):
-                conj[j] += 1
+        # bottom to top, row i adds one column of length i per cell it
+        # extends past the rows below it
+        conj: list[int] = []
+        for i in range(len(self.parts), 0, -1):
+            conj.extend([i] * (self.parts[i - 1] - len(conj)))
         return tuple(conj)
 
     def conjugate(self) -> "Partition":
@@ -171,6 +170,14 @@ class Partition:
         for i, p in enumerate(self.parts, start=1):
             for j in range(1, p + 1):
                 yield (i, j)
+
+    @cached_property
+    def revlex_cells(self) -> tuple[Cell, ...]:
+        """All cells in reverse lexicographic order: columns east to west, each bottom to top."""
+        conj = self._conjugate_parts
+        return tuple(
+            (i, j) for j in range(len(conj), 0, -1) for i in range(conj[j - 1], 0, -1)
+        )
 
     def _require(self, u: Cell) -> None:
         if u not in self:
@@ -184,15 +191,18 @@ class Partition:
 
     @cached_property
     def _corner_cells(self) -> tuple[tuple[Cell, ...], tuple[Cell, ...]]:
+        # Row i ends in an outer corner when the row below is shorter, and
+        # then holds an inner corner above the end of that row when it is
+        # not empty. Bottom to top is increasing content.
         inner, outer = [], []
-        for u in self.cells():
-            e_in, s_in = east(u) in self, south(u) in self
-            if not e_in and not s_in:
-                outer.append(u)
-            elif e_in and s_in and east(south(u)) not in self:
-                inner.append(u)
-        inner.sort(key=content)
-        outer.sort(key=content)
+        below = 0
+        for i in range(len(self.parts), 0, -1):
+            p = self.parts[i - 1]
+            if below < p:
+                outer.append((i, p))
+                if below:
+                    inner.append((i, below))
+            below = p
         return tuple(inner), tuple(outer)
 
     def corners(self) -> tuple[tuple[Cell, ...], tuple[Cell, ...]]:
@@ -262,7 +272,7 @@ class Partition:
 
     def rim_hooks(self) -> list["RimHook"]:
         """All rim-hooks, smallest first in the rim-hook order."""
-        return [self.rim_hook(u) for u in sorted(self.cells(), key=revlex_key)]
+        return [self.rim_hook(u) for u in self.revlex_cells]
 
     def remove_corner(self, x: Cell) -> "Partition":
         """The partition with the outer corner x removed."""

@@ -154,7 +154,7 @@ def _compatible(shape: Partition, rows: _Grid, cells: Sequence[Cell]) -> bool:
     for u in cells:
         i, j = u
         v = rows[i - 1][j - 1]
-        if shape.region(u) in (Region.INNER_DIAG, Region.BAND_A):
+        if shape.region_or_none(u) in (Region.INNER_DIAG, Region.BAND_A):
             if (i, j + 1) not in on_path or v != rows[i - 1][j]:
                 return False
         if (i + 1, j) in on_path and v != rows[i][j - 1]:
@@ -208,7 +208,8 @@ def _anchor_of_walk(shape: Partition, tail: Cell, length: int) -> Cell:
             f"path tail {format_cell((i, j))} is not at the end of row {i} of {shape}"
         )
     for col in range(1, j + 1):
-        if shape.hook_length((i, col)) == length:
+        # the hook length of (i, col), which lies in row i of length j
+        if j - col + shape.col_length(col) - i + 1 == length:
             return (i, col)
     raise RuntimeError(
         f"no rim-hook of {shape} has tail {format_cell((i, j))} and {length} cells"

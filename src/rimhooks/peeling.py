@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .geometry import Cell, Partition, format_cell, north, revlex_key, west
+from .geometry import Cell, Partition, format_cell, north, west
 from .rpp import Rpp, Tableau, _monotone_around
 
 CornerChooser = Callable[[Partition], Cell]
@@ -99,7 +99,7 @@ def peel_tableau(pi: Rpp, choose_corner: CornerChooser | None = None) -> Tableau
     counts = [[0] * p for p in shape.parts]
     # The revlex-minimal outer corner is the bottom cell of the last column,
     # so by default the cells go in increasing revlex order.
-    default_order = iter(sorted(shape.cells(), key=revlex_key))
+    default_order = iter(shape.revlex_cells)
     while parts:
         if choose_corner is None:
             x = next(default_order)

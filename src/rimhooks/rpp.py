@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cached_property
+from operator import le
 from typing import Iterable, Iterator, Sequence
 
 from .geometry import (
@@ -14,7 +16,6 @@ from .geometry import (
     Region,
     content_key,
     format_cell,
-    revlex_key,
 )
 
 #: Extended values are plain ints inside the diagram, 0 north/west of it and
@@ -30,17 +31,19 @@ class ShapedGrid:
     """
 
     def __init__(self, shape: Partition, rows: Iterable[Iterable[int]] = ()):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
-        if len(rows) != shape.length:
-            raise ValueError(
-                f"expected {shape.length} rows for shape {shape}, got {len(rows)}"
-            )
-        for i, (row, part) in enumerate(zip(rows, shape.parts), start=1):
-            if len(row) != part:
-                raise ValueError(f"row {i} has {len(row)} entries, expected {part}")
-            for j, v in enumerate(row, start=1):
-                if v < 0:
-                    raise ValueError(f"negative entry {v} at {format_cell((i, j))}")
+        rows = tuple([tuple(map(int, row)) for row in rows])
+        if tuple(map(len, rows)) != shape.parts or (rows and min(map(min, rows)) < 0):
+            # only on failure: find the first offending row or cell
+            if len(rows) != shape.length:
+                raise ValueError(
+                    f"expected {shape.length} rows for shape {shape}, got {len(rows)}"
+                )
+            for i, (row, part) in enumerate(zip(rows, shape.parts), start=1):
+                if len(row) != part:
+                    raise ValueError(f"row {i} has {len(row)} entries, expected {part}")
+                for j, v in enumerate(row, start=1):
+                    if v < 0:
+                        raise ValueError(f"negative entry {v} at {format_cell((i, j))}")
         self.shape = shape
         self.rows = rows
 
@@ -96,6 +99,11 @@ class ShapedGrid:
         )
 
     def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # grids are immutable, and memo tables hash the same grid many times
         return hash((type(self).__name__, self.shape.parts, self.rows))
 
     def __repr__(self) -> str:
@@ -124,7 +132,21 @@ class ShapedGrid:
 
     @classmethod
     def from_json_obj(cls, obj: dict):
-        return cls(Partition(obj["shape"]), obj["rows"])
+        if not isinstance(obj, dict):
+            raise ValueError("expected a JSON object with the keys 'shape' and 'rows'")
+        for key in ("shape", "rows"):
+            if key not in obj:
+                raise ValueError(f"JSON grid has no {key!r} key")
+        shape, rows = obj["shape"], obj["rows"]
+        if not (isinstance(shape, list) and all(isinstance(p, int) for p in shape)):
+            raise ValueError("JSON key 'shape' must be a list of integers")
+        if not (
+            isinstance(rows, list)
+            and all(isinstance(row, list) for row in rows)
+            and all(isinstance(v, int) for row in rows for v in row)
+        ):
+            raise ValueError("JSON key 'rows' must be a list of lists of integers")
+        return cls(Partition(shape), rows)
 
     @classmethod
     def from_json(cls, text: str):
@@ -136,6 +158,12 @@ class Rpp(ShapedGrid):
 
     def __init__(self, shape: Partition, rows: Iterable[Iterable[int]] = ()):
         super().__init__(shape, rows)
+        rows = self.rows
+        if all(all(map(le, row, row[1:])) for row in rows) and all(
+            all(map(le, upper, lower)) for upper, lower in zip(rows, rows[1:])
+        ):
+            return
+        # only on failure: find the first offending cell
         for (i, j), v in self.entries():
             if j > 1 and v < self.rows[i - 1][j - 2]:
                 raise ValueError(
@@ -197,8 +225,8 @@ class Tableau(ShapedGrid):
     def anchors(self) -> list[Cell]:
         """The multiset of anchors, weakly increasing in the rim-hook order."""
         out = []
-        for u in sorted(self.shape.cells(), key=revlex_key):
-            out.extend([u] * self.value(u))
+        for i, j in self.shape.revlex_cells:
+            out.extend([(i, j)] * self.rows[i - 1][j - 1])
         return out
 
 

@@ -240,8 +240,10 @@ def suite_pak(config: VerifyConfig) -> list[CheckResult]:
     out = []
     for shape in config.partitions():
         fillings = config.pick(list(enumerate_rpps(shape, config.size_bound)))
+        references = [peeling.peel_tableau(pi) for pi in fillings]
         agree = all(
-            peeling.peel_tableau(pi) == factorize(pi).to_tableau() for pi in fillings
+            reference == factorize(pi).to_tableau()
+            for pi, reference in zip(fillings, references)
         )
         out.append(
             _result(
@@ -253,8 +255,7 @@ def suite_pak(config: VerifyConfig) -> list[CheckResult]:
         )
         _, outer = shape.corners()
         independent = True
-        for pi in fillings:
-            reference = peeling.peel_tableau(pi)
+        for pi, reference in zip(fillings, references):
             for first in outer:
                 if peeling.peel_tableau(pi, _first_then_default(first)) != reference:
                     independent = False
@@ -292,19 +293,19 @@ def suite_commute(config: VerifyConfig) -> list[CheckResult]:
     out = []
     for shape in config.partitions():
         _, outer = shape.corners()
+        nonzero = [t for t in enumerate_tableaux(shape, config.weight_bound) if t.total >= 1]
+        # (first anchor, build without it, build of the whole tableau)
+        # depends only on the tableau; computed at its first corner
+        built: dict[Tableau, tuple] = {}
         checked, failed = 0, 0
         for x in outer:
             reduced = shape.remove_corner(x)
-            tableaux = [
-                t
-                for t in enumerate_tableaux(shape, config.weight_bound)
-                if t.total >= 1 and t.value(x) == 0
-            ]
+            tableaux = [t for t in nonzero if t.value(x) == 0]
             for t in config.pick(tableaux):
-                anchors = t.anchors()
-                first, rest = anchors[0], anchors[1:]
-                partial = build(t.with_path([first], -1))
-                whole = build(t)
+                if t not in built:
+                    first = t.anchors()[0]
+                    built[t] = (first, build(t.with_path([first], -1)), build(t))
+                first, partial, whole = built[t]
                 left = peeling.corner_toggle(whole, x)
                 inserted = try_insert(
                     reduced.rim_hook(first), peeling.corner_toggle(partial, x)
@@ -327,13 +328,14 @@ def suite_insertion_uniqueness(config: VerifyConfig) -> list[CheckResult]:
     out = []
     for shape in config.partitions():
         hooks = shape.rim_hooks()
+        sw_paths = [list(enumerate_sw_paths(shape, hook.tail, len(hook))) for hook in hooks]
         fillings = config.pick(list(enumerate_rpps(shape, config.path_size_bound)))
         checked, failed = 0, 0
         for pi in fillings:
-            for hook in hooks:
+            for hook, paths in zip(hooks, sw_paths):
                 attempted = insertion_path(hook, pi)
                 valid = []
-                for path in enumerate_sw_paths(shape, hook.tail, len(hook)):
+                for path in paths:
                     if not is_compatible(path, pi):
                         continue
                     try:
@@ -428,7 +430,8 @@ def suite_hg(config: VerifyConfig) -> list[CheckResult]:
     out = []
     for shape in config.partitions():
         fillings = config.pick(list(enumerate_rpps(shape, config.size_bound)))
-        roundtrip = all(classical.hg_inv(classical.hg(pi)) == pi for pi in fillings)
+        images = [classical.hg(pi) for pi in fillings]
+        roundtrip = all(classical.hg_inv(t) == pi for pi, t in zip(fillings, images))
         out.append(
             _result(
                 "hg",
@@ -437,7 +440,7 @@ def suite_hg(config: VerifyConfig) -> list[CheckResult]:
                 f"{len(fillings)} fillings",
             )
         )
-        weights = all(classical.hg(pi).weighted_size == pi.size for pi in fillings)
+        weights = all(t.weighted_size == pi.size for pi, t in zip(fillings, images))
         out.append(
             _result(
                 "hg",
@@ -475,7 +478,7 @@ def suite_diag(config: VerifyConfig) -> list[CheckResult]:
         for t in tableaux:
             pi = build(t)
             for k in range(1 - shape.length, shape.parts[0]):
-                expected = sum(t.value(u) for u in classical.rectangle_cells(shape, k))
+                expected = sum(v for _, v in classical._rectangle_entries(t, k))
                 if pi.trace(k) != expected:
                     failed += 1
         out.append(

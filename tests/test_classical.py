@@ -159,6 +159,35 @@ class TestGreeneKleitman:
                 count += 1
         assert count > 100
 
+    def test_rectangles_of_every_small_shape(self):
+        # capacities against the rectangle_cells definition, and chain maxima
+        # against Greene's theorem on the rectangle-restricted matrix, on
+        # shapes that are not rectangles too
+        import random
+
+        from rimhooks.classical import _rectangle_entries
+
+        rng = random.Random(11)
+        for shape in all_partitions(8):
+            for _ in range(2):
+                grid = [[rng.randint(0, 2) for _ in range(p)] for p in shape.parts]
+                t = Tableau(shape, grid)
+                for k in range(-shape.length - 1, shape.parts[0] + 2):
+                    cells = rectangle_cells(shape, k)
+                    caps = tuple((u, t.value(u)) for u in cells if t.value(u))
+                    assert _rectangle_entries(t, k) == caps
+                    if cells:
+                        rows, cols = cells[-1]
+                        block = [row[:cols] for row in t.rows[:rows]]
+                        rect = Tableau(Partition((cols,) * rows), block)
+                        mu = rsk(rect).shape
+                    else:
+                        mu = Partition(())
+                    nu = mu.conjugate()
+                    for r in (1, 2, 3):
+                        assert gk_chain_max(t, k, r, "weak") == sum(mu.parts[:r])
+                        assert gk_chain_max(t, k, r, "strict") == sum(nu.parts[:r])
+
     def test_bad_arguments(self):
         t = Tableau.zero(Partition((2, 2)))
         with pytest.raises(ValueError):

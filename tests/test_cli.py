@@ -304,3 +304,54 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             run(["info", "--no-such-flag"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["series", "trace", "--shape", "2,1", "--degree", "-1"],
+            ["series", "hook-product", "--shape", "2,1", "--degree", "-1"],
+            ["enumerate", "rpps", "--shape", "2,1", "--bound", "-1"],
+            ["verify", "stanley", "--degree", "-1"],
+            ["verify", "bijection", "--size-bound", "-1"],
+            ["verify", "bijection", "--weight-bound", "-2"],
+            ["verify", "insertion-uniqueness", "--path-size-bound", "-1"],
+            ["verify", "gansner", "--trace-degree", "-1"],
+            ["verify", "gansner", "--trace-degree", "x"],
+        ],
+    )
+    def test_negative_bound(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2
+        assert f"{argv[-2]}: expected a non-negative integer" in capsys.readouterr().err
+
+    def test_zero_bound_is_accepted(self, capsys, monkeypatch):
+        code, out, _ = invoke(
+            capsys, monkeypatch, ["enumerate", "rpps", "--shape", "2,1", "--bound", "0"]
+        )
+        assert code == 0
+        assert json.loads(out) == {"shape": [2, 1], "rows": [[0, 0], [0]]}
+
+    @pytest.mark.parametrize(
+        "stdin, key",
+        [
+            ('{"shape": [2, 1]}', "'rows'"),
+            ('{"rows": [[0, 1], [1]]}', "'shape'"),
+            ('{"shape": [2, 1], "rows": 5}', "'rows'"),
+            ('{"shape": [2, 1], "rows": [[0, 1], 5]}', "'rows'"),
+            ('{"shape": "2,1", "rows": [[0, 1], [1]]}', "'shape'"),
+            ("[[0, 1], [1]]", "'shape' and 'rows'"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["factorize", "hg-inv"])
+    def test_bad_json_grid(self, capsys, monkeypatch, stdin, key, command):
+        code, out, _ = invoke(capsys, monkeypatch, [command, "--format", "json"], stdin=stdin)
+        assert code == 1
+        assert key in json.loads(out)["error"]
+
+    def test_bad_json_pair(self, capsys, monkeypatch):
+        code, out, _ = invoke(
+            capsys, monkeypatch, ["rsk-inv", "--format", "json"], stdin='{"p": {}}'
+        )
+        assert code == 1
+        assert "'p' and 'q'" in json.loads(out)["error"]

@@ -28,6 +28,22 @@ def hook_cells_oracle(shape: Partition, u) -> int:
     return 1 + arm + leg
 
 
+def corner_cells_oracle(shape: Partition):
+    # the cell-scan definition: an outer corner has neither its east nor its
+    # south neighbour in the diagram; an inner corner has both, but not the
+    # cell south-east of it
+    inner, outer = [], []
+    for u in shape.cells():
+        e_in, s_in = east(u) in shape, south(u) in shape
+        if not e_in and not s_in:
+            outer.append(u)
+        elif e_in and s_in and east(south(u)) not in shape:
+            inner.append(u)
+    inner.sort(key=content)
+    outer.sort(key=content)
+    return tuple(inner), tuple(outer)
+
+
 class TestPartition:
     def test_conjugate_examples(self):
         assert Partition((4, 3, 1)).conjugate() == Partition((3, 2, 2, 1))
@@ -124,6 +140,10 @@ class TestCorners:
         with pytest.raises(ValueError):
             Partition(()).corners()
 
+    def test_matches_cell_scan_oracle(self):
+        for shape in all_partitions(10):
+            assert shape.corners() == corner_cells_oracle(shape)
+
 
 class TestRegions:
     def test_band_a_in_large_example(self):
@@ -161,6 +181,11 @@ class TestOrders:
         shape = Partition((4, 3, 1))
         ranked = sorted(shape.cells(), key=revlex_key)
         assert ranked == [(1, 4), (2, 3), (1, 3), (2, 2), (1, 2), (3, 1), (2, 1), (1, 1)]
+
+    def test_revlex_cells_are_the_sorted_cells(self):
+        for shape in all_partitions(10):
+            assert shape.revlex_cells == tuple(sorted(shape.cells(), key=revlex_key))
+        assert Partition(()).revlex_cells == ()
 
     def test_content_ranks(self):
         shape = Partition((4, 3, 1))
