@@ -25,7 +25,7 @@ GK_DEFAULT_BUDGET = 5_000_000
 
 def _hg_walk(shape: Partition, rows: list[list[int]], start_col: int) -> list[Cell]:
     parts = shape.parts
-    i, j = shape.col_length(start_col), start_col
+    i, j = shape._conjugate_parts[start_col - 1], start_col
     cells = [(i, j)]
     while True:
         if (rows[i - 2][j - 1] if i > 1 else 0) == rows[i - 1][j - 1]:
@@ -45,6 +45,7 @@ def hg(pi: Rpp) -> Tableau:
     O(cells + hooks x hook length).
     """
     shape = pi.shape
+    conj = shape._conjugate_parts
     rows = [list(row) for row in pi.rows]
     grid = [[0] * p for p in shape.parts]
     remaining = pi.size
@@ -52,7 +53,7 @@ def hg(pi: Rpp) -> Tableau:
     while remaining:
         # A zero at the bottom of a column makes the whole column zero, and
         # walks only decrement, so the start column never moves left.
-        while rows[shape.col_length(start_col) - 1][start_col - 1] == 0:
+        while rows[conj[start_col - 1] - 1][start_col - 1] == 0:
             start_col += 1
         cells = _hg_walk(shape, rows, start_col)
         end_row = cells[-1][0]
@@ -80,7 +81,7 @@ def hg_inv(tableau: Tableau) -> Rpp:
     hooks.sort(key=lambda fs: (-fs[1], fs[0]))
     rows = [[0] * p for p in parts]
     for f, s in hooks:
-        i, j = f, shape.row_length(f)
+        i, j = f, parts[f - 1]
         cells = [(i, j)]
         while True:
             if i < len(parts) and j <= parts[i] and rows[i][j - 1] == rows[i - 1][j - 1]:

@@ -534,7 +534,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--path-size-bound", type=_non_negative_int, dest="path_size_bound")
     p.add_argument("--degree", type=_non_negative_int, help="univariate series truncation")
     p.add_argument("--trace-degree", type=_non_negative_int, dest="trace_degree")
-    p.add_argument("--sample", type=int, help="randomly subsample heavy loops")
+    p.add_argument("--sample", type=_positive_int, help="randomly subsample heavy loops")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(fn=cmd_verify)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import ge
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 Cell = tuple[int, int]
 
@@ -212,12 +213,17 @@ class Partition:
         return self._corner_cells
 
     @cached_property
-    def _region_by_content(self) -> dict[int, Region]:
+    def regions_by_content(self) -> Mapping[int, Region]:
+        """The region of every diagonal of the diagram, keyed by content (read-only).
+
+        Every cell (i, j) of the diagram lies in region `regions_by_content[j - i]`;
+        the bijection kernels read this table directly in their inner loops.
+        """
         inner, outer = self._corner_cells
         inner_contents = [content(u) for u in inner]
         outer_contents = [content(u) for u in outer]
         regions: dict[int, Region] = {}
-        for c in range(1 - len(self.parts), self.parts[0]):
+        for c in range(1 - len(self.parts), self.parts[0] if self.parts else 0):
             if c in outer_contents:
                 regions[c] = Region.OUTER_DIAG
             elif c in inner_contents:
@@ -233,7 +239,15 @@ class Partition:
                     regions[c] = (
                         Region.BAND_B if c < inner_contents[below - 1] else Region.BAND_A
                     )
-        return regions
+        return MappingProxyType(regions)
+
+    @cached_property
+    def _column_by_head_content(self) -> dict[int, int]:
+        # Column j keyed by the content of its bottom cell. The rim-hook
+        # anchored at (i, j) runs from that cell to the end of row i, one
+        # content per cell, so its length is parts[i-1] - i + 1 minus the key.
+        conj = self._conjugate_parts
+        return {j - conj[j - 1]: j for j in range(1, len(conj) + 1)}
 
     def region(self, u: Cell) -> Region:
         reg = self.region_or_none(u)
@@ -245,7 +259,7 @@ class Partition:
         """Like region, but None for cells outside the diagram."""
         i, j = u
         if 1 <= i <= len(self.parts) and 1 <= j <= self.parts[i - 1]:
-            return self._region_by_content[j - i]
+            return self.regions_by_content[j - i]
         return None
 
     def rim_hook(self, u: Cell) -> "RimHook":

@@ -25,7 +25,7 @@ from .geometry import (
     parse_cell,
     revlex_key,
 )
-from .rpp import Rpp, Tableau, _add_along, _is_candidate
+from .rpp import Rpp, Tableau, _add_along, _candidates_among
 
 
 class Orientation(Enum):
@@ -150,28 +150,40 @@ _Grid = Sequence[Sequence[int]]
 
 def _compatible(shape: Partition, rows: _Grid, cells: Sequence[Cell]) -> bool:
     """`is_compatible` for cells that all lie inside the shape."""
+    regions = shape.regions_by_content
+    inner, band_a = Region.INNER_DIAG, Region.BAND_A
     on_path = set(cells)
-    for u in cells:
-        i, j = u
+    for i, j in cells:
         v = rows[i - 1][j - 1]
-        if shape.region_or_none(u) in (Region.INNER_DIAG, Region.BAND_A):
-            if (i, j + 1) not in on_path or v != rows[i - 1][j]:
-                return False
+        reg = regions[j - i]
+        if (reg is inner or reg is band_a) and (
+            (i, j + 1) not in on_path or v != rows[i - 1][j]
+        ):
+            return False
         if (i + 1, j) in on_path and v != rows[i][j - 1]:
             return False
     return True
 
 
 def _insertion_walk(shape: Partition, rows: _Grid, tail: Cell, length: int) -> list[Cell]:
-    """The cells of `insertion_path` for a rim-hook with this tail and length."""
+    """The cells of `insertion_path` for a rim-hook with this tail and length.
+
+    The walk starts at the end of a row and only steps south into the
+    diagram or west, so it leaves the diagram only through the west edge
+    (column 0), where the west branch applies.
+    """
     parts = shape.parts
+    n = len(parts)
+    regions = shape.regions_by_content
+    inner, band_b = Region.INNER_DIAG, Region.BAND_B
     i, j = tail
     cells = [tail]
     for _ in range(length - 1):
         if (
-            shape.region_or_none((i, j)) in (Region.BAND_B, Region.INNER_DIAG)
-            and i < len(parts)
+            j >= 1
+            and i < n
             and j <= parts[i]
+            and ((reg := regions[j - i]) is band_b or reg is inner)
             and rows[i][j - 1] == rows[i - 1][j - 1]
         ):
             i += 1
@@ -182,17 +194,24 @@ def _insertion_walk(shape: Partition, rows: _Grid, tail: Cell, length: int) -> l
 
 
 def _extraction_walk(shape: Partition, rows: _Grid, v: Cell) -> list[Cell]:
-    """The cells of `extraction_path` from the candidate v."""
+    """The cells of `extraction_path` from the candidate v.
+
+    Entries along the walk never fall below the candidate's, which exceeds
+    its west neighbour, so the walk never steps north out of row 1; and no
+    row ends on an inner diagonal or in band A, so it never steps east out
+    of a row.
+    """
     parts = shape.parts
+    regions = shape.regions_by_content
+    inner, band_a = Region.INNER_DIAG, Region.BAND_A
     i, j = v
     cells = [v]
     while True:
-        reg = shape.region((i, j))
-        if reg in (Region.OUTER_DIAG, Region.BAND_B) and rows[i - 1][j - 1] == (
-            rows[i - 2][j - 1] if i > 1 else 0
-        ):
+        reg = regions[j - i]
+        goes_east = reg is inner or reg is band_a
+        if not goes_east and rows[i - 1][j - 1] == (rows[i - 2][j - 1] if i > 1 else 0):
             i -= 1
-        elif reg in (Region.INNER_DIAG, Region.BAND_A) or j < parts[i - 1]:
+        elif goes_east or j < parts[i - 1]:
             j += 1
         else:
             break
@@ -207,13 +226,12 @@ def _anchor_of_walk(shape: Partition, tail: Cell, length: int) -> Cell:
         raise RuntimeError(
             f"path tail {format_cell((i, j))} is not at the end of row {i} of {shape}"
         )
-    for col in range(1, j + 1):
-        # the hook length of (i, col), which lies in row i of length j
-        if j - col + shape.col_length(col) - i + 1 == length:
-            return (i, col)
-    raise RuntimeError(
-        f"no rim-hook of {shape} has tail {format_cell((i, j))} and {length} cells"
-    )
+    col = shape._column_by_head_content.get(j - i + 1 - length)
+    if col is None or col > j:
+        raise RuntimeError(
+            f"no rim-hook of {shape} has tail {format_cell((i, j))} and {length} cells"
+        )
+    return (i, col)
 
 
 def is_compatible(path: LatticePath, pi: Rpp) -> bool:
@@ -253,7 +271,8 @@ def try_insert(hook: RimHook, pi: Rpp) -> Rpp | InsertionFailure:
     outcome, not a fault); a shape mismatch is a fault.
     """
     path = insertion_path(hook, pi)
-    ok = all(u in pi.shape for u in path) and is_compatible(path, pi)
+    # the walk leaves the diagram only through the west edge
+    ok = path.head[1] >= 1 and _compatible(pi.shape, pi.rows, path.cells)
     if ok:
         try:
             return pi.with_path(path, +1)
@@ -280,7 +299,7 @@ def extraction_path(v: Cell, pi: Rpp) -> LatticePath:
     of a row when the value above is strictly smaller. Both greedy rules are
     deterministic, so no tie-breaking is ever needed.
     """
-    if not _is_candidate(pi.shape, pi.rows, v):
+    if not _candidates_among(pi.shape, pi.rows, (v,)):
         raise ValueError(f"{format_cell(v)} is not a candidate of the filling")
     return LatticePath(tuple(_extraction_walk(pi.shape, pi.rows, v)), Orientation.NE)
 
@@ -331,7 +350,7 @@ def _extractions(
     """
     shape = pi.shape
     rows = [list(row) for row in pi.rows]
-    candidates = {u for u in shape.cells() if _is_candidate(shape, rows, u)}
+    candidates = _candidates_among(shape, rows, shape.cells())
     heap = [(content_key(u), u) for u in candidates]
     heapq.heapify(heap)
     anchors: list[Cell] = []
@@ -347,13 +366,12 @@ def _extractions(
                 f"(shape {shape}, filling {pi.rows!r}, anchors {anchors + [anchor]})"
             )
         anchors.append(anchor)
-        for i, j in path:
-            for u in ((i, j), (i, j + 1), (i + 1, j)):
-                if not _is_candidate(shape, rows, u):
-                    candidates.discard(u)
-                elif u not in candidates:
-                    candidates.add(u)
-                    heapq.heappush(heap, (content_key(u), u))
+        touched = [u for i, j in path for u in ((i, j), (i, j + 1), (i + 1, j))]
+        fresh = _candidates_among(shape, rows, touched)
+        for u in fresh - candidates:
+            heapq.heappush(heap, (content_key(u), u))
+        candidates.difference_update(touched)
+        candidates |= fresh
         yield anchor, path, rows, candidates
 
 
@@ -377,12 +395,14 @@ def build(tableau: Tableau) -> Rpp:
     is O(cells + hooks x hook length).
     """
     shape = tableau.shape
+    parts = shape.parts
     anchors = tableau.anchors()
-    rows = [[0] * p for p in shape.parts]
+    rows = [[0] * p for p in parts]
     for step, anchor in enumerate(reversed(anchors), start=1):
-        tail = (anchor[0], shape.row_length(anchor[0]))
-        path = _insertion_walk(shape, rows, tail, shape.hook_length(anchor))
-        if all(u in shape for u in path) and _compatible(shape, rows, path):
+        i = anchor[0]
+        path = _insertion_walk(shape, rows, (i, parts[i - 1]), shape.hook_length(anchor))
+        # the walk leaves the diagram only through the west edge
+        if path[-1][1] >= 1 and _compatible(shape, rows, path):
             try:
                 _add_along(shape, rows, path, +1)
                 continue

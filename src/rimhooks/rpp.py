@@ -196,8 +196,7 @@ class Rpp(ShapedGrid):
         a band-A cell when it exceeds both its west and north neighbours
         (extended values, so first-column and first-row neighbours count as 0).
         """
-        shape = self.shape
-        return frozenset(u for u in shape.cells() if _is_candidate(shape, self.rows, u))
+        return frozenset(_candidates_among(self.shape, self.rows, self.shape.cells()))
 
     def min_candidate(self) -> Cell | None:
         """The content-order minimum of the candidates, None for the zero filling."""
@@ -218,10 +217,6 @@ class Tableau(ShapedGrid):
         """Total number of diagram cells covered by the encoded multiset."""
         return sum(v * self.shape.hook_length(u) for u, v in self.entries() if v)
 
-    @property
-    def total(self) -> int:
-        return self.size
-
     def anchors(self) -> list[Cell]:
         """The multiset of anchors, weakly increasing in the rim-hook order."""
         out = []
@@ -230,19 +225,32 @@ class Tableau(ShapedGrid):
         return out
 
 
-def _is_candidate(shape: Partition, rows: Sequence[Sequence[int]], u: Cell) -> bool:
-    """Whether u is one of `Rpp.candidates` of the filling `rows` of `shape`.
+def _candidates_among(
+    shape: Partition, rows: Sequence[Sequence[int]], cells: Iterable[Cell]
+) -> set[Cell]:
+    """The cells of `cells` that are among `Rpp.candidates` of the filling `rows` of `shape`.
 
-    False outside the shape. Reads only u and its west and north neighbours.
+    Cells outside the shape are never candidates. Each test reads only the
+    cell and its west and north neighbours.
     """
-    reg = shape.region_or_none(u)
-    if reg is not Region.OUTER_DIAG and reg is not Region.BAND_A:
-        return False
-    i, j = u
-    v = rows[i - 1][j - 1]
-    if v <= (rows[i - 1][j - 2] if j > 1 else 0):
-        return False
-    return reg is Region.OUTER_DIAG or v > (rows[i - 2][j - 1] if i > 1 else 0)
+    parts = shape.parts
+    n = len(parts)
+    regions = shape.regions_by_content
+    outer, band_a = Region.OUTER_DIAG, Region.BAND_A
+    found = set()
+    for i, j in cells:
+        if not (1 <= i <= n and 1 <= j <= parts[i - 1]):
+            continue
+        reg = regions[j - i]
+        if reg is not outer and reg is not band_a:
+            continue
+        row = rows[i - 1]
+        v = row[j - 1]
+        if v > (row[j - 2] if j > 1 else 0) and (
+            reg is outer or v > (rows[i - 2][j - 1] if i > 1 else 0)
+        ):
+            found.add((i, j))
+    return found
 
 
 def _monotone_around(
@@ -278,12 +286,14 @@ def _add_along(
     a violation the entries are restored and the ValueError of the Rpp
     constructor, naming the first offending cell, is raised.
     """
-    for u in cells:
-        if u not in shape:
-            raise ValueError(f"cell {format_cell(u)} lies outside the shape {shape}")
+    parts = shape.parts
+    n = len(parts)
+    for i, j in cells:
+        if not (1 <= i <= n and 1 <= j <= parts[i - 1]):
+            raise ValueError(f"cell {format_cell((i, j))} lies outside the shape {shape}")
     for i, j in cells:
         rows[i - 1][j - 1] += delta
-    if not _monotone_around(rows, shape.parts, cells):
+    if not _monotone_around(rows, parts, cells):
         try:
             Rpp(shape, rows)
         except ValueError:

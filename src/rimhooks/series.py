@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .enumeration import enumerate_rpps
+from .enumeration import _counts_by_size, enumerate_rpps
 from .geometry import Partition
 from .rpp import Rpp
 
@@ -101,10 +101,7 @@ class TruncatedSeries:
 
 def hook_product(shape: Partition, truncation: int) -> TruncatedSeries:
     """Product over all cells of 1 / (1 - q^{hook length}), truncated."""
-    acc = TruncatedSeries.one(truncation)
-    for u in shape.cells():
-        acc = acc * TruncatedSeries.geometric(shape.hook_length(u), truncation)
-    return acc
+    return TruncatedSeries(tuple(_counts_by_size(shape, truncation)))
 
 
 def rpp_series(shape: Partition, truncation: int) -> TruncatedSeries:

@@ -293,7 +293,7 @@ def suite_commute(config: VerifyConfig) -> list[CheckResult]:
     out = []
     for shape in config.partitions():
         _, outer = shape.corners()
-        nonzero = [t for t in enumerate_tableaux(shape, config.weight_bound) if t.total >= 1]
+        nonzero = [t for t in enumerate_tableaux(shape, config.weight_bound) if t.size >= 1]
         # (first anchor, build without it, build of the whole tableau)
         # depends only on the tableau; computed at its first corner
         built: dict[Tableau, tuple] = {}

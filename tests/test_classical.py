@@ -74,7 +74,7 @@ class TestRsk:
         t = Tableau(Partition((2, 2)), ((2, 1), (0, 3)))
         pairs = biword(t)
         assert pairs == sorted(pairs)
-        assert len(pairs) == t.total
+        assert len(pairs) == t.size
 
     def test_roundtrip_small_totals(self):
         from rimhooks.verify import _tableaux_by_total

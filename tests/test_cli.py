@@ -251,6 +251,14 @@ class TestVerifyCommand:
         assert err.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sample", ["0", "-1", "two"])
+    def test_sample_below_one_is_usage_error(self, capsys, sample):
+        # a sample of 0 would check nothing and still print PASS
+        with pytest.raises(SystemExit) as err:
+            run(["verify", "bijection", "--sample", sample])
+        assert err.value.code == 2
+        assert "--sample" in capsys.readouterr().err
+
 
 class TestEnumerateCommand:
     def test_ndjson(self, capsys, monkeypatch):

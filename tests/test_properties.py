@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from rimhooks import (
     Partition,
+    Region,
     Rpp,
     content_key,
     extraction_path,
@@ -13,8 +14,14 @@ from rimhooks import (
     rim_hook_of_path,
 )
 from rimhooks.enumeration import enumerate_rpps, enumerate_sw_paths
-from rimhooks.insertion import _extractions
-from rimhooks.rpp import _add_along
+from rimhooks.insertion import (
+    _anchor_of_walk,
+    _compatible,
+    _extraction_walk,
+    _extractions,
+    _insertion_walk,
+)
+from rimhooks.rpp import _add_along, _candidates_among
 from conftest import rpps
 
 
@@ -116,3 +123,118 @@ class TestLocalShortcutsMatchFullChecks:
         else:
             _add_along(shape, rows, cells, delta)
             assert rows == [list(row) for row in expected.rows]
+
+
+# The kernels read shape.parts and the region table inline. The per-cell
+# logic they replaced, written with region_or_none and `in shape`, is the
+# oracle below.
+
+
+def _is_candidate_per_cell(shape, rows, u):
+    reg = shape.region_or_none(u)
+    if reg not in (Region.OUTER_DIAG, Region.BAND_A):
+        return False
+    i, j = u
+    v = rows[i - 1][j - 1]
+    if v <= (rows[i - 1][j - 2] if j > 1 else 0):
+        return False
+    return reg is Region.OUTER_DIAG or v > (rows[i - 2][j - 1] if i > 1 else 0)
+
+
+def _compatible_per_cell(shape, rows, cells):
+    on_path = set(cells)
+    for u in cells:
+        i, j = u
+        v = rows[i - 1][j - 1]
+        if shape.region_or_none(u) in (Region.INNER_DIAG, Region.BAND_A):
+            if (i, j + 1) not in on_path or v != rows[i - 1][j]:
+                return False
+        if (i + 1, j) in on_path and v != rows[i][j - 1]:
+            return False
+    return True
+
+
+def _insertion_walk_per_cell(shape, rows, tail, length):
+    i, j = tail
+    cells = [tail]
+    for _ in range(length - 1):
+        if (
+            shape.region_or_none((i, j)) in (Region.BAND_B, Region.INNER_DIAG)
+            and (i + 1, j) in shape
+            and rows[i][j - 1] == rows[i - 1][j - 1]
+        ):
+            i += 1
+        else:
+            j -= 1
+        cells.append((i, j))
+    return cells
+
+
+def _extraction_walk_per_cell(shape, rows, v):
+    i, j = v
+    cells = [v]
+    while True:
+        reg = shape.region((i, j))
+        if reg in (Region.OUTER_DIAG, Region.BAND_B) and rows[i - 1][j - 1] == (
+            rows[i - 2][j - 1] if i > 1 else 0
+        ):
+            i -= 1
+        elif reg in (Region.INNER_DIAG, Region.BAND_A) or (i, j + 1) in shape:
+            j += 1
+        else:
+            break
+        cells.append((i, j))
+    return cells
+
+
+class TestInlineKernelsMatchPerCellLogic:
+    @settings(max_examples=200, deadline=None)
+    @given(rpps())
+    def test_candidate_test_on_the_box_and_one_ring_outside(self, pi):
+        shape, rows = pi.shape, pi.rows
+        box = [
+            (i, j)
+            for i in range(shape.length + 2)
+            for j in range(shape.parts[0] + 2)
+        ]
+        expected = {u for u in box if _is_candidate_per_cell(shape, rows, u)}
+        assert _candidates_among(shape, rows, box) == expected
+        for u in box:
+            assert bool(_candidates_among(shape, rows, (u,))) == (u in expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rpps())
+    def test_walks_and_compatibility(self, pi):
+        shape, rows = pi.shape, pi.rows
+        for i, p in enumerate(shape.parts, start=1):
+            # long enough walks leave the diagram through the west edge
+            for length in range(1, p + shape.length + 1):
+                walk = _insertion_walk(shape, rows, (i, p), length)
+                assert walk == _insertion_walk_per_cell(shape, rows, (i, p), length)
+                inside = all(u in shape for u in walk)
+                assert (walk[-1][1] >= 1) == inside
+                if inside:
+                    assert _compatible(shape, rows, walk) == _compatible_per_cell(
+                        shape, rows, walk
+                    )
+        for v in shape.cells():
+            if _is_candidate_per_cell(shape, rows, v):
+                assert _extraction_walk(shape, rows, v) == _extraction_walk_per_cell(
+                    shape, rows, v
+                )
+
+    @settings(max_examples=200, deadline=None)
+    @given(rpps())
+    def test_anchor_lookup_against_every_rim_hook(self, pi):
+        shape = pi.shape
+        hooks = {(h.tail, len(h)): h.anchor for h in shape.rim_hooks()}
+        for i, p in enumerate(shape.parts, start=1):
+            for length in range(1, p + shape.length + 1):
+                expected = hooks.get(((i, p), length))
+                if expected is None:
+                    with pytest.raises(RuntimeError, match="no rim-hook"):
+                        _anchor_of_walk(shape, (i, p), length)
+                else:
+                    assert _anchor_of_walk(shape, (i, p), length) == expected
+        with pytest.raises(RuntimeError, match="is not at the end of row"):
+            _anchor_of_walk(shape, (1, shape.parts[0] - 1), 1)
