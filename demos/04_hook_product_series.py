@@ -18,7 +18,7 @@ print("shape", shape, "has hook lengths", sorted(shape.hook_length(u) for u in s
 lhs = rpp_series(shape, 10)
 print("\ncounts by size:", list(lhs.coefficients))
 
-# right side: one geometric series per cell, multiplied with exact integers
+# right side: the product over cells of 1 / (1 - q^hook), expanded with exact integers
 rhs = hook_product(shape, 10)
 print("hook product:  ", list(rhs.coefficients))
 assert lhs == rhs

@@ -375,7 +375,7 @@ def check_syt_diagonals(pi: Rpp) -> bool:
     """Diagonal transpose law for staircase-traced fillings of a square.
 
     Requires shape (n, .., n) with trace n-k on the diagonals k and -k for
-    0 <= k < n. Checks that the composite map (factorize the Hillman-Grassl
+    0 <= k < n. Checks that the composite map (build the Hillman-Grassl
     image back into a filling) carries, on every diagonal, the conjugate of
     the original diagonal partition.
     """
@@ -391,14 +391,14 @@ def check_syt_diagonals(pi: Rpp) -> bool:
     image = build(hg(pi))
     return all(
         diag_partition(image, k) == diag_partition(pi, k).conjugate()
-        for k in pi.diagonal_range()
+        for k in shape.contents
     )
 
 
 def check_rsk_transpose(sigma: Tableau) -> bool:
     """Transpose law for permutation matrices.
 
-    Row-inserting the image of a permutation matrix under (factorize, then
+    Row-inserting the image of a permutation matrix under (build, then
     Hillman-Grassl) yields the transposes of the tableaux of the original
     matrix.
     """

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Every subcommand reads grids from stdin (or --in) and writes to stdout (or
---out). Exit status: 0 on success, 1 with a diagnostic on domain errors
-(JSON shaped under --format json), 2 on usage errors.
+--out). Exit status: 0 on success, 1 with a diagnostic on domain and I/O
+errors (JSON shaped under --format json), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ def cmd_trace(args) -> int:
     if args.k is not None:
         _emit_obj(args, {"k": args.k, "trace": pi.trace(args.k)}, str(pi.trace(args.k)))
         return 0
-    traces = {str(k): pi.trace(k) for k in pi.diagonal_range()}
+    traces = {str(k): pi.trace(k) for k in pi.shape.contents}
     text = "\n".join(f"{k}: {v}" for k, v in traces.items())
     _emit_obj(args, traces, text)
     return 0
@@ -203,15 +203,15 @@ def cmd_insert(args) -> int:
         raise DomainError(f"anchor {args.hook} lies outside the shape {pi.shape}")
     result = try_insert(pi.shape.rim_hook(anchor), pi)
     if isinstance(result, InsertionFailure):
+        if args.format != "json":
+            raise DomainError(str(result))
         obj = {
             "inserted": False,
             "witness": format_cell(result.witness),
             "path": [format_cell(u) for u in result.path],
+            "error": str(result),
         }
-        if args.format == "json":
-            _write_output(args, json.dumps(obj))
-        else:
-            _write_output(args, str(result))
+        _write_output(args, json.dumps(obj))
         return 1
     if args.format == "json":
         _write_output(args, json.dumps({"inserted": True, "result": result.to_json_obj()}))
@@ -322,22 +322,17 @@ def cmd_gk(args) -> int:
     return 0
 
 
+_SERIES = {
+    "hook-product": hook_product,
+    "rpp": rpp_series,
+    "trace-product": gansner_product,
+    "trace": trace_series,
+}
+
+
 def cmd_series(args) -> int:
-    shape = _shape_arg(args)
-    if args.which in ("hook-product", "rpp"):
-        series = (
-            hook_product(shape, args.degree)
-            if args.which == "hook-product"
-            else rpp_series(shape, args.degree)
-        )
-        _emit_obj(args, series.to_json_obj(), series.to_text())
-    else:
-        series = (
-            gansner_product(shape, args.degree)
-            if args.which == "trace-product"
-            else trace_series(shape, args.degree)
-        )
-        _emit_obj(args, series.to_json_obj(), series.to_text())
+    series = _SERIES[args.which](_shape_arg(args), args.degree)
+    _emit_obj(args, series.to_json_obj(), series.to_text())
     return 0
 
 
@@ -519,7 +514,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_io(p, needs_shape=True, shape_required=True)
     p.add_argument(
         "which",
-        choices=("hook-product", "rpp", "trace-product", "trace"),
+        choices=tuple(_SERIES),
         help="which series to print",
     )
     p.add_argument("--degree", type=_non_negative_int, default=10)
@@ -560,7 +555,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DomainError, ValueError, BudgetExceededError) as exc:
+    except (DomainError, ValueError, BudgetExceededError, OSError) as exc:
         if getattr(args, "format", "text") == "json":
             print(json.dumps({"error": str(exc)}))
         else:

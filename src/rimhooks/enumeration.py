@@ -1,12 +1,13 @@
 """Exhaustive oracles: all fillings of a shape up to a size bound, all hook
 tableaux up to a weighted-size bound, and all south-west paths of a given
 length. Streams are duplicate-free, complete, and deterministically ordered,
-so the property suites can rely on them as ground truth.
+so the property suites can rely on them as ground truth. The filling and
+tableau streams share one iterative generator, `_grids`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .geometry import Cell, Partition, format_cell, south, west
 from .insertion import LatticePath, Orientation, Tableau
@@ -41,6 +42,55 @@ def projected_rpp_count(shape: Partition, bound: int) -> int:
     return sum(_counts_by_size(shape, bound))
 
 
+def _grids(
+    shape: Partition,
+    bound: int,
+    weights: Sequence[int] | None = None,
+    monotone: bool = False,
+) -> Iterator[list[list[int]]]:
+    """Every grid of non-negative entries on the shape whose weighted sum is at most `bound`.
+
+    `weights` holds one weight per cell in row-major order (all 1 when None);
+    with `monotone` the entries weakly increase along rows and columns. Grids
+    come in row-major lexicographic order. The walk is an odometer over the
+    cells, so its depth is not limited by the shape. The same list is yielded
+    every time and changed afterwards: copy it before the next step.
+    """
+    cells = [(i, j) for i, p in enumerate(shape.parts) for j in range(p)]
+    weights = weights or [1] * len(cells)
+    grid = [[0] * p for p in shape.parts]
+    # used[k]: weighted sum of the cells before cell k
+    used = [0] * (len(cells) + 1)
+    k = 0
+    while True:
+        # give the cells from k on their least values while the bound allows
+        while k < len(cells):
+            i, j = cells[k]
+            v = 0
+            if monotone:
+                v = max(grid[i][j - 1] if j else 0, grid[i - 1][j] if i else 0)
+            total = used[k] + v * weights[k]
+            if total > bound:
+                break
+            grid[i][j] = v
+            used[k + 1] = total
+            k += 1
+        else:
+            yield grid
+        # step the last cell that can still grow, dropping the cells after it
+        while k:
+            k -= 1
+            i, j = cells[k]
+            total = used[k] + (grid[i][j] + 1) * weights[k]
+            if total <= bound:
+                grid[i][j] += 1
+                used[k + 1] = total
+                k += 1
+                break
+        else:
+            return
+
+
 def enumerate_rpps(
     shape: Partition, bound: int, *, ceiling: int = DEFAULT_CEILING
 ) -> Iterator[Rpp]:
@@ -53,25 +103,8 @@ def enumerate_rpps(
     projected = projected_rpp_count(shape, bound)
     if projected > ceiling:
         raise BudgetExceededError(f"fillings of {shape}", projected, ceiling)
-    cells = list(shape.cells())
-    grid = [[0] * p for p in shape.parts]
-
-    def fill_sum(idx: int, total: int) -> Iterator[Rpp]:
-        if idx == len(cells):
-            yield Rpp(shape, [tuple(row) for row in grid])
-            return
-        i, j = cells[idx]
-        lo = grid[i - 1][j - 2] if j > 1 else 0
-        if i > 1 and shape.parts[i - 2] >= j:
-            lo = max(lo, grid[i - 2][j - 1])
-        v = lo
-        while total + v <= bound:
-            grid[i - 1][j - 1] = v
-            yield from fill_sum(idx + 1, total + v)
-            v += 1
-        grid[i - 1][j - 1] = 0
-
-    yield from fill_sum(0, 0)
+    for rows in _grids(shape, bound, monotone=True):
+        yield Rpp(shape, rows)
 
 
 def enumerate_tableaux(
@@ -86,23 +119,9 @@ def enumerate_tableaux(
     projected = projected_rpp_count(shape, bound)
     if projected > ceiling:
         raise BudgetExceededError(f"hook tableaux of {shape}", projected, ceiling)
-    cells = list(shape.cells())
-    weights = [shape.hook_length(u) for u in cells]
-    grid = [[0] * p for p in shape.parts]
-
-    def fill(idx: int, total: int) -> Iterator[Tableau]:
-        if idx == len(cells):
-            yield Tableau(shape, [tuple(row) for row in grid])
-            return
-        i, j = cells[idx]
-        v = 0
-        while total + v * weights[idx] <= bound:
-            grid[i - 1][j - 1] = v
-            yield from fill(idx + 1, total + v * weights[idx])
-            v += 1
-        grid[i - 1][j - 1] = 0
-
-    yield from fill(0, 0)
+    weights = [shape.hook_length(u) for u in shape.cells()]
+    for rows in _grids(shape, bound, weights):
+        yield Tableau(shape, rows)
 
 
 def enumerate_sw_paths(

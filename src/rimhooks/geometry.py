@@ -54,10 +54,6 @@ def parse_cell(text: str) -> Cell:
     return (int(m.group(1)), int(m.group(2)))
 
 
-def _cmp(a, b) -> int:
-    return (a > b) - (a < b)
-
-
 def revlex_key(u: Cell):
     """Sort key realizing the reverse lexicographic order on cells.
 
@@ -69,16 +65,6 @@ def revlex_key(u: Cell):
 def content_key(u: Cell):
     """Sort key realizing the content order: larger content first, then lower rows."""
     return (-content(u), -u[0])
-
-
-def revlex_compare(u: Cell, v: Cell) -> int:
-    """Three-way comparison in reverse lexicographic order (-1 if u comes first)."""
-    return _cmp(revlex_key(u), revlex_key(v))
-
-
-def content_compare(u: Cell, v: Cell) -> int:
-    """Three-way comparison in content order (-1 if u comes first)."""
-    return _cmp(content_key(u), content_key(v))
 
 
 class Region(Enum):
@@ -144,6 +130,11 @@ class Partition:
     @property
     def size(self) -> int:
         return sum(self.parts)
+
+    @property
+    def contents(self) -> range:
+        """The content of every diagonal that meets the diagram, lowest first."""
+        return range(1 - len(self.parts), self.row_length(1))
 
     def row_length(self, i: int) -> int:
         """Length of row i, 0 outside the diagram."""
@@ -223,7 +214,7 @@ class Partition:
         inner_contents = [content(u) for u in inner]
         outer_contents = [content(u) for u in outer]
         regions: dict[int, Region] = {}
-        for c in range(1 - len(self.parts), self.parts[0] if self.parts else 0):
+        for c in self.contents:
             if c in outer_contents:
                 regions[c] = Region.OUTER_DIAG
             elif c in inner_contents:
@@ -250,17 +241,8 @@ class Partition:
         return {j - conj[j - 1]: j for j in range(1, len(conj) + 1)}
 
     def region(self, u: Cell) -> Region:
-        reg = self.region_or_none(u)
-        if reg is None:
-            self._require(u)  # raises: u lies outside the diagram
-        return reg
-
-    def region_or_none(self, u: Cell) -> Region | None:
-        """Like region, but None for cells outside the diagram."""
-        i, j = u
-        if 1 <= i <= len(self.parts) and 1 <= j <= self.parts[i - 1]:
-            return self.regions_by_content[j - i]
-        return None
+        self._require(u)
+        return self.regions_by_content[content(u)]
 
     def rim_hook(self, u: Cell) -> "RimHook":
         """The rim-hook identified with the cell u.
@@ -334,10 +316,3 @@ class RimHook:
 def rim_hook_key(h: RimHook):
     """Sort key for the total order on rim-hooks of one shape."""
     return revlex_key(h.anchor)
-
-
-def rim_hook_compare(f: RimHook, h: RimHook) -> int:
-    """Three-way comparison of rim-hooks of the same shape (-1 if f comes first)."""
-    if f.shape != h.shape:
-        raise ValueError(f"cannot compare rim-hooks of different shapes {f.shape} and {h.shape}")
-    return _cmp(rim_hook_key(f), rim_hook_key(h))

@@ -104,10 +104,6 @@ class Factorization:
     def hooks(self) -> list[RimHook]:
         return [self.shape.rim_hook(u) for u in self.anchors]
 
-    @property
-    def size(self) -> int:
-        return sum(self.shape.hook_length(u) for u in self.anchors)
-
     def to_tableau(self) -> Tableau:
         grid = [[0] * p for p in self.shape.parts]
         for i, j in self.anchors:

@@ -25,7 +25,7 @@ def ascii_grid(grid: ShapedGrid, highlight: Iterable[Cell] = ()) -> str:
 def ascii_rpp(pi: Rpp, highlight: Iterable[Cell] = ()) -> str:
     """Grid plus one annotation line per diagonal with its trace."""
     body = ascii_grid(pi, highlight)
-    traces = "  ".join(f"k={k}:{pi.trace(k)}" for k in pi.diagonal_range())
+    traces = "  ".join(f"k={k}:{pi.trace(k)}" for k in pi.shape.contents)
     if not traces:
         return body
     return f"{body}\ndiagonal traces: {traces}"
@@ -43,23 +43,19 @@ def ascii_shape(shape: Partition, marked: Iterable[Cell] = ()) -> str:
 _SVG_CELL = 36
 
 
-def _svg_header(shape: Partition) -> tuple[list[str], int, int]:
+def _svg_header(shape: Partition) -> list[str]:
     width = (shape.parts[0] if shape else 1) * _SVG_CELL + 2
     height = max(shape.length, 1) * _SVG_CELL + 2
-    return (
-        [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">'
-        ],
-        width,
-        height,
-    )
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">'
+    ]
 
 
 def svg_grid(grid: ShapedGrid, highlight: Iterable[Cell] = ()) -> str:
     """An SVG drawing of the grid with highlighted cells filled."""
     marked = set(highlight)
-    out, _, _ = _svg_header(grid.shape)
+    out = _svg_header(grid.shape)
     for (i, j), v in grid.entries():
         x, y = (j - 1) * _SVG_CELL + 1, (i - 1) * _SVG_CELL + 1
         fill = "#ffd47f" if (i, j) in marked else "white"
@@ -79,7 +75,7 @@ def svg_grid(grid: ShapedGrid, highlight: Iterable[Cell] = ()) -> str:
 def svg_shape(shape: Partition, marked: Iterable[Cell] = ()) -> str:
     """An SVG drawing of the bare diagram with marked cells filled."""
     cells = set(marked)
-    out, _, _ = _svg_header(shape)
+    out = _svg_header(shape)
     for u in shape.cells():
         i, j = u
         x, y = (j - 1) * _SVG_CELL + 1, (i - 1) * _SVG_CELL + 1

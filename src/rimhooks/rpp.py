@@ -183,12 +183,6 @@ class Rpp(ShapedGrid):
                 total += row[j - 1]
         return total
 
-    def diagonal_range(self) -> range:
-        """All k for which the shape has a cell of content k."""
-        if not self.shape:
-            return range(0)
-        return range(1 - self.shape.length, self.shape.parts[0])
-
     def candidates(self) -> frozenset[Cell]:
         """Cells where an extraction path may start.
 
@@ -300,12 +294,3 @@ def _add_along(
             for i, j in cells:
                 rows[i - 1][j - 1] -= delta
             raise
-
-
-def validate(shape: Partition, rows: Iterable[Iterable[int]]) -> Rpp:
-    """Check a grid against a shape and wrap it as a reverse plane partition.
-
-    Rejects ragged grids, negative entries, and monotonicity violations,
-    reporting the first offending cell.
-    """
-    return Rpp(shape, rows)

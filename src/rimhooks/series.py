@@ -39,27 +39,6 @@ class TruncatedSeries:
     def one(cls, truncation: int) -> "TruncatedSeries":
         return cls((1,) + (0,) * truncation)
 
-    @classmethod
-    def geometric(cls, gap: int, truncation: int) -> "TruncatedSeries":
-        """1 / (1 - q^gap) truncated: ones at the multiples of gap."""
-        if gap <= 0:
-            raise ValueError("gap must be positive")
-        return cls(tuple(1 if n % gap == 0 else 0 for n in range(truncation + 1)))
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.truncation != other.truncation:
-            raise ValueError("cannot multiply series with different truncations")
-        n = self.truncation
-        a, b = self.coefficients, other.coefficients
-        out = [0] * (n + 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j in range(n + 1 - i):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-        return TruncatedSeries(tuple(out))
-
     def to_text(self) -> str:
         parts = [str(self.coefficients[0])]
         for n, c in enumerate(self.coefficients[1:], start=1):
@@ -247,43 +226,35 @@ class MultiTraceSeries:
         return cls.from_json_obj(json.loads(text))
 
 
-def _variable_range(shape: Partition) -> tuple[int, int]:
-    if not shape:
-        return (1, 0)
-    return (1 - shape.length, shape.parts[0] - 1)
-
-
 def hook_monomial(shape: Partition, u: tuple[int, int]) -> Monomial:
     """Exponent vector with a 1 for every diagonal met by the hook of u.
 
     The contents covered are the interval from (column - column length) to
     (row length - row) of the anchor.
     """
-    var_lo, var_hi = _variable_range(shape)
     i, j = u
     lo = j - shape.col_length(j)
     hi = shape.row_length(i) - i
-    return tuple(1 if lo <= k <= hi else 0 for k in range(var_lo, var_hi + 1))
+    return tuple(1 if lo <= k <= hi else 0 for k in shape.contents)
 
 
 def gansner_product(shape: Partition, degree: int) -> MultiTraceSeries:
     """Product over all cells of 1 / (1 - q^{hook content interval})."""
-    var_lo, var_hi = _variable_range(shape)
-    acc = MultiTraceSeries.one(var_lo, var_hi, degree)
+    ks = shape.contents
+    acc = MultiTraceSeries.one(ks.start, ks.start + len(ks) - 1, degree)
     for u in shape.cells():
         acc = acc.times_geometric(hook_monomial(shape, u))
     return acc
 
 
 def trace_monomial(pi: Rpp) -> Monomial:
-    var_lo, var_hi = _variable_range(pi.shape)
-    return tuple(pi.trace(k) for k in range(var_lo, var_hi + 1))
+    return tuple(pi.trace(k) for k in pi.shape.contents)
 
 
 def trace_series(shape: Partition, degree: int) -> MultiTraceSeries:
     """Sum over all fillings of size at most `degree` of their trace monomial."""
-    var_lo, var_hi = _variable_range(shape)
-    acc = MultiTraceSeries(var_lo, var_hi, degree, {})
+    ks = shape.contents
+    acc = MultiTraceSeries(ks.start, ks.start + len(ks) - 1, degree, {})
     for pi in enumerate_rpps(shape, degree):
         acc.add_term(trace_monomial(pi), 1)
     return acc

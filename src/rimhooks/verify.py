@@ -9,14 +9,15 @@ configuration (seed included).
 
 from __future__ import annotations
 
+import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from . import classical, peeling
-from .enumeration import enumerate_rpps, enumerate_sw_paths, enumerate_tableaux
+from .enumeration import _grids, enumerate_rpps, enumerate_sw_paths, enumerate_tableaux
 from .geometry import Partition, content_key, revlex_key, rim_hook_key
 from .insertion import (
     InsertionFailure,
@@ -83,10 +84,6 @@ class CheckResult:
         return f"{status} {self.suite}: {self.name}{tail}"
 
 
-def _result(suite: str, name: str, passed: bool, detail: str = "") -> CheckResult:
-    return CheckResult(suite, name, passed, detail)
-
-
 # ---------------------------------------------------------------- suites
 
 
@@ -96,7 +93,7 @@ def suite_stanley(config: VerifyConfig) -> list[CheckResult]:
         lhs = rpp_series(shape, config.stanley_degree)
         rhs = hook_product(shape, config.stanley_degree)
         out.append(
-            _result(
+            CheckResult(
                 "stanley",
                 f"size series equals hook product for {shape}",
                 lhs == rhs,
@@ -112,7 +109,7 @@ def suite_gansner(config: VerifyConfig) -> list[CheckResult]:
         lhs = trace_series(shape, config.trace_degree)
         rhs = gansner_product(shape, config.trace_degree)
         out.append(
-            _result(
+            CheckResult(
                 "gansner",
                 f"trace series equals refined hook product for {shape}",
                 lhs == rhs,
@@ -122,7 +119,7 @@ def suite_gansner(config: VerifyConfig) -> list[CheckResult]:
         specialized = rhs.specialize()
         expected = hook_product(shape, config.trace_degree)
         out.append(
-            _result(
+            CheckResult(
                 "gansner",
                 f"all-variables-to-q specialization matches for {shape}",
                 specialized == expected,
@@ -145,7 +142,7 @@ def suite_bijection(config: VerifyConfig) -> list[CheckResult]:
                 break
             ok += 1
         out.append(
-            _result(
+            CheckResult(
                 "bijection",
                 f"factorize then build is the identity on {shape}",
                 ok == len(fillings),
@@ -155,7 +152,7 @@ def suite_bijection(config: VerifyConfig) -> list[CheckResult]:
         tableaux = config.pick(list(enumerate_tableaux(shape, config.weight_bound)))
         ok = sum(1 for t in tableaux if factorize(build(t)).to_tableau() == t)
         out.append(
-            _result(
+            CheckResult(
                 "bijection",
                 f"build then factorize is the identity on {shape}",
                 ok == len(tableaux),
@@ -170,14 +167,14 @@ def suite_golden(config: VerifyConfig) -> list[CheckResult]:
     shape = Partition((4, 3, 1))
     pi = Rpp(shape, ((0, 1, 2, 3), (1, 2, 2), (1,)))
     out.append(
-        _result(
+        CheckResult(
             "golden",
             "candidate set of the running example",
             pi.candidates() == frozenset({(1, 2), (1, 4), (2, 2), (3, 1)}),
         )
     )
     out.append(
-        _result(
+        CheckResult(
             "golden",
             "lexicographic factorization of the running example",
             factorize(pi).anchors == ((1, 4), (1, 3), (2, 2), (1, 1)),
@@ -188,7 +185,7 @@ def suite_golden(config: VerifyConfig) -> list[CheckResult]:
     p1 = insertion_path(square.rim_hook((1, 3)), flat)
     p2 = insertion_path(square.rim_hook((2, 2)), flat)
     out.append(
-        _result(
+        CheckResult(
             "golden",
             "two insertion paths into the staircase filling",
             p1.cells == ((1, 3), (2, 3), (2, 2)) and p2.cells == ((2, 3), (2, 2), (2, 1)),
@@ -197,7 +194,7 @@ def suite_golden(config: VerifyConfig) -> list[CheckResult]:
     r1 = try_insert(square.rim_hook((1, 3)), flat)
     r2 = try_insert(square.rim_hook((2, 2)), flat)
     out.append(
-        _result(
+        CheckResult(
             "golden",
             "the corresponding insertion results",
             isinstance(r1, Rpp)
@@ -209,7 +206,7 @@ def suite_golden(config: VerifyConfig) -> list[CheckResult]:
     steep = Rpp(square, ((1, 1, 4), (2, 3, 4), (4, 4, 4)))
     toggled = peeling.corner_toggle(steep, (3, 3))
     out.append(
-        _result(
+        CheckResult(
             "golden",
             "first corner toggle of the peeling chain",
             toggled.shape == Partition((3, 3, 2))
@@ -218,7 +215,7 @@ def suite_golden(config: VerifyConfig) -> list[CheckResult]:
     )
     peeled = peeling.peel_tableau(steep)
     out.append(
-        _result(
+        CheckResult(
             "golden",
             "full peeling chain ends at the recorded tableau",
             peeled.rows == ((1, 1, 2), (0, 1, 0), (3, 0, 0)),
@@ -226,7 +223,7 @@ def suite_golden(config: VerifyConfig) -> list[CheckResult]:
     )
     pair = classical.rsk(Tableau(square, ((1, 1, 2), (0, 1, 0), (3, 0, 0))))
     out.append(
-        _result(
+        CheckResult(
             "golden",
             "row insertion of the recorded tableau",
             pair.p.rows == ((1, 1, 1, 1), (2, 2, 3), (3,))
@@ -246,7 +243,7 @@ def suite_pak(config: VerifyConfig) -> list[CheckResult]:
             for pi, reference in zip(fillings, references)
         )
         out.append(
-            _result(
+            CheckResult(
                 "pak",
                 f"peeling equals factorization on {shape}",
                 agree,
@@ -262,7 +259,7 @@ def suite_pak(config: VerifyConfig) -> list[CheckResult]:
             if peeling.peel_tableau(pi, _max_corner) != reference:
                 independent = False
         out.append(
-            _result(
+            CheckResult(
                 "pak",
                 f"corner choice does not matter on {shape}",
                 independent,
@@ -314,7 +311,7 @@ def suite_commute(config: VerifyConfig) -> list[CheckResult]:
                 if isinstance(inserted, InsertionFailure) or inserted != left:
                     failed += 1
         out.append(
-            _result(
+            CheckResult(
                 "commute",
                 f"corner toggle commutes with insertion on {shape}",
                 failed == 0,
@@ -356,7 +353,7 @@ def suite_insertion_uniqueness(config: VerifyConfig) -> list[CheckResult]:
                     if valid or not witness_ok:
                         failed += 1
         out.append(
-            _result(
+            CheckResult(
                 "insertion-uniqueness",
                 f"unique valid path or certified failure on {shape}",
                 failed == 0,
@@ -408,7 +405,7 @@ def suite_crossing(config: VerifyConfig) -> list[CheckResult]:
                         if u in after:
                             stab_failed += 1
         out.append(
-            _result(
+            CheckResult(
                 "crossing",
                 f"paths cannot cross on {shape}",
                 cross_failed == 0,
@@ -416,7 +413,7 @@ def suite_crossing(config: VerifyConfig) -> list[CheckResult]:
             )
         )
         out.append(
-            _result(
+            CheckResult(
                 "crossing",
                 f"candidates are stable under extraction on {shape}",
                 stab_failed == 0,
@@ -433,7 +430,7 @@ def suite_hg(config: VerifyConfig) -> list[CheckResult]:
         images = [classical.hg(pi) for pi in fillings]
         roundtrip = all(classical.hg_inv(t) == pi for pi, t in zip(fillings, images))
         out.append(
-            _result(
+            CheckResult(
                 "hg",
                 f"inverse undoes the correspondence on {shape}",
                 roundtrip,
@@ -442,29 +439,26 @@ def suite_hg(config: VerifyConfig) -> list[CheckResult]:
         )
         weights = all(t.weighted_size == pi.size for pi, t in zip(fillings, images))
         out.append(
-            _result(
+            CheckResult(
                 "hg",
                 f"recorded hooks account for the full size on {shape}",
                 weights,
             )
         )
-        var_lo = 1 - shape.length
-        var_hi = shape.parts[0] - 1
-        acc = MultiTraceSeries(var_lo, var_hi, config.trace_degree, {})
+        refined = gansner_product(shape, config.trace_degree)
+        acc = MultiTraceSeries(refined.var_lo, refined.var_hi, config.trace_degree, {})
         for pi in enumerate_rpps(shape, config.trace_degree):
-            t = classical.hg(pi)
-            width = var_hi - var_lo + 1
-            exps = [0] * width
-            for u, count in t.entries():
+            exps = [0] * len(shape.contents)
+            for u, count in classical.hg(pi).entries():
                 if count:
                     mono = hook_monomial(shape, u)
                     exps = [a + count * b for a, b in zip(exps, mono)]
             acc.add_term(tuple(exps), 1)
         out.append(
-            _result(
+            CheckResult(
                 "hg",
                 f"trace series through the correspondence matches for {shape}",
-                acc == gansner_product(shape, config.trace_degree),
+                acc == refined,
             )
         )
     return out
@@ -477,12 +471,12 @@ def suite_diag(config: VerifyConfig) -> list[CheckResult]:
         failed = 0
         for t in tableaux:
             pi = build(t)
-            for k in range(1 - shape.length, shape.parts[0]):
+            for k in shape.contents:
                 expected = sum(v for _, v in classical._rectangle_entries(t, k))
                 if pi.trace(k) != expected:
                     failed += 1
         out.append(
-            _result(
+            CheckResult(
                 "diag",
                 f"traces are rectangle sums of the tableau on {shape}",
                 failed == 0,
@@ -492,30 +486,13 @@ def suite_diag(config: VerifyConfig) -> list[CheckResult]:
     return out
 
 
-def _tableaux_by_total(shape: Partition, bound: int) -> Iterator[Tableau]:
-    cells = list(shape.cells())
-    grid = [[0] * p for p in shape.parts]
-
-    def fill(idx: int, used: int) -> Iterator[Tableau]:
-        if idx == len(cells):
-            yield Tableau(shape, [tuple(row) for row in grid])
-            return
-        i, j = cells[idx]
-        for v in range(0, bound - used + 1):
-            grid[i - 1][j - 1] = v
-            yield from fill(idx + 1, used + v)
-        grid[i - 1][j - 1] = 0
-
-    yield from fill(0, 0)
-
-
 def suite_gk(config: VerifyConfig) -> list[CheckResult]:
     shape = Partition(config.gk_shape)
-    tableaux = config.pick(list(_tableaux_by_total(shape, config.gk_total)))
+    tableaux = config.pick([Tableau(shape, rows) for rows in _grids(shape, config.gk_total)])
     checked, failed = 0, 0
     for t in tableaux:
         pi = build(t)
-        for k in range(1 - shape.length, shape.parts[0]):
+        for k in shape.contents:
             mu = classical.diag_partition(pi, k)
             nu = mu.conjugate()
             for r in range(1, config.gk_rmax + 1):
@@ -525,7 +502,7 @@ def suite_gk(config: VerifyConfig) -> list[CheckResult]:
                 if sum(nu.parts[:r]) != classical.gk_chain_max(t, k, r, "strict"):
                     failed += 1
     return [
-        _result(
+        CheckResult(
             "gk",
             f"chain maxima match diagonal partial sums on {shape}",
             failed == 0,
@@ -546,7 +523,7 @@ def suite_syt(config: VerifyConfig) -> list[CheckResult]:
         ]
         ok = all(classical.check_syt_diagonals(pi) for pi in qualifying)
         out.append(
-            _result(
+            CheckResult(
                 "syt",
                 f"diagonal transpose law for staircase traces, n={n}",
                 ok and bool(qualifying),
@@ -564,20 +541,13 @@ def suite_rsk_thm(config: VerifyConfig) -> list[CheckResult]:
             for word in permutations(range(1, n + 1))
         )
         out.append(
-            _result(
+            CheckResult(
                 "rsk-thm",
                 f"row insertion transposes through the composite map, n={n}",
                 ok,
-                f"all {_factorial(n)} permutations",
+                f"all {math.factorial(n)} permutations",
             )
         )
-    return out
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
     return out
 
 
@@ -591,7 +561,7 @@ def suite_involution(config: VerifyConfig) -> list[CheckResult]:
             if not classical.is_permutation_matrix(tau) or classical.hg(build(tau)) != sigma:
                 ok = False
         out.append(
-            _result(
+            CheckResult(
                 "involution",
                 f"composite map is an involution on permutation matrices, n={n}",
                 ok,
@@ -611,7 +581,7 @@ def suite_involution(config: VerifyConfig) -> list[CheckResult]:
         if witness:
             break
     out.append(
-        _result(
+        CheckResult(
             "involution",
             "composite map is not an involution in general",
             witness is not None,

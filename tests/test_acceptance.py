@@ -85,3 +85,8 @@ def test_criterion_10_classical_theorems():
         "rectangle trace sums, chain maxima, square-diagonal and transpose laws, involution",
         ["diag", "gk", "syt", "rsk-thm", "involution"],
     )
+
+
+def test_parallel_jobs_match_serial():
+    suites = ["golden", "diag", "gk"]
+    assert run_suites(suites, CONFIG, jobs=2) == run_suites(suites, CONFIG)

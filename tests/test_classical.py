@@ -21,7 +21,7 @@ from rimhooks import (
     rsk,
     rsk_inv,
 )
-from rimhooks.enumeration import enumerate_rpps, enumerate_tableaux
+from rimhooks.enumeration import _grids, enumerate_rpps, enumerate_tableaux
 from conftest import all_partitions
 
 
@@ -77,11 +77,10 @@ class TestRsk:
         assert len(pairs) == t.size
 
     def test_roundtrip_small_totals(self):
-        from rimhooks.verify import _tableaux_by_total
-
         shape = Partition((3, 3, 3))
         seen = 0
-        for t in _tableaux_by_total(shape, 6):
+        for rows in _grids(shape, 6):
+            t = Tableau(shape, rows)
             assert rsk_inv(rsk(t), shape) == t
             seen += 1
         assert seen == 5005
@@ -187,6 +186,16 @@ class TestGreeneKleitman:
                     for r in (1, 2, 3):
                         assert gk_chain_max(t, k, r, "weak") == sum(mu.parts[:r])
                         assert gk_chain_max(t, k, r, "strict") == sum(nu.parts[:r])
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RecursionError,
+        reason="the exhaustive search recurses once per chain of the family",
+    )
+    def test_many_chains_through_one_cell(self):
+        # one cell of capacity 2000: each strict chain is that cell alone
+        t = Tableau(Partition((1,)), ((2000,),))
+        assert gk_chain_max(t, 0, 1100, "strict") == 1100
 
     def test_bad_arguments(self):
         t = Tableau.zero(Partition((2, 2)))

@@ -1,6 +1,12 @@
+import io
 import json
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rimhooks import Partition, Rpp, Tableau
 from rimhooks.cli import run
@@ -99,6 +105,14 @@ class TestInsert:
         assert code == 1
         obj = json.loads(out)
         assert obj["inserted"] is False and "witness" in obj
+        assert "does not insert" in obj["error"]
+
+    def test_failure_text_goes_to_stderr(self, capsys, monkeypatch):
+        code, out, err = invoke(
+            capsys, monkeypatch, ["insert", "--hook", "(1,1)"], stdin="0 0 0\n1 1 1\n2 2 2\n"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: rim-hook (1,1) of 3,3,3 does not insert")
 
 
 class TestFactorizeBuild:
@@ -282,6 +296,14 @@ class TestEnumerateCommand:
         )
         assert code == 1 and "ceiling" in err
 
+    def test_large_square_at_bound_zero(self, capsys, monkeypatch):
+        square = ",".join(["40"] * 40)
+        code, out, err = invoke(
+            capsys, monkeypatch, ["enumerate", "rpps", "--shape", square, "--bound", "0"]
+        )
+        assert code == 0 and err == ""
+        assert out.splitlines() == [json.dumps(Rpp.zero(Partition((40,) * 40)).to_json_obj())]
+
 
 class TestRenderCommand:
     def test_ascii(self, capsys, monkeypatch):
@@ -363,3 +385,251 @@ class TestUsageErrors:
         )
         assert code == 1
         assert "'p' and 'q'" in json.loads(out)["error"]
+
+
+class TestIoErrors:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_missing_input_file(self, capsys, monkeypatch, tmp_path, fmt):
+        missing = tmp_path / "missing.txt"
+        code, out, err = invoke(
+            capsys, monkeypatch, ["validate", "--in", str(missing), "--format", fmt]
+        )
+        assert code == 1
+        message = json.loads(out)["error"] if fmt == "json" else err
+        assert "missing.txt" in message and "Traceback" not in out + err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["info", "--shape", "2,1", "--out"],
+            ["enumerate", "rpps", "--shape", "2,1", "--bound", "1", "--out"],
+            ["rimhooks", "--shape", "2,1", "--svg"],
+            ["render", "--svg"],
+        ],
+    )
+    def test_unwritable_output(self, capsys, monkeypatch, tmp_path, argv):
+        target = tmp_path / "no-such-dir" / "out.txt"
+        code, _, err = invoke(capsys, monkeypatch, argv + [str(target)], stdin=RUNNING)
+        assert code == 1
+        assert err.startswith("error: ") and "no-such-dir" in err
+        assert not target.parent.exists()
+
+
+# ------------------------------------------------------------ the contract
+# Every argv and stdin ends in exit 0, 1 or 2; a non-zero exit leaves a
+# message on stderr or a JSON `error`; no exception escapes `run`. Integers
+# and grids are small so that each example runs in milliseconds: `--r` stays
+# at most 6 because deep chain families are pinned separately in
+# test_classical.py, and the `gk` and `all` suites run a fixed, slower
+# configuration.
+
+# its parent is a file, so opening it for reading or writing always fails
+_UNOPENABLE = os.path.join(__file__, "no-such-dir", "x")
+
+
+def _mostly(good, bad, one_in=10):
+    """`bad` about once in `one_in` draws, `good` otherwise."""
+    # sampled_from draws close to uniformly; integers() favours its bounds
+    return st.sampled_from(range(one_in)).flatmap(lambda n: bad if n == 0 else good)
+
+
+def _opt(flag, values=None, *, required=False):
+    """The flag, with a drawn value unless it is a switch, or nothing."""
+    present = st.just([flag]) if values is None else values.map(lambda v: [flag, v])
+    return _mostly(present, st.just([])) if required else st.one_of(st.just([]), present)
+
+
+def _choice(values):
+    """One of `values`, or an unknown word about once in ten draws."""
+    return _mostly(st.sampled_from(values), st.just("nonsense"))
+
+
+def _rare(flag, values):
+    """The flag with a drawn value about once in ten draws, nothing otherwise."""
+    return _mostly(st.just([]), values.map(lambda v: [flag, v]))
+
+
+_INTS = _mostly(st.integers(-1, 6).map(str), st.sampled_from(["-2", "x", "", "1.5"]))
+_BAD_BOUNDS = st.sampled_from(["-1", "x", ""])
+_SMALL_INTS = _mostly(st.integers(0, 3).map(str), _BAD_BOUNDS)
+_SHAPES = _mostly(
+    st.lists(st.integers(1, 3), max_size=3).map(
+        lambda parts: ",".join(map(str, sorted(parts, reverse=True)))
+    ),
+    st.sampled_from(["2,3", "a", "-1", "1,,1", "0"]),
+)
+_CELLS = _mostly(
+    st.tuples(st.integers(1, 3), st.integers(1, 3)).map(lambda u: f"({u[0]},{u[1]})"),
+    st.sampled_from(["(0,2)", "(4,1)", "(1,1", "x", ""]),
+)
+_PERMS = _mostly(
+    st.permutations([1, 2, 3]).map(lambda word: ",".join(map(str, word))),
+    st.sampled_from(["", "0", "1,1", "a"]),
+)
+
+_COMMON = [
+    _rare("--format", st.just("xml")),
+    _opt("--format", st.sampled_from(["text", "json"])),
+    _rare("--in", st.just(_UNOPENABLE)),
+    _rare("--out", st.just(_UNOPENABLE)),
+]
+_GRID = _COMMON + [_rare("--shape", _SHAPES)]
+_TABLEAU = _GRID + [_rare("--perm", _PERMS)]
+# verify takes five bounds at once; each is rarely bad, so most runs reach a suite
+_BOUNDS = [
+    _opt(flag, _mostly(st.integers(0, 3).map(str), _BAD_BOUNDS, one_in=50), required=True)
+    for flag in (
+        "--size-bound", "--weight-bound", "--path-size-bound", "--degree", "--trace-degree"
+    )
+]
+
+# subcommand -> (positional arguments, option groups)
+_COMMANDS = {
+    "info": ([], _COMMON + [_opt("--shape", _SHAPES, required=True)]),
+    "rimhooks": (
+        [],
+        _COMMON + [_opt("--shape", _SHAPES, required=True), _rare("--svg", st.just(_UNOPENABLE))],
+    ),
+    "validate": ([], _GRID),
+    "trace": ([], _GRID + [_opt("--k", _INTS)]),
+    "candidates": ([], _GRID),
+    "insert": ([], _GRID + [_opt("--hook", _CELLS, required=True)]),
+    "factorize": ([], _GRID + [_opt("--paths")]),
+    "build": ([], _TABLEAU),
+    "xi": ([], _GRID),
+    "zeta": ([], _GRID + [_opt("--corner", _CELLS, required=True)]),
+    "hg": ([], _GRID),
+    "hg-inv": ([], _TABLEAU),
+    "rsk": ([], _TABLEAU),
+    "rsk-inv": ([], _GRID),
+    "diag": ([], _GRID + [_opt("--k", _INTS, required=True)]),
+    "gk": (
+        [],
+        _TABLEAU
+        + [
+            _opt("--k", _INTS, required=True),
+            _opt("--r", _INTS, required=True),
+            _opt("--kind", _choice(["weak", "strict"]), required=True),
+        ],
+    ),
+    "series": (
+        [_choice(["hook-product", "rpp", "trace-product", "trace"])],
+        _COMMON
+        + [_opt("--shape", _SHAPES, required=True), _opt("--degree", _SMALL_INTS, required=True)],
+    ),
+    "verify": (
+        [
+            _choice(
+                ["stanley", "gansner", "bijection", "golden", "pak", "commute",
+                 "insertion-uniqueness", "crossing", "hg", "diag", "syt", "rsk-thm",
+                 "involution"]
+            )
+        ],
+        _COMMON
+        + [_opt("--shape", _SHAPES, required=True)]
+        + _BOUNDS
+        + [
+            _opt("--sample", _mostly(st.integers(1, 4).map(str), _BAD_BOUNDS)),
+            _opt("--seed", _INTS),
+            _rare("--jobs", st.just("0")),
+        ],
+    ),
+    "enumerate": (
+        [_choice(["rpps", "tableaux"])],
+        _COMMON
+        + [
+            _opt("--shape", _SHAPES, required=True),
+            _opt("--bound", _SMALL_INTS, required=True),
+            _opt("--ceiling", _INTS),
+        ],
+    ),
+    "render": ([], _GRID + [_rare("--svg", st.just(_UNOPENABLE)), _opt("--highlight", _CELLS)]),
+}
+
+
+@st.composite
+def _small_rpps(draw):
+    """Rows of a reverse plane partition with at most three rows and columns."""
+    parts = sorted(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)), reverse=True)
+    rows = []
+    for i, p in enumerate(parts):
+        row = []
+        for j in range(p):
+            low = max(row[-1] if row else 0, rows[i - 1][j] if i else 0)
+            row.append(low + draw(st.integers(0, 1)))
+        rows.append(row)
+    return rows
+
+
+def _text_grid(rows):
+    return "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
+def _json_grid(rows):
+    return {"shape": [len(row) for row in rows], "rows": rows}
+
+
+_ROWS = _mostly(
+    _small_rpps(), st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3), max_size=3)
+)
+_BROKEN = st.one_of(
+    st.text(max_size=20),
+    st.sampled_from(
+        ['{"shape": [1]', "[1, 2]", "null", '{"p": 1, "q": 2}', '{"shape": [1], "rows": [[-1]]}']
+    ),
+)
+_TEXT_STDIN = _mostly(
+    st.one_of(
+        _ROWS.map(_text_grid),
+        st.tuples(_ROWS, _ROWS).map(lambda pq: _text_grid(pq[0]) + "\n" + _text_grid(pq[1])),
+    ),
+    _BROKEN,
+)
+_JSON_STDIN = _mostly(
+    st.one_of(
+        _ROWS.map(lambda rows: json.dumps(_json_grid(rows))),
+        st.tuples(_ROWS, _ROWS).map(
+            lambda pq: json.dumps({"p": _json_grid(pq[0]), "q": _json_grid(pq[1])})
+        ),
+    ),
+    _BROKEN,
+)
+
+
+@st.composite
+def _invocations(draw):
+    """(argv, stdin), the stdin mostly in the format that argv asks for."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    positional, options = _COMMANDS[command]
+    argv = [command] + [draw(arg) for arg in positional]
+    for group in options:
+        argv += draw(group)
+    stdin = draw(_JSON_STDIN if "json" in argv else _TEXT_STDIN)
+    return argv, stdin
+
+
+def _is_json_error(out: str) -> bool:
+    lines = out.strip().splitlines()
+    try:
+        obj = json.loads(lines[-1]) if lines else None
+    except ValueError:
+        return False
+    return isinstance(obj, dict) and bool(obj.get("error"))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_invocations())
+def test_every_input_ends_in_a_documented_exit(invocation):
+    argv, stdin = invocation
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code:
+        assert err.strip() or _is_json_error(out)
+    assert "Traceback" not in out + err

@@ -126,12 +126,16 @@ class TestLocalShortcutsMatchFullChecks:
 
 
 # The kernels read shape.parts and the region table inline. The per-cell
-# logic they replaced, written with region_or_none and `in shape`, is the
+# logic they replaced, written with Partition.region and `in shape`, is the
 # oracle below.
 
 
+def _region_or_none(shape, u):
+    return shape.region(u) if u in shape else None
+
+
 def _is_candidate_per_cell(shape, rows, u):
-    reg = shape.region_or_none(u)
+    reg = _region_or_none(shape, u)
     if reg not in (Region.OUTER_DIAG, Region.BAND_A):
         return False
     i, j = u
@@ -146,7 +150,7 @@ def _compatible_per_cell(shape, rows, cells):
     for u in cells:
         i, j = u
         v = rows[i - 1][j - 1]
-        if shape.region_or_none(u) in (Region.INNER_DIAG, Region.BAND_A):
+        if _region_or_none(shape, u) in (Region.INNER_DIAG, Region.BAND_A):
             if (i, j + 1) not in on_path or v != rows[i - 1][j]:
                 return False
         if (i + 1, j) in on_path and v != rows[i][j - 1]:
@@ -159,7 +163,7 @@ def _insertion_walk_per_cell(shape, rows, tail, length):
     cells = [tail]
     for _ in range(length - 1):
         if (
-            shape.region_or_none((i, j)) in (Region.BAND_B, Region.INNER_DIAG)
+            _region_or_none(shape, (i, j)) in (Region.BAND_B, Region.INNER_DIAG)
             and (i + 1, j) in shape
             and rows[i][j - 1] == rows[i - 1][j - 1]
         ):

@@ -2,34 +2,34 @@ import math
 
 import pytest
 
-from rimhooks import Partition, Region, Rpp, content, validate
+from rimhooks import Partition, Region, Rpp, content
 from rimhooks.enumeration import enumerate_rpps
 from conftest import all_partitions
 
 
 class TestValidate:
     def test_running_example_is_valid(self):
-        pi = validate(Partition((4, 3, 1)), [[0, 1, 2, 3], [1, 2, 2], [1]])
+        pi = Rpp(Partition((4, 3, 1)), [[0, 1, 2, 3], [1, 2, 2], [1]])
         assert pi.size == 12
 
     def test_zero_grid(self):
-        assert validate(Partition((3, 2)), [[0, 0, 0], [0, 0]]).is_zero()
+        assert Rpp(Partition((3, 2)), [[0, 0, 0], [0, 0]]).is_zero()
 
     def test_row_violation_reports_cell(self):
         with pytest.raises(ValueError, match=r"\(1,2\)"):
-            validate(Partition((2,)), [[1, 0]])
+            Rpp(Partition((2,)), [[1, 0]])
 
     def test_column_violation_reports_cell(self):
         with pytest.raises(ValueError, match=r"\(2,1\)"):
-            validate(Partition((1, 1)), [[1], [0]])
+            Rpp(Partition((1, 1)), [[1], [0]])
 
     def test_ragged_grid(self):
         with pytest.raises(ValueError, match="row 1"):
-            validate(Partition((2, 1)), [[0], [0]])
+            Rpp(Partition((2, 1)), [[0], [0]])
 
     def test_negative_entry(self):
         with pytest.raises(ValueError, match="negative"):
-            validate(Partition((2,)), [[-1, 0]])
+            Rpp(Partition((2,)), [[-1, 0]])
 
 
 class TestExtendedValues:
@@ -61,7 +61,7 @@ class TestTrace:
     def test_traces_sum_to_size(self):
         for shape in all_partitions(7):
             for pi in enumerate_rpps(shape, 5):
-                assert sum(pi.trace(k) for k in pi.diagonal_range()) == pi.size
+                assert sum(pi.trace(k) for k in shape.contents) == pi.size
 
 
 class TestCandidates:

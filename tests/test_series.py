@@ -1,9 +1,6 @@
-import pytest
-
 from rimhooks import (
     MultiTraceSeries,
     Partition,
-    TruncatedSeries,
     gansner_product,
     hg,
     hook_monomial,
@@ -13,21 +10,6 @@ from rimhooks import (
 )
 from rimhooks.enumeration import enumerate_rpps
 from conftest import ACCEPTANCE_SHAPES
-
-
-class TestTruncatedSeries:
-    def test_geometric(self):
-        assert TruncatedSeries.geometric(1, 5).coefficients == (1,) * 6
-        assert TruncatedSeries.geometric(3, 7).coefficients == (1, 0, 0, 1, 0, 0, 1, 0)
-
-    def test_multiplication_is_exact(self):
-        a = TruncatedSeries((1, 10**40, 0))
-        b = TruncatedSeries((1, 10**40, 0))
-        assert (a * b).coefficients == (1, 2 * 10**40, 10**80)
-
-    def test_truncation_mismatch(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries((1, 0)) * TruncatedSeries((1, 0, 0))
 
 
 class TestHookProduct:
@@ -77,6 +59,11 @@ class TestTraceSeries:
     def test_two_by_two(self):
         shape = Partition((2, 2))
         assert trace_series(shape, 3) == gansner_product(shape, 3)
+
+    def test_empty_shape_has_no_variables(self):
+        for series in (trace_series(Partition(()), 3), gansner_product(Partition(()), 3)):
+            assert (series.var_lo, series.var_hi) == (1, 0)
+            assert series.to_json_obj() == {"variables": [], "degree": 3, "terms": [[[], 1]]}
 
     def test_running_shape(self):
         shape = Partition((4, 3, 1))
