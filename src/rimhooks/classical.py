@@ -10,17 +10,18 @@ is admissible.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal, Sequence
+from heapq import heappop, heappush
+from math import inf
+from typing import Iterator, Literal, Sequence
 
 from .geometry import Cell, Partition, format_cell
 from .rpp import Rpp, Tableau, _add_along
 
 ChainKind = Literal["weak", "strict"]
-
-#: bound on the number of memoized capacity states the chain search may visit
-GK_DEFAULT_BUDGET = 5_000_000
+Entries = tuple[tuple[Cell, int], ...]
 
 
 def _hg_walk(shape: Partition, rows: list[list[int]], start_col: int) -> list[Cell]:
@@ -75,10 +76,7 @@ def hg_inv(tableau: Tableau) -> Rpp:
     """
     shape = tableau.shape
     parts = shape.parts
-    hooks: list[Cell] = []
-    for u, count in tableau.entries():
-        hooks.extend([u] * count)
-    hooks.sort(key=lambda fs: (-fs[1], fs[0]))
+    hooks = sorted(biword(tableau), key=lambda fs: (-fs[1], fs[0]))
     rows = [[0] * p for p in parts]
     for f, s in hooks:
         i, j = f, parts[f - 1]
@@ -258,88 +256,111 @@ def _rectangle_entries(tableau: Tableau, k: int) -> tuple[tuple[Cell, int], ...]
     )
 
 
-@lru_cache(maxsize=None)
-def _maximal_chains(cells: tuple[Cell, ...], kind: ChainKind) -> tuple[tuple[Cell, ...], ...]:
-    if kind == "weak":
-        def follows(u: Cell, v: Cell) -> bool:
-            return v != u and v[0] >= u[0] and v[1] >= u[1]
-    else:
-        def follows(u: Cell, v: Cell) -> bool:
-            return v[0] < u[0] and v[1] > u[1]
+@lru_cache(maxsize=16)
+def _lattice(
+    height: int, width: int, weak: bool
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[float, ...]]:
+    """The chain flow's grid DAG on a height x width rectangle, every cell unused.
 
-    starts = [u for u in cells if not any(follows(w, u) for w in cells if w != u)]
-    chains: list[tuple[Cell, ...]] = []
-
-    def grow(chain: list[Cell]) -> None:
-        extensions = [v for v in cells if follows(chain[-1], v)]
-        if not extensions:
-            chains.append(tuple(chain))
-            return
-        for v in extensions:
-            chain.append(v)
-            grow(chain)
-            chain.pop()
-
-    for u in starts:
-        grow([u])
-    return tuple(chains)
-
-
-@lru_cache(maxsize=None)
-def _best_family(caps: tuple[tuple[Cell, int], ...], r: int, kind: ChainKind) -> int:
-    if r == 0 or not caps:
-        return 0
-    cells = tuple(u for u, _ in caps)
-    amounts = dict(caps)
-    best = 0
-    for chain in _maximal_chains(cells, kind):
-        if kind == "weak":
-            gain = sum(amounts[u] for u in chain)
-            remaining = tuple(
-                (u, c) for u, c in caps if u not in chain
-            )
-        else:
-            gain = len(chain)
-            remaining = tuple(
-                (u, c - 1) if u in chain else (u, c) for u, c in caps
-            )
-            remaining = tuple((u, c) for u, c in remaining if c > 0)
-        best = max(best, gain + _best_family(remaining, r - 1, kind))
-    return best
+    Paths from node 0 to the last node move east and south for free and take
+    an entry through its cell's use arc: weak, from the cell's entry node to
+    its exit node; strict, corner to corner across the cell. Nodes are in
+    topological order; arc 2c uses cell c (row-major); e ^ 1 reverses e.
+    Returns the arcs out of each node, the arc heads and the capacities, as
+    tuples, since every flow on a rectangle of this size and kind shares them.
+    """
+    split, rows, cols = (2, height, width) if weak else (1, height + 1, width + 1)
+    points = [(x, y, split * (x * cols + y)) for x in range(rows) for y in range(cols)]
+    arcs = [(p, p + 1 if weak else p + cols + 1) for x, y, p in points if x < height and y < width]
+    arcs += [(p + split - 1, p + split) for x, y, p in points if y + 1 < cols]
+    arcs += [(p + split - 1, p + split * cols) for x, y, p in points if x + 1 < rows]
+    arcs += [(p, p + 1) for x, y, p in points if weak]
+    adj: list[list[int]] = [[] for _ in range(split * rows * cols)]
+    for e, (u, v) in enumerate(arcs):
+        adj[u].append(2 * e)
+        adj[v].append(2 * e + 1)
+    head = tuple(w for u, v in arcs for w in (v, u))
+    free = (0, 0) * (height * width) + (inf, 0) * (len(arcs) - height * width)
+    return tuple(map(tuple, adj)), head, free
 
 
-def gk_chain_max(
-    tableau: Tableau,
-    k: int,
-    r: int,
-    kind: ChainKind,
-    *,
-    budget: int = GK_DEFAULT_BUDGET,
-) -> int:
+def _augmentations(entries: Entries, kind: ChainKind) -> Iterator[tuple[int, int, int]]:
+    """The chain flow's augmenting paths in order: units and gain so far, gain per unit.
+
+    Chain orders depend only on coordinate order, so the grid keeps the rows
+    and columns holding an entry; strict reflects the rows to run south-east.
+    A DAG pass gives the first path, Dijkstra on reduced costs each next one.
+    """
+    weak = kind == "weak"
+    rows = {i: x for x, i in enumerate(sorted({i for (i, _), _ in entries}, reverse=not weak))}
+    cols = {j: y for y, j in enumerate(sorted({j for (_, j), _ in entries}))}
+    adj, head, free = _lattice(len(rows), len(cols), weak)
+    cap, cost, sink, total = list(free), [0] * len(head), len(adj) - 1, 0
+    for (i, j), v in entries:
+        e = 2 * (rows[i] * len(cols) + cols[j])
+        cap[e], cost[e], cost[e + 1] = (1, -v, v) if weak else (v, -1, 1)
+        total += v
+    dist, pred = [0] + [inf] * sink, [0] * len(adj)
+    for u, arcs in enumerate(adj):
+        for e in arcs:
+            if cap[e] and dist[u] + cost[e] < dist[head[e]]:
+                dist[head[e]], pred[head[e]] = dist[u] + cost[e], e
+    units = gain = 0
+    while gain < total:  # a unit more gains while some entry, a chain alone, is left
+        if units:
+            reduced, heap = [0] + [inf] * sink, [(0, 0)]
+            while heap:
+                d, u = heappop(heap)
+                if d == reduced[u]:
+                    for e in adj[u]:
+                        v = head[e]
+                        if cap[e] and (dv := d + cost[e] + dist[u] - dist[v]) < reduced[v]:
+                            reduced[v], pred[v] = dv, e
+                            heappush(heap, (dv, v))
+            dist = [d + r for d, r in zip(dist, reduced)]
+        path, v = [], sink
+        while v:
+            path.append(pred[v])
+            v = head[pred[v] ^ 1]
+        step = min([cap[e] for e in path])
+        for e in path:
+            cap[e] -= step
+            cap[e ^ 1] += step
+        units, gain = units + step, gain - step * dist[-1]
+        yield units, gain, -dist[-1]
+
+
+@lru_cache(maxsize=256)
+def _chain_flow(entries: Entries, kind: ChainKind) -> tuple[list[tuple[int, int, int]], Iterator]:
+    """One flow: the augmentations found so far, and the generator of the rest."""
+    return [(0, 0, 0)], _augmentations(entries, kind)
+
+
+def gk_chain_max(tableau: Tableau, k: int, r: int, kind: ChainKind) -> int:
     """Largest total length of r chains in the content-k rectangle.
 
     Chains are weak south-east (both coordinates weakly increasing, repeats
     allowed) or strict north-east (rows strictly decreasing, columns strictly
     increasing); across the whole family each cell u is used at most t(u)
-    times. Computed by exhaustive search over families whose chains take full
-    remaining capacity along support-maximal chains, which loses no optimum:
-    moving or adding only unused copies never lowers the total. Refuses when
-    the search would exceed `budget`.
+    times. That is the gain of r units of min-cost flow through a grid DAG
+    of the rectangle, one unit per chain: weak, a cell takes one unit and
+    gains t(u); strict, t(u) units that gain 1 each. Successive shortest
+    paths give the gain for every r, linear between augmentations; a
+    rectangle and kind share one run, resumed only as far as r units.
     """
     if r < 1:
         raise ValueError("the family needs at least one chain")
     if kind not in ("weak", "strict"):
         raise ValueError(f"unknown chain kind {kind!r}")
-    caps = _rectangle_entries(tableau, k)
-    states = r
-    for _, c in caps:
-        states *= c + 1
-        if states > budget:
-            raise ValueError(
-                f"chain search over {len(caps)} cells and {r} chains may visit more "
-                f"than {budget} capacity states; raise `budget` to force it"
-            )
-    return _best_family(caps, r, kind)
+    found, rest = _chain_flow(_rectangle_entries(tableau, k), kind)
+    try:
+        while found[-1][0] < r and (augmentation := next(rest, None)):
+            found.append(augmentation)
+    except BaseException:  # a run cut short cannot resume, so start every run afresh
+        _chain_flow.cache_clear()
+        raise
+    units, gain, per_unit = found[bisect_left(found, (r,), 0, len(found) - 1)]
+    return gain - (units - r) * per_unit if units > r else gain
 
 
 def permutation_matrix(word: Sequence[int] | str) -> Tableau:

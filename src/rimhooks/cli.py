@@ -41,8 +41,12 @@ class DomainError(Exception):
 def _read_input(args) -> str:
     if getattr(args, "infile", None):
         with open(args.infile, encoding="utf-8") as fh:
-            return fh.read()
-    return sys.stdin.read()
+            text = fh.read()
+    else:
+        text = sys.stdin.read()
+    if args.format == "text" and text.lstrip().startswith("{"):
+        raise DomainError("the input looks like JSON; pass --format json to read it")
+    return text
 
 
 def _write_output(args, text: str) -> None:

@@ -392,11 +392,13 @@ def build(tableau: Tableau) -> Rpp:
     """
     shape = tableau.shape
     parts = shape.parts
+    conj = shape._conjugate_parts
     anchors = tableau.anchors()
     rows = [[0] * p for p in parts]
     for step, anchor in enumerate(reversed(anchors), start=1):
-        i = anchor[0]
-        path = _insertion_walk(shape, rows, (i, parts[i - 1]), shape.hook_length(anchor))
+        i, j = anchor
+        hook_length = parts[i - 1] + conj[j - 1] - i - j + 1
+        path = _insertion_walk(shape, rows, (i, parts[i - 1]), hook_length)
         # the walk leaves the diagram only through the west edge
         if path[-1][1] >= 1 and _compatible(shape, rows, path):
             try:

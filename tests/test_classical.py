@@ -187,15 +187,71 @@ class TestGreeneKleitman:
                         assert gk_chain_max(t, k, r, "weak") == sum(mu.parts[:r])
                         assert gk_chain_max(t, k, r, "strict") == sum(nu.parts[:r])
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=RecursionError,
-        reason="the exhaustive search recurses once per chain of the family",
-    )
     def test_many_chains_through_one_cell(self):
         # one cell of capacity 2000: each strict chain is that cell alone
         t = Tableau(Partition((1,)), ((2000,),))
         assert gk_chain_max(t, 0, 1100, "strict") == 1100
+        t = Tableau(Partition((1,)), ((10**6,),))
+        assert gk_chain_max(t, 0, 10**6, "strict") == 10**6
+        assert gk_chain_max(t, 0, 10**6 + 1, "strict") == 10**6
+        assert gk_chain_max(t, 0, 1, "weak") == 10**6
+
+    def test_random_six_by_six_against_rsk_shape(self):
+        # Greene's theorem for every family size, past the point where the
+        # flow has taken every entry, on tableaux too large for the oracle
+        import random
+
+        rng = random.Random(2024)
+        shape = Partition((6,) * 6)
+        for _ in range(8):
+            grid = [[0] * 6 for _ in range(6)]
+            for _ in range(30):
+                grid[rng.randrange(6)][rng.randrange(6)] += 1
+            t = Tableau(shape, grid)
+            for k in shape.contents:
+                rows, cols = rectangle_cells(shape, k)[-1]
+                rectangle = Tableau(Partition((cols,) * rows), [row[:cols] for row in grid[:rows]])
+                mu = rsk(rectangle).shape
+                for kind, lam in (("weak", mu), ("strict", mu.conjugate())):
+                    for r in range(1, lam.length + 3):
+                        assert gk_chain_max(t, k, r, kind) == sum(lam.parts[:r])
+
+    def test_large_square_with_large_entries(self):
+        # 3600 cells with entries up to 10^6: no refusal, no recursion limit.
+        # Every entry is nonzero, so r strict chains of length 60 fit, and
+        # one weak chain is the heaviest south-east lattice path.
+        import random
+
+        rng = random.Random(60)
+        n = 60
+        grid = [[rng.randint(1, 10**6) for _ in range(n)] for _ in range(n)]
+        t = Tableau(Partition((n,) * n), grid)
+        heaviest = [[0] * (n + 1) for _ in range(n + 1)]
+        for i in range(n):
+            for j in range(n):
+                heaviest[i + 1][j + 1] = grid[i][j] + max(heaviest[i][j + 1], heaviest[i + 1][j])
+        weak = [gk_chain_max(t, 0, r, "weak") for r in range(1, 5)]
+        assert weak[0] == heaviest[n][n]
+        gains = [b - a for a, b in zip([0] + weak, weak)]
+        assert gains == sorted(gains, reverse=True) and gains[-1] > 0
+        assert [gk_chain_max(t, 0, r, "strict") for r in range(1, 5)] == [60, 120, 180, 240]
+
+    def test_interrupted_flow_starts_afresh(self, monkeypatch):
+        # each r > 1 resumes the run that r = 1 started; a run cut short in
+        # its Dijkstra must not read as one that has taken every entry
+        import rimhooks.classical as classical
+
+        t = Tableau(Partition((3, 3, 3)), ((1, 1, 2), (0, 1, 0), (3, 0, 0)))
+        assert gk_chain_max(t, 0, 1, "weak") == 4
+
+        def interrupt(heap):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(classical, "heappop", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            gk_chain_max(t, 0, 2, "weak")
+        monkeypatch.undo()
+        assert [gk_chain_max(t, 0, r, "weak") for r in (1, 2, 3)] == [4, 7, 8]
 
     def test_bad_arguments(self):
         t = Tableau.zero(Partition((2, 2)))

@@ -61,6 +61,14 @@ class TestValidate:
         assert code == 1
         assert "(1,2)" in err
 
+    @pytest.mark.parametrize("command", ["validate", "rsk-inv"])
+    def test_json_under_text_format(self, capsys, monkeypatch, command):
+        code, out, err = invoke(
+            capsys, monkeypatch, [command], stdin=json.dumps({"shape": [2], "rows": [[0, 1]]})
+        )
+        assert code == 1 and out == ""
+        assert "looks like JSON" in err and "--format json" in err
+
     def test_invalid_json_format(self, capsys, monkeypatch):
         code, out, _ = invoke(
             capsys, monkeypatch, ["validate", "--format", "json"],
@@ -221,6 +229,15 @@ class TestClassicalCommands:
             stdin="1 1 2\n0 1 0\n3 0 0\n",
         )
         assert out.strip() == "8"
+
+    def test_gk_many_chains_through_one_cell(self, capsys, monkeypatch):
+        code, out, err = invoke(
+            capsys,
+            monkeypatch,
+            ["gk", "--k", "0", "--r", "1100", "--kind", "strict"],
+            stdin="2000\n",
+        )
+        assert (code, out.strip(), err) == (0, "1100", "")
 
 
 class TestSeriesCommand:
@@ -418,10 +435,10 @@ class TestIoErrors:
 # ------------------------------------------------------------ the contract
 # Every argv and stdin ends in exit 0, 1 or 2; a non-zero exit leaves a
 # message on stderr or a JSON `error`; no exception escapes `run`. Integers
-# and grids are small so that each example runs in milliseconds: `--r` stays
-# at most 6 because deep chain families are pinned separately in
-# test_classical.py, and the `gk` and `all` suites run a fixed, slower
-# configuration.
+# and grids are small so that each example runs in milliseconds. `--r` of
+# `gk` is drawn up to 2000 all the same: the chain flow stops once every
+# entry is taken, which on these grids is after a few augmentations. The
+# `gk` and `all` suites run a fixed, slower configuration.
 
 # its parent is a file, so opening it for reading or writing always fails
 _UNOPENABLE = os.path.join(__file__, "no-such-dir", "x")
@@ -450,6 +467,7 @@ def _rare(flag, values):
 
 
 _INTS = _mostly(st.integers(-1, 6).map(str), st.sampled_from(["-2", "x", "", "1.5"]))
+_FAMILY_SIZES = _mostly(st.integers(-1, 2000).map(str), st.sampled_from(["-2", "x", "", "1.5"]))
 _BAD_BOUNDS = st.sampled_from(["-1", "x", ""])
 _SMALL_INTS = _mostly(st.integers(0, 3).map(str), _BAD_BOUNDS)
 _SHAPES = _mostly(
@@ -508,7 +526,7 @@ _COMMANDS = {
         _TABLEAU
         + [
             _opt("--k", _INTS, required=True),
-            _opt("--r", _INTS, required=True),
+            _opt("--r", _FAMILY_SIZES, required=True),
             _opt("--kind", _choice(["weak", "strict"]), required=True),
         ],
     ),
