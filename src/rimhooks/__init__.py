@@ -23,27 +23,22 @@ from .geometry import (
     south,
     west,
 )
-from .rpp import ExtendedValue, Rpp, ShapedGrid
+from .rpp import Rpp, ShapedGrid
 from .insertion import (
     Factorization,
     InsertionFailure,
-    LatticePath,
-    Orientation,
     Tableau,
     build,
-    extract_min,
     extraction_path,
     factorize,
     insertion_path,
     is_compatible,
-    is_factor,
     rim_hook_of_path,
     try_insert,
 )
-from .peeling import corner_is_tight, corner_toggle, peel_tableau
+from .peeling import corner_toggle, peel_tableau
 from .classical import (
     SsytPair,
-    biword,
     check_rsk_transpose,
     check_syt_diagonals,
     diag_partition,
@@ -52,7 +47,6 @@ from .classical import (
     hg_inv,
     is_permutation_matrix,
     permutation_matrix,
-    rectangle_cells,
     rsk,
     rsk_inv,
 )
@@ -77,12 +71,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceededError",
     "Cell",
-    "ExtendedValue",
     "Factorization",
     "InsertionFailure",
-    "LatticePath",
     "MultiTraceSeries",
-    "Orientation",
     "Partition",
     "Region",
     "RimHook",
@@ -91,20 +82,17 @@ __all__ = [
     "SsytPair",
     "Tableau",
     "TruncatedSeries",
-    "biword",
     "build",
     "check_rsk_transpose",
     "check_syt_diagonals",
     "content",
     "content_key",
-    "corner_is_tight",
     "corner_toggle",
     "diag_partition",
     "east",
     "enumerate_rpps",
     "enumerate_sw_paths",
     "enumerate_tableaux",
-    "extract_min",
     "extraction_path",
     "factorize",
     "format_cell",
@@ -116,13 +104,11 @@ __all__ = [
     "hook_product",
     "insertion_path",
     "is_compatible",
-    "is_factor",
     "is_permutation_matrix",
     "north",
     "parse_cell",
     "peel_tableau",
     "permutation_matrix",
-    "rectangle_cells",
     "revlex_key",
     "rim_hook_key",
     "rim_hook_of_path",

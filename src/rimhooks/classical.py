@@ -18,25 +18,33 @@ from math import inf
 from typing import Iterator, Literal, Sequence
 
 from .geometry import Cell, Partition, format_cell
-from .rpp import Rpp, Tableau, _add_along
+from .rpp import Rpp, Tableau, _add_along, _from_frame, _to_frame
 
 ChainKind = Literal["weak", "strict"]
 Entries = tuple[tuple[Cell, int], ...]
 
 
-def _hg_walk(shape: Partition, rows: list[list[int]], start_col: int) -> list[Cell]:
-    parts = shape.parts
-    i, j = shape._conjugate_parts[start_col - 1], start_col
-    cells = [(i, j)]
+def _hg_walk(shape: Partition, grid: list, start_col: int) -> list[int]:
+    """The positions of the forward walk from the bottom of column start_col.
+
+    `grid` is laid out on `shape.frame`, whose border reads math.inf east of
+    every row, so the walk stops at the end of a row without a bounds test.
+    Entries along the walk never fall below the nonzero start, so it never
+    steps north into the 0s of row 0.
+    """
+    frame = shape.frame
+    width, inside = frame.width, frame.inside
+    p = shape._conjugate_parts[start_col - 1] * width + start_col
+    path = [p]
     while True:
-        if (rows[i - 2][j - 1] if i > 1 else 0) == rows[i - 1][j - 1]:
-            i -= 1
-        elif j < parts[i - 1]:
-            j += 1
+        if grid[p - width] == grid[p]:
+            p -= width
+        elif inside[p + 1]:
+            p += 1
         else:
             break
-        cells.append((i, j))
-    return cells
+        path.append(p)
+    return path
 
 
 def hg(pi: Rpp) -> Tableau:
@@ -47,21 +55,21 @@ def hg(pi: Rpp) -> Tableau:
     """
     shape = pi.shape
     conj = shape._conjugate_parts
-    rows = [list(row) for row in pi.rows]
-    grid = [[0] * p for p in shape.parts]
+    width = shape.frame.width
+    grid = _to_frame(shape, pi.rows)
+    counts = [[0] * p for p in shape.parts]
     remaining = pi.size
     start_col = 1
     while remaining:
         # A zero at the bottom of a column makes the whole column zero, and
         # walks only decrement, so the start column never moves left.
-        while rows[conj[start_col - 1] - 1][start_col - 1] == 0:
+        while grid[conj[start_col - 1] * width + start_col] == 0:
             start_col += 1
-        cells = _hg_walk(shape, rows, start_col)
-        end_row = cells[-1][0]
-        grid[end_row - 1][start_col - 1] += 1
-        _add_along(shape, rows, cells, -1)
-        remaining -= len(cells)
-    return Tableau(shape, grid)
+        path = _hg_walk(shape, grid, start_col)
+        counts[path[-1] // width - 1][start_col - 1] += 1
+        _add_along(shape, grid, path, -1)
+        remaining -= len(path)
+    return Tableau(shape, counts)
 
 
 def hg_inv(tableau: Tableau) -> Rpp:
@@ -72,25 +80,30 @@ def hg_inv(tableau: Tableau) -> Rpp:
     the hook's row south on equality and west otherwise, down to the hook's
     column, and incrementing the walk. Comparisons read the grid before the
     increments, mirroring the forward walk. The walks increment one grid in
-    place, so the cost is O(cells + hooks x hook length).
+    place, laid out on `shape.frame`, whose border reads math.inf south of
+    the diagram, so a south step needs no bounds test. The cost is
+    O(cells + hooks x hook length).
     """
     shape = tableau.shape
     parts = shape.parts
+    width = shape.frame.width
     hooks = sorted(biword(tableau), key=lambda fs: (-fs[1], fs[0]))
-    rows = [[0] * p for p in parts]
+    grid = _to_frame(shape, [(0,) * p for p in parts])
     for f, s in hooks:
-        i, j = f, parts[f - 1]
-        cells = [(i, j)]
+        j = parts[f - 1]
+        p = f * width + j
+        path = [p]
         while True:
-            if i < len(parts) and j <= parts[i] and rows[i][j - 1] == rows[i - 1][j - 1]:
-                i += 1
+            if grid[p + width] == grid[p]:
+                p += width
             elif j > s:
+                p -= 1
                 j -= 1
             else:
                 break
-            cells.append((i, j))
-        _add_along(shape, rows, cells, +1)
-    return Rpp(shape, rows)
+            path.append(p)
+        _add_along(shape, grid, path, +1)
+    return Rpp(shape, _from_frame(grid, width, parts))
 
 
 def _transpose_rows(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

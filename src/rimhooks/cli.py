@@ -161,9 +161,10 @@ def cmd_rimhooks(args) -> int:
         for h in hooks
     ]
     blocks = []
-    for h in hooks:
-        blocks.append(f"anchor {format_cell(h.anchor)} ({len(h)} cells)")
-        blocks.append(render.ascii_shape(shape, h.cells))
+    if args.format == "text":  # one picture of the whole diagram per hook
+        for h in hooks:
+            blocks.append(f"anchor {format_cell(h.anchor)} ({len(h)} cells)")
+            blocks.append(render.ascii_shape(shape, h.cells))
     _emit_obj(args, obj, "\n".join(blocks))
     return 0
 
@@ -227,7 +228,10 @@ def cmd_insert(args) -> int:
 def cmd_factorize(args) -> int:
     pi = _read_grid(args, Rpp)
     if args.paths:
-        steps = [(anchor, path) for anchor, path, _, _ in _extractions(pi)]
+        width = pi.shape.frame.width
+        steps = [
+            (anchor, [divmod(p, width) for p in path]) for anchor, path, _, _ in _extractions(pi)
+        ]
         fact = Factorization(pi.shape, tuple(anchor for anchor, _ in steps))
     else:
         steps = []

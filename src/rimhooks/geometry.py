@@ -233,6 +233,27 @@ class Partition:
         return MappingProxyType(regions)
 
     @cached_property
+    def frame(self) -> "Frame":
+        """The bordered flat layout of this diagram that the bijection kernels share."""
+        parts = self.parts
+        width = (parts[0] if parts else 0) + 2
+        regions = self.regions_by_content
+        by_position: list[Region | None] = [None] * ((len(parts) + 2) * width)
+        for i, p in enumerate(parts, start=1):
+            by_position[i * width + 1 : i * width + p + 1] = [
+                regions[c] for c in range(1 - i, p - i + 1)
+            ]
+        inner, outer = Region.INNER_DIAG, Region.OUTER_DIAG
+        band_a, band_b = Region.BAND_A, Region.BAND_B
+        return Frame(
+            width,
+            tuple(r is not None for r in by_position),
+            tuple(r is band_b or r is inner for r in by_position),
+            tuple(r is inner or r is band_a for r in by_position),
+            tuple(r if r is outer or r is band_a else None for r in by_position),
+        )
+
+    @cached_property
     def _column_by_head_content(self) -> dict[int, int]:
         # Column j keyed by the content of its bottom cell. The rim-hook
         # anchored at (i, j) runs from that cell to the end of row i, one
@@ -280,6 +301,31 @@ class Partition:
         if parts and parts[-1] == 0:
             parts.pop()
         return Partition(parts)
+
+
+@dataclass(frozen=True)
+class Frame:
+    """A diagram laid out row by row in one flat sequence with a one-cell border.
+
+    Cell (i, j) sits at position i * width + j, where width is the first part
+    plus 2. Positions run over rows 0 to length + 1 and columns 0 to
+    width - 1, so the neighbours of a cell, p - 1 (west), p + 1 (east),
+    p - width (north) and p + width (south), are always positions of the
+    frame. A grid on the frame holds 0 in row 0 and column 0 and math.inf at
+    every other position outside the diagram: the extended values, so no
+    step needs a bounds test. The tables below are indexed by position and
+    are false (None) outside the diagram.
+    """
+
+    width: int
+    #: whether the position is a cell of the diagram
+    inside: tuple[bool, ...]
+    #: band B or inner diagonal: where the insertion walk may step south
+    south_step: tuple[bool, ...]
+    #: inner diagonal or band A: where a path must continue east
+    east_forced: tuple[bool, ...]
+    #: OUTER_DIAG or BAND_A where a candidate may sit, None elsewhere
+    candidate: tuple[Region | None, ...]
 
 
 @dataclass(frozen=True)

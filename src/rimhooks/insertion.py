@@ -13,19 +13,18 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .geometry import (
     Cell,
     Partition,
-    Region,
     RimHook,
     content_key,
     format_cell,
     parse_cell,
     revlex_key,
 )
-from .rpp import Rpp, Tableau, _add_along, _candidates_among
+from .rpp import Rpp, Tableau, _add_along, _candidates_among, _from_frame, _to_frame
 
 
 class Orientation(Enum):
@@ -141,78 +140,73 @@ class InsertionFailure:
         )
 
 
-_Grid = Sequence[Sequence[int]]
+def _compatible(shape: Partition, grid: Sequence, path: Sequence[int]) -> bool:
+    """`is_compatible` for positions of `shape.frame` that all lie inside the diagram.
 
-
-def _compatible(shape: Partition, rows: _Grid, cells: Sequence[Cell]) -> bool:
-    """`is_compatible` for cells that all lie inside the shape."""
-    regions = shape.regions_by_content
-    inner, band_a = Region.INNER_DIAG, Region.BAND_A
-    on_path = set(cells)
-    for i, j in cells:
-        v = rows[i - 1][j - 1]
-        reg = regions[j - i]
-        if (reg is inner or reg is band_a) and (
-            (i, j + 1) not in on_path or v != rows[i - 1][j]
-        ):
+    The test is on the set of path positions, so either orientation of a
+    path passes or fails alike.
+    """
+    frame = shape.frame
+    width, east_forced = frame.width, frame.east_forced
+    on_path = set(path)
+    for p in path:
+        v = grid[p]
+        if east_forced[p] and (p + 1 not in on_path or v != grid[p + 1]):
             return False
-        if (i + 1, j) in on_path and v != rows[i][j - 1]:
+        if p + width in on_path and v != grid[p + width]:
             return False
     return True
 
 
-def _insertion_walk(shape: Partition, rows: _Grid, tail: Cell, length: int) -> list[Cell]:
-    """The cells of `insertion_path` for a rim-hook with this tail and length.
+def _insertion_walk(shape: Partition, grid: Sequence, tail: int, length: int) -> list[int]:
+    """The positions of `insertion_path` for a rim-hook with this tail and length.
 
-    The walk starts at the end of a row and only steps south into the
-    diagram or west, so it leaves the diagram only through the west edge
-    (column 0), where the west branch applies.
+    `grid` is laid out on `shape.frame`. The walk starts at the end of a row
+    and steps south only where the value below equals the current one; south
+    of the diagram the border holds math.inf, so that step never leaves it.
+    It leaves only west, into column 0, where it stops short of `length`
+    positions: one more west step would wrap into the row above.
     """
-    parts = shape.parts
-    n = len(parts)
-    regions = shape.regions_by_content
-    inner, band_b = Region.INNER_DIAG, Region.BAND_B
-    i, j = tail
-    cells = [tail]
+    frame = shape.frame
+    width, south_step, inside = frame.width, frame.south_step, frame.inside
+    p = tail
+    path = [p]
     for _ in range(length - 1):
-        if (
-            j >= 1
-            and i < n
-            and j <= parts[i]
-            and ((reg := regions[j - i]) is band_b or reg is inner)
-            and rows[i][j - 1] == rows[i - 1][j - 1]
-        ):
-            i += 1
+        if south_step[p] and grid[p + width] == grid[p]:
+            p += width
         else:
-            j -= 1
-        cells.append((i, j))
-    return cells
+            p -= 1
+            if not inside[p]:
+                path.append(p)
+                break
+        path.append(p)
+    return path
 
 
-def _extraction_walk(shape: Partition, rows: _Grid, v: Cell) -> list[Cell]:
-    """The cells of `extraction_path` from the candidate v.
+def _extraction_walk(shape: Partition, grid: Sequence, v: int) -> list[int]:
+    """The positions of `extraction_path` from the candidate at position v.
 
-    Entries along the walk never fall below the candidate's, which exceeds
-    its west neighbour, so the walk never steps north out of row 1; and no
-    row ends on an inner diagonal or in band A, so it never steps east out
-    of a row.
+    `grid` is laid out on `shape.frame`. Entries along the walk never fall
+    below the candidate's, which exceeds its west neighbour, so the walk
+    never steps north into the 0s of row 0; and no row ends on an inner
+    diagonal or in band A, so a forced east step stays in its row. The end of
+    a row is where the math.inf of the border starts.
     """
-    parts = shape.parts
-    regions = shape.regions_by_content
-    inner, band_a = Region.INNER_DIAG, Region.BAND_A
-    i, j = v
-    cells = [v]
+    frame = shape.frame
+    width, east_forced, inside = frame.width, frame.east_forced, frame.inside
+    p = v
+    path = [p]
     while True:
-        reg = regions[j - i]
-        goes_east = reg is inner or reg is band_a
-        if not goes_east and rows[i - 1][j - 1] == (rows[i - 2][j - 1] if i > 1 else 0):
-            i -= 1
-        elif goes_east or j < parts[i - 1]:
-            j += 1
+        if east_forced[p]:
+            p += 1
+        elif grid[p] == grid[p - width]:
+            p -= width
+        elif inside[p + 1]:
+            p += 1
         else:
             break
-        cells.append((i, j))
-    return cells
+        path.append(p)
+    return path
 
 
 def _anchor_of_walk(shape: Partition, tail: Cell, length: int) -> Cell:
@@ -230,6 +224,12 @@ def _anchor_of_walk(shape: Partition, tail: Cell, length: int) -> Cell:
     return (i, col)
 
 
+def _positions(shape: Partition, cells: Iterable[Cell]) -> list[int]:
+    """The positions of cells of the diagram on `shape.frame`."""
+    width = shape.frame.width
+    return [i * width + j for i, j in cells]
+
+
 def is_compatible(path: LatticePath, pi: Rpp) -> bool:
     """Whether adding or subtracting 1 along the path respects the path rules.
 
@@ -237,10 +237,11 @@ def is_compatible(path: LatticePath, pi: Rpp) -> bool:
     followed east by a path cell of equal value, and vertically adjacent path
     cells must hold equal values.
     """
+    shape = pi.shape
     for u in path:
-        if u not in pi.shape:
+        if u not in shape:
             raise ValueError(f"path leaves the shape at {format_cell(u)}")
-    return _compatible(pi.shape, pi.rows, path.cells)
+    return _compatible(shape, _to_frame(shape, pi.rows), _positions(shape, path))
 
 
 def insertion_path(hook: RimHook, pi: Rpp) -> LatticePath:
@@ -253,9 +254,16 @@ def insertion_path(hook: RimHook, pi: Rpp) -> LatticePath:
     insertion it may leave the diagram through the west edge (off-shape cells
     belong to no region, so the west branch applies there).
     """
-    if hook.shape != pi.shape:
-        raise ValueError(f"hook shape {hook.shape} does not match {pi.shape}")
-    cells = _insertion_walk(pi.shape, pi.rows, hook.tail, len(hook))
+    shape = pi.shape
+    if hook.shape != shape:
+        raise ValueError(f"hook shape {hook.shape} does not match {shape}")
+    width = shape.frame.width
+    (i, j), length = hook.tail, len(hook)
+    walk = _insertion_walk(shape, _to_frame(shape, pi.rows), i * width + j, length)
+    cells = [divmod(p, width) for p in walk]
+    # a walk that stopped in column 0 goes on west
+    i, j = cells[-1]
+    cells += [(i, j - k) for k in range(1, length - len(cells) + 1)]
     return LatticePath(tuple(cells), Orientation.SW)
 
 
@@ -267,8 +275,11 @@ def try_insert(hook: RimHook, pi: Rpp) -> Rpp | InsertionFailure:
     outcome, not a fault); a shape mismatch is a fault.
     """
     path = insertion_path(hook, pi)
+    shape = pi.shape
     # the walk leaves the diagram only through the west edge
-    ok = path.head[1] >= 1 and _compatible(pi.shape, pi.rows, path.cells)
+    ok = path.head[1] >= 1 and _compatible(
+        shape, _to_frame(shape, pi.rows), _positions(shape, path)
+    )
     if ok:
         try:
             return pi.with_path(path, +1)
@@ -295,9 +306,14 @@ def extraction_path(v: Cell, pi: Rpp) -> LatticePath:
     of a row when the value above is strictly smaller. Both greedy rules are
     deterministic, so no tie-breaking is ever needed.
     """
-    if not _candidates_among(pi.shape, pi.rows, (v,)):
+    shape = pi.shape
+    width = shape.frame.width
+    grid = _to_frame(shape, pi.rows)
+    start = v[0] * width + v[1]
+    if v not in shape or not _candidates_among(shape, grid, (start,)):
         raise ValueError(f"{format_cell(v)} is not a candidate of the filling")
-    return LatticePath(tuple(_extraction_walk(pi.shape, pi.rows, v)), Orientation.NE)
+    walk = _extraction_walk(shape, grid, start)
+    return LatticePath(tuple(divmod(p, width) for p in walk), Orientation.NE)
 
 
 def rim_hook_of_path(path: LatticePath, shape: Partition) -> RimHook:
@@ -328,47 +344,47 @@ def extract_min(pi: Rpp) -> tuple[RimHook, Rpp] | None:
     step = next(_extractions(pi), None)
     if step is None:
         return None
-    anchor, _, rows, _ = step
-    return pi.shape.rim_hook(anchor), Rpp(pi.shape, rows)
+    anchor, _, grid, _ = step
+    shape = pi.shape
+    return shape.rim_hook(anchor), Rpp(shape, _from_frame(grid, shape.frame.width, shape.parts))
 
 
-def _extractions(
-    pi: Rpp,
-) -> Iterator[tuple[Cell, list[Cell], list[list[int]], set[Cell]]]:
+def _extractions(pi: Rpp) -> Iterator[tuple[Cell, list[int], list, set[int]]]:
     """The extraction chain of the lexicographic factorization, on one grid changed in place.
 
-    Yields (anchor, path cells, grid, candidates) per extraction; the grid and
-    the candidate set are the live state after that extraction. Whether a cell
-    is a candidate depends only on the cell and its west and north neighbours,
-    so after a path update only the path cells and their east and south
-    neighbours are re-tested. A heap with lazy deletion yields the
-    content-minimal candidate.
+    Yields (anchor, path positions, grid, candidate positions) per extraction,
+    on `pi.shape.frame`; the grid and the candidate set are the live state
+    after that extraction. Whether a cell is a candidate depends only on the
+    cell and its west and north neighbours, so after a path update only the
+    path cells and their east and south neighbours are re-tested. A heap with
+    lazy deletion yields the content-minimal candidate.
     """
     shape = pi.shape
-    rows = [list(row) for row in pi.rows]
-    candidates = _candidates_among(shape, rows, shape.cells())
-    heap = [(content_key(u), u) for u in candidates]
+    width = shape.frame.width
+    grid = _to_frame(shape, pi.rows)
+    candidates = _candidates_among(shape, grid, range(len(grid)))
+    heap = [(content_key(divmod(p, width)), p) for p in candidates]
     heapq.heapify(heap)
     anchors: list[Cell] = []
     while candidates:
         while heap[0][1] not in candidates:
             heapq.heappop(heap)
-        path = _extraction_walk(shape, rows, heap[0][1])
-        anchor = _anchor_of_walk(shape, path[-1], len(path))
-        _add_along(shape, rows, path, -1)
+        path = _extraction_walk(shape, grid, heap[0][1])
+        anchor = _anchor_of_walk(shape, divmod(path[-1], width), len(path))
+        _add_along(shape, grid, path, -1)
         if anchors and revlex_key(anchor) < revlex_key(anchors[-1]):
             raise RuntimeError(
                 "extraction produced a decreasing hook sequence "
                 f"(shape {shape}, filling {pi.rows!r}, anchors {anchors + [anchor]})"
             )
         anchors.append(anchor)
-        touched = [u for i, j in path for u in ((i, j), (i, j + 1), (i + 1, j))]
-        fresh = _candidates_among(shape, rows, touched)
-        for u in fresh - candidates:
-            heapq.heappush(heap, (content_key(u), u))
+        touched = [q for p in path for q in (p, p + 1, p + width)]
+        fresh = _candidates_among(shape, grid, touched)
+        for p in fresh - candidates:
+            heapq.heappush(heap, (content_key(divmod(p, width)), p))
         candidates.difference_update(touched)
         candidates |= fresh
-        yield anchor, path, rows, candidates
+        yield anchor, path, grid, candidates
 
 
 def factorize(pi: Rpp) -> Factorization:
@@ -393,23 +409,26 @@ def build(tableau: Tableau) -> Rpp:
     shape = tableau.shape
     parts = shape.parts
     conj = shape._conjugate_parts
+    frame = shape.frame
+    width, inside = frame.width, frame.inside
     anchors = tableau.anchors()
-    rows = [[0] * p for p in parts]
+    grid = _to_frame(shape, [(0,) * p for p in parts])
     for step, anchor in enumerate(reversed(anchors), start=1):
         i, j = anchor
         hook_length = parts[i - 1] + conj[j - 1] - i - j + 1
-        path = _insertion_walk(shape, rows, (i, parts[i - 1]), hook_length)
+        path = _insertion_walk(shape, grid, i * width + parts[i - 1], hook_length)
         # the walk leaves the diagram only through the west edge
-        if path[-1][1] >= 1 and _compatible(shape, rows, path):
+        if inside[path[-1]] and _compatible(shape, grid, path):
             try:
-                _add_along(shape, rows, path, +1)
+                _add_along(shape, grid, path, +1)
                 continue
             except ValueError:
                 pass
-        result = try_insert(shape.rim_hook(anchor), Rpp(shape, rows))
+        pi = Rpp(shape, _from_frame(grid, width, parts))
+        result = try_insert(shape.rim_hook(anchor), pi)
         raise RuntimeError(
             "lexicographic insertion failed, which contradicts the "
             f"well-definedness theorem: shape {tableau.shape}, multiset "
             f"{anchors}, step {step} at anchor {format_cell(anchor)}: {result}"
         )
-    return Rpp(shape, rows)
+    return Rpp(shape, _from_frame(grid, width, parts))

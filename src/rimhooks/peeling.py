@@ -14,7 +14,7 @@ import math
 from typing import Callable
 
 from .geometry import Cell, Partition, format_cell, north, west
-from .rpp import Rpp, Tableau, _monotone_around
+from .rpp import Rpp, Tableau, _from_frame, _to_frame
 
 CornerChooser = Callable[[Partition], Cell]
 
@@ -25,36 +25,45 @@ def _is_outer_corner(parts: list[int], x: Cell) -> bool:
     return 1 <= r <= len(parts) and parts[r - 1] == s and (r == len(parts) or parts[r] < s)
 
 
-def _toggle(rows: list[list[int]], parts: list[int], x: Cell) -> list[Cell]:
-    """Toggle x's diagonal in place and remove the outer corner x; returns the toggled cells.
+def _toggle(grid: list, width: int, parts: list[int], x: Cell) -> None:
+    """Toggle x's diagonal in place and remove the outer corner x.
 
-    `rows` and `parts` hold the filling and its row lengths. The cells of the
-    diagonal lie north-west of x, and their neighbours lie on the two adjacent
-    diagonals, so every toggle reads untoggled values.
+    `grid` holds the filling of the diagram `parts` laid out on a frame of
+    this width (`Partition.frame`, of this diagram or a larger one): 0 in row
+    0 and column 0, math.inf at every other position outside the diagram, so
+    the four neighbours of a cell need no bounds test. Removing x writes
+    math.inf at its position. The cells of the diagonal lie north-west of x,
+    and their neighbours lie on the two adjacent diagonals, so every toggle
+    reads untoggled values. A toggled value lies between max(north, west)
+    and min(east, south) exactly when the filling stays weakly increasing
+    around it (and hi is at least 0); when one does not, the toggle is
+    finished and the ValueError of the Rpp constructor is raised.
     """
     r, s = x
     diag = s - r
-    toggled = []
-    for i in range(max(1, 1 - diag), r):
-        j = i + diag
-        lo = min(
-            rows[i - 1][j] if j < parts[i - 1] else math.inf,
-            rows[i][j - 1] if i < len(parts) and j <= parts[i] else math.inf,
-        )
-        if lo == math.inf:
+    inf = math.inf
+    ordered = True
+    for p in range(max(1, 1 - diag) * (width + 1) + diag, r * width + s, width + 1):
+        right, below = grid[p + 1], grid[p + width]
+        lo = right if right < below else below
+        if lo == inf:
             raise RuntimeError(
-                f"both east and south of {format_cell((i, j))} fall outside "
+                f"both east and south of {format_cell(divmod(p, width))} fall outside "
                 f"{Partition(parts)}; cannot toggle"
             )
-        hi = max(rows[i - 2][j - 1] if i > 1 else 0, rows[i - 1][j - 2] if j > 1 else 0)
-        rows[i - 1][j - 1] = hi + lo - rows[i - 1][j - 1]
-        toggled.append((i, j))
-    rows[r - 1].pop()
+        above, left = grid[p - width], grid[p - 1]
+        hi = above if above > left else left
+        new = hi + lo - grid[p]
+        if not hi <= new <= lo:
+            ordered = False
+        grid[p] = new
+    grid[r * width + s] = inf
     parts[r - 1] -= 1
     if not parts[r - 1]:
-        rows.pop()
         parts.pop()
-    return toggled
+    if not ordered:
+        # raises, naming the first offending cell
+        Rpp(Partition(parts), _from_frame(grid, width, parts))
 
 
 def corner_toggle(pi: Rpp, x: Cell) -> Rpp:
@@ -66,10 +75,13 @@ def corner_toggle(pi: Rpp, x: Cell) -> Rpp:
     min is always finite: u has a diagonal successor inside the original
     shape, so at least one of east/south exists.
     """
-    reduced = pi.shape.remove_corner(x)
-    rows = [list(row) for row in pi.rows]
-    _toggle(rows, list(pi.shape.parts), x)
-    return Rpp(reduced, rows)
+    shape = pi.shape
+    reduced = shape.remove_corner(x)
+    width = shape.frame.width
+    grid = _to_frame(shape, pi.rows)
+    parts = list(shape.parts)
+    _toggle(grid, width, parts, x)
+    return Rpp(reduced, _from_frame(grid, width, parts))
 
 
 def corner_is_tight(pi: Rpp, x: Cell) -> bool:
@@ -94,7 +106,8 @@ def peel_tableau(pi: Rpp, choose_corner: CornerChooser | None = None) -> Tableau
     by tests rather than by construction.
     """
     shape = pi.shape
-    rows = [list(row) for row in pi.rows]
+    width = shape.frame.width
+    grid = _to_frame(shape, pi.rows)
     parts = list(shape.parts)
     counts = [[0] * p for p in shape.parts]
     # The revlex-minimal outer corner is the bottom cell of the last column,
@@ -111,10 +124,7 @@ def peel_tableau(pi: Rpp, choose_corner: CornerChooser | None = None) -> Tableau
                     f"chooser returned {format_cell(x)}, not an outer corner of {current}"
                 )
         r, s = x
-        above = rows[r - 2][s - 1] if r > 1 else 0
-        left = rows[r - 1][s - 2] if s > 1 else 0
-        counts[r - 1][s - 1] = rows[r - 1][s - 1] - max(above, left)
-        toggled = _toggle(rows, parts, x)
-        if not _monotone_around(rows, parts, toggled):
-            Rpp(Partition(parts), rows)  # raises, naming the first offending cell
+        p = r * width + s
+        counts[r - 1][s - 1] = grid[p] - max(grid[p - width], grid[p - 1])
+        _toggle(grid, width, parts, x)
     return Tableau(shape, counts)

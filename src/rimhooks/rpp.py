@@ -190,7 +190,12 @@ class Rpp(ShapedGrid):
         a band-A cell when it exceeds both its west and north neighbours
         (extended values, so first-column and first-row neighbours count as 0).
         """
-        return frozenset(_candidates_among(self.shape, self.rows, self.shape.cells()))
+        shape = self.shape
+        width = shape.frame.width
+        grid = _to_frame(shape, self.rows)
+        return frozenset(
+            divmod(p, width) for p in _candidates_among(shape, grid, range(len(grid)))
+        )
 
     def min_candidate(self) -> Cell | None:
         """The content-order minimum of the candidates, None for the zero filling."""
@@ -219,78 +224,90 @@ class Tableau(ShapedGrid):
         return out
 
 
-def _candidates_among(
-    shape: Partition, rows: Sequence[Sequence[int]], cells: Iterable[Cell]
-) -> set[Cell]:
-    """The cells of `cells` that are among `Rpp.candidates` of the filling `rows` of `shape`.
+def _to_frame(shape: Partition, rows: Iterable[Sequence[int]]) -> list:
+    """The filling `rows` of `shape` laid out on `shape.frame`, as a new list.
 
-    Cells outside the shape are never candidates. Each test reads only the
-    cell and its west and north neighbours.
+    Row 0 and column 0 hold 0, and every other position outside the diagram
+    holds math.inf: the extended values of `ShapedGrid.value_ext`.
     """
-    parts = shape.parts
-    n = len(parts)
-    regions = shape.regions_by_content
-    outer, band_a = Region.OUTER_DIAG, Region.BAND_A
+    width = shape.frame.width
+    grid: list = [0] * width
+    for row in rows:
+        grid.append(0)
+        grid += row
+        grid += [math.inf] * (width - 1 - len(row))
+    grid.append(0)
+    grid += [math.inf] * (width - 1)
+    return grid
+
+
+def _from_frame(grid: Sequence, width: int, parts: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The rows of the diagram `parts` read back from a frame of this width."""
+    return tuple(
+        tuple(grid[i * width + 1 : i * width + p + 1]) for i, p in enumerate(parts, start=1)
+    )
+
+
+def _candidates_among(shape: Partition, grid: Sequence, positions: Iterable[int]) -> set[int]:
+    """The positions among `positions` that hold a candidate of the filling `grid` of `shape`.
+
+    `grid` is laid out on `shape.frame`, and `positions` are positions of that
+    frame. Positions outside the diagram are never candidates. Each test reads
+    only the cell and its west and north neighbours, which the frame's border
+    supplies as 0 in the first row and column.
+    """
+    frame = shape.frame
+    width, kinds = frame.width, frame.candidate
+    outer = Region.OUTER_DIAG
     found = set()
-    for i, j in cells:
-        if not (1 <= i <= n and 1 <= j <= parts[i - 1]):
-            continue
-        reg = regions[j - i]
-        if reg is not outer and reg is not band_a:
-            continue
-        row = rows[i - 1]
-        v = row[j - 1]
-        if v > (row[j - 2] if j > 1 else 0) and (
-            reg is outer or v > (rows[i - 2][j - 1] if i > 1 else 0)
-        ):
-            found.add((i, j))
+    for p in positions:
+        kind = kinds[p]
+        if kind and (v := grid[p]) > grid[p - 1] and (kind is outer or v > grid[p - width]):
+            found.add(p)
     return found
 
 
-def _monotone_around(
-    rows: Sequence[Sequence[int]], parts: Sequence[int], cells: Iterable[Cell]
-) -> bool:
-    """Whether each entry at `cells` is non-negative and in order with its four neighbours.
+def _add_along(shape: Partition, grid: list, positions: Sequence[int], delta: int) -> None:
+    """Add `delta` in place at every position of `positions`, as `with_path` does on a copy.
 
-    These are exactly the checks of the Rpp constructor that involve the
-    entries at `cells`; `parts` gives the row lengths of `rows`.
+    `grid` must hold a reverse plane partition of `shape`, laid out on
+    `shape.frame`, on entry. Every position must be a cell of the diagram;
+    otherwise the ValueError of `with_path` is raised before anything changes.
+    Then an edge can break only on the far side of a changed cell: east or
+    south of it when `delta` is positive, west or north of it when negative.
+    The border makes those reads total: math.inf east and south of the
+    diagram, 0 in row 0 and column 0. Non-negativity needs no test of its
+    own: a decreased cell that is at least its west neighbour is at least the
+    0 of column 0. On a violation the entries are restored and the
+    ValueError of the Rpp constructor, naming the first offending cell, is
+    raised.
     """
-    n = len(parts)
-    for i, j in cells:
-        row = rows[i - 1]
-        v = row[j - 1]
-        if (
-            v < 0
-            or (j > 1 and row[j - 2] > v)
-            or (j < parts[i - 1] and row[j] < v)
-            or (i > 1 and rows[i - 2][j - 1] > v)
-            or (i < n and j <= parts[i] and rows[i][j - 1] < v)
-        ):
-            return False
-    return True
-
-
-def _add_along(
-    shape: Partition, rows: list[list[int]], cells: Sequence[Cell], delta: int
-) -> None:
-    """Add `delta` in place at every cell of `cells`, as `with_path` does on a copy.
-
-    `rows` must hold a reverse plane partition of `shape` on entry. Then only
-    edges that touch a changed cell can break, so only those are checked; on
-    a violation the entries are restored and the ValueError of the Rpp
-    constructor, naming the first offending cell, is raised.
-    """
-    parts = shape.parts
-    n = len(parts)
-    for i, j in cells:
-        if not (1 <= i <= n and 1 <= j <= parts[i - 1]):
-            raise ValueError(f"cell {format_cell((i, j))} lies outside the shape {shape}")
-    for i, j in cells:
-        rows[i - 1][j - 1] += delta
-    if not _monotone_around(rows, parts, cells):
-        try:
-            Rpp(shape, rows)
-        except ValueError:
-            for i, j in cells:
-                rows[i - 1][j - 1] -= delta
-            raise
+    frame = shape.frame
+    width, inside = frame.width, frame.inside
+    for p in positions:
+        if not inside[p]:
+            raise ValueError(
+                f"cell {format_cell(divmod(p, width))} lies outside the shape {shape}"
+            )
+    for p in positions:
+        grid[p] += delta
+    if delta > 0:
+        for p in positions:
+            v = grid[p]
+            if v > grid[p + 1] or v > grid[p + width]:
+                break
+        else:
+            return
+    else:
+        for p in positions:
+            v = grid[p]
+            if v < grid[p - 1] or v < grid[p - width]:
+                break
+        else:
+            return
+    try:
+        Rpp(shape, _from_frame(grid, width, shape.parts))
+    except ValueError:
+        for p in positions:
+            grid[p] -= delta
+        raise

@@ -7,7 +7,6 @@ from rimhooks import (
     Rpp,
     SsytPair,
     Tableau,
-    biword,
     build,
     check_rsk_transpose,
     check_syt_diagonals,
@@ -17,10 +16,10 @@ from rimhooks import (
     hg_inv,
     is_permutation_matrix,
     permutation_matrix,
-    rectangle_cells,
     rsk,
     rsk_inv,
 )
+from rimhooks.classical import biword, rectangle_cells
 from rimhooks.enumeration import _grids, enumerate_rpps, enumerate_tableaux
 from conftest import all_partitions
 

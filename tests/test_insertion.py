@@ -3,23 +3,20 @@ import pytest
 from rimhooks import (
     Factorization,
     InsertionFailure,
-    LatticePath,
-    Orientation,
     Partition,
     Rpp,
     Tableau,
     build,
     content_key,
-    extract_min,
     extraction_path,
     factorize,
     insertion_path,
     is_compatible,
-    is_factor,
     rim_hook_of_path,
     try_insert,
 )
 from rimhooks.enumeration import enumerate_rpps, enumerate_sw_paths, enumerate_tableaux
+from rimhooks.insertion import LatticePath, Orientation, extract_min, is_factor
 
 
 class TestLatticePath:

@@ -7,13 +7,13 @@ from rimhooks import (
     Rpp,
     Tableau,
     build,
-    corner_is_tight,
     corner_toggle,
     factorize,
     peel_tableau,
     revlex_key,
 )
 from rimhooks.enumeration import enumerate_rpps
+from rimhooks.peeling import corner_is_tight
 from conftest import all_partitions
 
 

@@ -1,5 +1,7 @@
 """Cross-cutting invariants that tie several operations together."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,10 +9,10 @@ from rimhooks import (
     Partition,
     Region,
     Rpp,
+    Tableau,
     content_key,
     extraction_path,
     is_compatible,
-    is_factor,
     rim_hook_of_path,
 )
 from rimhooks.enumeration import enumerate_rpps, enumerate_sw_paths
@@ -20,9 +22,11 @@ from rimhooks.insertion import (
     _extraction_walk,
     _extractions,
     _insertion_walk,
+    is_factor,
 )
-from rimhooks.rpp import _add_along, _candidates_among
-from conftest import rpps
+from rimhooks.peeling import _toggle
+from rimhooks.rpp import _add_along, _candidates_among, _from_frame, _to_frame
+from conftest import all_partitions, partitions, rpps
 
 
 class TestFactorPathsReverseToExtractions:
@@ -69,7 +73,7 @@ class TestFactorDefinitionsAgree:
 
 class TestMinimalCandidateExtractionAlwaysWorks:
     def test_min_candidate_path_certifies_a_factor(self):
-        from rimhooks import is_factor, rim_hook_key
+        from rimhooks import rim_hook_key
 
         for parts in ((2, 2), (4, 3, 1)):
             shape = Partition(parts)
@@ -96,10 +100,12 @@ class TestLocalShortcutsMatchFullChecks:
     @settings(max_examples=150, deadline=None)
     @given(rpps())
     def test_incremental_candidates_equal_a_full_scan(self, pi):
+        shape = pi.shape
+        width = shape.frame.width
         full = pi.candidates()
-        for _, _, rows, candidates in _extractions(pi):
-            full = Rpp(pi.shape, rows).candidates()
-            assert candidates == full
+        for _, _, grid, candidates in _extractions(pi):
+            full = Rpp(shape, _from_frame(grid, width, shape.parts)).candidates()
+            assert {divmod(p, width) for p in candidates} == full
         assert not full
 
     @settings(max_examples=300, deadline=None)
@@ -112,22 +118,26 @@ class TestLocalShortcutsMatchFullChecks:
             di, dj = data.draw(st.sampled_from(steps))
             cells.append((cells[-1][0] + di, cells[-1][1] + dj))
         delta = data.draw(st.sampled_from((1, -1)))
-        rows = [list(row) for row in pi.rows]
+        width = shape.frame.width
+        # the first cell off the diagram, where the containment test stops,
+        # borders a cell of it, so it has a position on the frame
+        positions = [i * width + j for i, j in cells]
+        grid = _to_frame(shape, pi.rows)
         try:
             expected = pi.with_path(cells, delta)
         except ValueError as exc:
             with pytest.raises(ValueError) as raised:
-                _add_along(shape, rows, cells, delta)
+                _add_along(shape, grid, positions, delta)
             assert str(raised.value) == str(exc)
-            assert rows == [list(row) for row in pi.rows]
+            assert grid == _to_frame(shape, pi.rows)
         else:
-            _add_along(shape, rows, cells, delta)
-            assert rows == [list(row) for row in expected.rows]
+            _add_along(shape, grid, positions, delta)
+            assert grid == _to_frame(shape, expected.rows)
 
 
-# The kernels read shape.parts and the region table inline. The per-cell
-# logic they replaced, written with Partition.region and `in shape`, is the
-# oracle below.
+# The kernels read the flag tables of Partition.frame on positions, with
+# the frame's border in place of bounds tests. The per-cell logic they
+# replaced, written with Partition.region and `in shape`, is the oracle below.
 
 
 def _region_or_none(shape, u):
@@ -196,34 +206,51 @@ class TestInlineKernelsMatchPerCellLogic:
     @given(rpps())
     def test_candidate_test_on_the_box_and_one_ring_outside(self, pi):
         shape, rows = pi.shape, pi.rows
+        width = shape.frame.width
+        grid = _to_frame(shape, rows)
         box = [
             (i, j)
             for i in range(shape.length + 2)
             for j in range(shape.parts[0] + 2)
         ]
         expected = {u for u in box if _is_candidate_per_cell(shape, rows, u)}
-        assert _candidates_among(shape, rows, box) == expected
-        for u in box:
-            assert bool(_candidates_among(shape, rows, (u,))) == (u in expected)
+        found = _candidates_among(shape, grid, [i * width + j for i, j in box])
+        assert {divmod(p, width) for p in found} == expected
+        for i, j in box:
+            assert bool(_candidates_among(shape, grid, (i * width + j,))) == (
+                (i, j) in expected
+            )
 
     @settings(max_examples=200, deadline=None)
     @given(rpps())
     def test_walks_and_compatibility(self, pi):
         shape, rows = pi.shape, pi.rows
+        width = shape.frame.width
+        grid = _to_frame(shape, rows)
         for i, p in enumerate(shape.parts, start=1):
             # long enough walks leave the diagram through the west edge
             for length in range(1, p + shape.length + 1):
-                walk = _insertion_walk(shape, rows, (i, p), length)
+                positions = _insertion_walk(shape, grid, i * width + p, length)
+                walk = [divmod(q, width) for q in positions]
+                # the walk stops in column 0; the oracle goes on west
+                assert len(walk) == length or walk[-1][1] == 0
+                a, b = walk[-1]
+                walk += [(a, b - k) for k in range(1, length - len(walk) + 1)]
                 assert walk == _insertion_walk_per_cell(shape, rows, (i, p), length)
                 inside = all(u in shape for u in walk)
                 assert (walk[-1][1] >= 1) == inside
                 if inside:
-                    assert _compatible(shape, rows, walk) == _compatible_per_cell(
+                    assert _compatible(shape, grid, positions) == _compatible_per_cell(
                         shape, rows, walk
+                    )
+                    # set-based, so the reversed path reads the same
+                    assert _compatible(shape, grid, positions[::-1]) == _compatible(
+                        shape, grid, positions
                     )
         for v in shape.cells():
             if _is_candidate_per_cell(shape, rows, v):
-                assert _extraction_walk(shape, rows, v) == _extraction_walk_per_cell(
+                walk = _extraction_walk(shape, grid, v[0] * width + v[1])
+                assert [divmod(q, width) for q in walk] == _extraction_walk_per_cell(
                     shape, rows, v
                 )
 
@@ -242,3 +269,92 @@ class TestInlineKernelsMatchPerCellLogic:
                     assert _anchor_of_walk(shape, (i, p), length) == expected
         with pytest.raises(RuntimeError, match="is not at the end of row"):
             _anchor_of_walk(shape, (1, shape.parts[0] - 1), 1)
+
+
+class TestFrame:
+    @staticmethod
+    def _check_round_trip(shape):
+        frame = shape.frame
+        width = frame.width
+        assert width == shape.row_length(1) + 2
+        rows = tuple(tuple(i + j for j in range(1, p + 1)) for i, p in enumerate(shape.parts, 1))
+        pi = Rpp(shape, rows)
+        grid = _to_frame(shape, rows)
+        assert len(grid) == (shape.length + 2) * width
+        assert _from_frame(grid, width, shape.parts) == rows
+        for p, v in enumerate(grid):
+            i, j = divmod(p, width)
+            if i == 0 or j == 0:
+                assert v == 0
+            elif (i, j) in shape:
+                assert v == rows[i - 1][j - 1] == pi.value_ext(i, j)
+            else:
+                assert v == math.inf == pi.value_ext(i, j)
+            region = shape.region((i, j)) if (i, j) in shape else None
+            assert frame.inside[p] == (region is not None)
+            assert frame.south_step[p] == (region in (Region.BAND_B, Region.INNER_DIAG))
+            assert frame.east_forced[p] == (region in (Region.INNER_DIAG, Region.BAND_A))
+            assert frame.candidate[p] == (
+                region if region in (Region.OUTER_DIAG, Region.BAND_A) else None
+            )
+
+    def test_rows_round_trip_with_the_extended_values_on_the_border(self):
+        for shape in [Partition(), *all_partitions(10), Partition((50, 1))]:
+            self._check_round_trip(shape)
+
+
+def _monotone_around(rows, parts, cells):
+    # the check the toggle's inline test replaced: each entry at `cells` is
+    # non-negative and in order with its four neighbours
+    n = len(parts)
+    for i, j in cells:
+        row = rows[i - 1]
+        v = row[j - 1]
+        if (
+            v < 0
+            or (j > 1 and row[j - 2] > v)
+            or (j < parts[i - 1] and row[j] < v)
+            or (i > 1 and rows[i - 2][j - 1] > v)
+            or (i < n and j <= parts[i] and rows[i][j - 1] < v)
+        ):
+            return False
+    return True
+
+
+@st.composite
+def _any_grids(draw):
+    """A shape and non-negative entries in no particular order."""
+    shape = draw(partitions.filter(bool))
+    rows = tuple(
+        tuple(draw(st.integers(0, 4)) for _ in range(p)) for p in shape.parts
+    )
+    return shape, rows
+
+
+class TestToggleCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_any_grids(), rpps().map(lambda pi: (pi.shape, pi.rows))), st.data())
+    def test_fused_check_fires_exactly_when_the_neighbour_check_fails(self, drawn, data):
+        shape, rows = drawn
+        x = data.draw(st.sampled_from(shape.corners()[1]))
+        r, s = x
+        toggled = [(i, i + s - r) for i in range(max(1, 1 - s + r), r)]
+        old = Tableau(shape, rows)  # the extended lookup, without the order check
+        expected = {
+            (i, j): max(old.value_ext(i - 1, j), old.value_ext(i, j - 1))
+            + min(old.value_ext(i, j + 1), old.value_ext(i + 1, j))
+            - rows[i - 1][j - 1]
+            for i, j in toggled
+        }
+        width = shape.frame.width
+        grid = _to_frame(shape, rows)
+        parts = list(shape.parts)
+        try:
+            _toggle(grid, width, parts, x)
+            fired = False
+        except ValueError:
+            fired = True
+        assert parts == list(shape.remove_corner(x).parts)
+        after = _from_frame(grid, width, parts)
+        assert {u: after[u[0] - 1][u[1] - 1] for u in toggled} == expected
+        assert fired == (not _monotone_around(after, parts, toggled))
