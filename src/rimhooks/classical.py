@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from math import inf
+from threading import Lock
 from typing import Iterator, Literal, Sequence
 
-from .geometry import Cell, Partition, format_cell
+from .geometry import Cell, Partition, _parse_ints, format_cell
 from .rpp import Rpp, Tableau, _add_along, _from_frame, _to_frame
 
 ChainKind = Literal["weak", "strict"]
@@ -349,6 +350,10 @@ def _chain_flow(entries: Entries, kind: ChainKind) -> tuple[list[tuple[int, int,
     return [(0, 0, 0)], _augmentations(entries, kind)
 
 
+#: held while a memoised flow is resumed and read; a generator runs in one thread at a time
+_chain_flow_lock = Lock()
+
+
 def gk_chain_max(tableau: Tableau, k: int, r: int, kind: ChainKind) -> int:
     """Largest total length of r chains in the content-k rectangle.
 
@@ -365,14 +370,15 @@ def gk_chain_max(tableau: Tableau, k: int, r: int, kind: ChainKind) -> int:
         raise ValueError("the family needs at least one chain")
     if kind not in ("weak", "strict"):
         raise ValueError(f"unknown chain kind {kind!r}")
-    found, rest = _chain_flow(_rectangle_entries(tableau, k), kind)
-    try:
-        while found[-1][0] < r and (augmentation := next(rest, None)):
-            found.append(augmentation)
-    except BaseException:  # a run cut short cannot resume, so start every run afresh
-        _chain_flow.cache_clear()
-        raise
-    units, gain, per_unit = found[bisect_left(found, (r,), 0, len(found) - 1)]
+    with _chain_flow_lock:
+        found, rest = _chain_flow(_rectangle_entries(tableau, k), kind)
+        try:
+            while found[-1][0] < r and (augmentation := next(rest, None)):
+                found.append(augmentation)
+        except BaseException:  # a run cut short cannot resume, so start every run afresh
+            _chain_flow.cache_clear()
+            raise
+        units, gain, per_unit = found[bisect_left(found, (r,), 0, len(found) - 1)]
     return gain - (units - r) * per_unit if units > r else gain
 
 
@@ -384,7 +390,8 @@ def permutation_matrix(word: Sequence[int] | str) -> Tableau:
     i to.
     """
     if isinstance(word, str):
-        word = [int(tok) for tok in word.split(",") if tok.strip()]
+        tokens = [tok for tok in word.split(",") if tok.strip()]
+        word = list(_parse_ints(tokens, f"permutation {word!r}"))
     n = len(word)
     if sorted(word) != list(range(1, n + 1)):
         raise ValueError(f"{word!r} is not a permutation of 1..{n}")

@@ -8,6 +8,7 @@ errors (JSON shaped under --format json), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Sequence
@@ -230,7 +231,7 @@ def cmd_factorize(args) -> int:
     if args.paths:
         width = pi.shape.frame.width
         steps = [
-            (anchor, [divmod(p, width) for p in path]) for anchor, path, _, _ in _extractions(pi)
+            (anchor, [divmod(p, width) for p in path]) for anchor, path, _ in _extractions(pi)
         ]
         fact = Factorization(pi.shape, tuple(anchor for anchor, _ in steps))
     else:
@@ -345,23 +346,12 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    overrides = {}
-    if args.shape:
-        overrides["shapes"] = tuple(tuple(Partition.from_string(s).parts) for s in args.shape)
-    if args.size_bound is not None:
-        overrides["size_bound"] = args.size_bound
-    if args.weight_bound is not None:
-        overrides["weight_bound"] = args.weight_bound
-    if args.path_size_bound is not None:
-        overrides["path_size_bound"] = args.path_size_bound
-    if args.degree is not None:
-        overrides["stanley_degree"] = args.degree
-    if args.trace_degree is not None:
-        overrides["trace_degree"] = args.trace_degree
-    if args.sample is not None:
-        overrides["sample"] = args.sample
-    overrides["seed"] = args.seed
-    config = VerifyConfig(**overrides)
+    # each flag's dest is the VerifyConfig field it sets
+    fields = {f.name for f in dataclasses.fields(VerifyConfig)}
+    settings = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+    if "shapes" in settings:
+        settings["shapes"] = tuple(Partition.from_string(s).parts for s in settings["shapes"])
+    config = VerifyConfig(**settings)
     results = run_suites([args.suite], config, jobs=args.jobs)
     ok = all(r.passed for r in results)
     if args.format == "json":
@@ -531,11 +521,23 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a property suite")
     _add_io(p)
     p.add_argument("suite", choices=SUITE_NAMES)
-    p.add_argument("--shape", action="append", help="override the verification shapes")
+    p.add_argument(
+        "--shape",
+        action="append",
+        dest="shapes",
+        metavar="SHAPE",
+        help="override the verification shapes",
+    )
     p.add_argument("--size-bound", type=_non_negative_int, dest="size_bound")
     p.add_argument("--weight-bound", type=_non_negative_int, dest="weight_bound")
     p.add_argument("--path-size-bound", type=_non_negative_int, dest="path_size_bound")
-    p.add_argument("--degree", type=_non_negative_int, help="univariate series truncation")
+    p.add_argument(
+        "--degree",
+        type=_non_negative_int,
+        dest="stanley_degree",
+        metavar="DEGREE",
+        help="univariate series truncation",
+    )
     p.add_argument("--trace-degree", type=_non_negative_int, dest="trace_degree")
     p.add_argument("--sample", type=_positive_int, help="randomly subsample heavy loops")
     p.add_argument("--seed", type=int, default=0)

@@ -54,6 +54,17 @@ def parse_cell(text: str) -> Cell:
     return (int(m.group(1)), int(m.group(2)))
 
 
+def _parse_ints(tokens: Iterable[str], where: str) -> tuple[int, ...]:
+    """The integers the tokens spell; the ValueError names the first bad token and `where`."""
+    values = []
+    for tok in tokens:
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ValueError(f"{where}: expected an integer, got {tok!r}") from None
+    return tuple(values)
+
+
 def revlex_key(u: Cell):
     """Sort key realizing the reverse lexicographic order on cells.
 
@@ -102,7 +113,7 @@ class Partition:
         text = text.strip()
         if not text:
             return cls()
-        return cls(int(p) for p in text.split(","))
+        return cls(_parse_ints(text.split(","), f"shape {text!r}"))
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
@@ -245,12 +256,16 @@ class Partition:
             ]
         inner, outer = Region.INNER_DIAG, Region.OUTER_DIAG
         band_a, band_b = Region.BAND_A, Region.BAND_B
+        candidate = tuple(r if r is outer or r is band_a else None for r in by_position)
+        order = [p for p, r in enumerate(candidate) if r]
+        order.sort(key=lambda p: content_key(divmod(p, width)))
         return Frame(
             width,
             tuple(r is not None for r in by_position),
             tuple(r is band_b or r is inner for r in by_position),
             tuple(r is inner or r is band_a for r in by_position),
-            tuple(r if r is outer or r is band_a else None for r in by_position),
+            candidate,
+            tuple(order),
         )
 
     @cached_property
@@ -313,8 +328,11 @@ class Frame:
     p - width (north) and p + width (south), are always positions of the
     frame. A grid on the frame holds 0 in row 0 and column 0 and math.inf at
     every other position outside the diagram: the extended values, so no
-    step needs a bounds test. The tables below are indexed by position and
-    are false (None) outside the diagram.
+    step needs a bounds test. The flag tables below are indexed by position
+    and are false (None) outside the diagram. Factorizing is one pass along
+    `candidate_order`: by the candidate-stability law, extracting at the
+    content-minimal candidate makes no earlier cell a candidate, and the pass
+    raises if one does, which it can tell only while that order is right.
     """
 
     width: int
@@ -326,6 +344,8 @@ class Frame:
     east_forced: tuple[bool, ...]
     #: OUTER_DIAG or BAND_A where a candidate may sit, None elsewhere
     candidate: tuple[Region | None, ...]
+    #: the positions where a candidate may sit, in content order
+    candidate_order: tuple[int, ...]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ succeeds and inverts the factorization.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -277,24 +276,20 @@ def try_insert(hook: RimHook, pi: Rpp) -> Rpp | InsertionFailure:
     path = insertion_path(hook, pi)
     shape = pi.shape
     # the walk leaves the diagram only through the west edge
-    ok = path.head[1] >= 1 and _compatible(
-        shape, _to_frame(shape, pi.rows), _positions(shape, path)
-    )
-    if ok:
+    if path.head[1] >= 1 and _compatible(shape, _to_frame(shape, pi.rows), _positions(shape, path)):
         try:
             return pi.with_path(path, +1)
         except ValueError:
-            ok = False
-    head = path.head
-    head_key = content_key(head)
-    witnesses = [u for u in pi.candidates() if content_key(u) < head_key]
-    if not witnesses:
+            pass
+    # the minimal candidate precedes the head exactly when some candidate does
+    witness = pi.min_candidate()
+    if witness is None or content_key(witness) >= content_key(path.head):
         raise RuntimeError(
             "insertion failed without a preceding candidate; this contradicts "
             f"the failure-witness theorem (shape {pi.shape}, {hook}, "
             f"path {path}, filling {pi.rows!r})"
         )
-    return InsertionFailure(hook, path, min(witnesses, key=content_key))
+    return InsertionFailure(hook, path, witness)
 
 
 def extraction_path(v: Cell, pi: Rpp) -> LatticePath:
@@ -310,7 +305,7 @@ def extraction_path(v: Cell, pi: Rpp) -> LatticePath:
     width = shape.frame.width
     grid = _to_frame(shape, pi.rows)
     start = v[0] * width + v[1]
-    if v not in shape or not _candidates_among(shape, grid, (start,)):
+    if v not in shape or next(_candidates_among(shape, grid, (start,)), None) is None:
         raise ValueError(f"{format_cell(v)} is not a candidate of the filling")
     walk = _extraction_walk(shape, grid, start)
     return LatticePath(tuple(divmod(p, width) for p in walk), Orientation.NE)
@@ -340,59 +335,72 @@ def is_factor(hook: RimHook, pi: Rpp) -> bool:
 
 
 def extract_min(pi: Rpp) -> tuple[RimHook, Rpp] | None:
-    """Extract the rim-hook at the content-minimal candidate, or None at zero."""
+    """Extract the rim-hook at the content-minimal candidate, or None at zero.
+
+    This is the first step of `_extractions`, with its candidate-stability guard.
+    """
     step = next(_extractions(pi), None)
     if step is None:
         return None
-    anchor, _, grid, _ = step
+    anchor, _, grid = step
     shape = pi.shape
     return shape.rim_hook(anchor), Rpp(shape, _from_frame(grid, shape.frame.width, shape.parts))
 
 
-def _extractions(pi: Rpp) -> Iterator[tuple[Cell, list[int], list, set[int]]]:
+def _extractions(pi: Rpp) -> Iterator[tuple[Cell, list[int], list]]:
     """The extraction chain of the lexicographic factorization, on one grid changed in place.
 
-    Yields (anchor, path positions, grid, candidate positions) per extraction,
-    on `pi.shape.frame`; the grid and the candidate set are the live state
-    after that extraction. Whether a cell is a candidate depends only on the
-    cell and its west and north neighbours, so after a path update only the
-    path cells and their east and south neighbours are re-tested. A heap with
-    lazy deletion yields the content-minimal candidate.
+    Yields (anchor, path positions, grid) per extraction, on `pi.shape.frame`;
+    the grid is the live state after that extraction. One pass along
+    `frame.candidate_order` extracts at each position v while it holds a
+    candidate: by the candidate-stability law, that makes no cell before v a
+    candidate. Whether a cell is a candidate depends only on the cell and its
+    west and north neighbours, so after a path update only the path cells and
+    their east and south neighbours are re-tested; of those, only v and the
+    cell south of it come after v, and any other candidate raises.
     """
     shape = pi.shape
-    width = shape.frame.width
+    frame = shape.frame
+    width = frame.width
     grid = _to_frame(shape, pi.rows)
-    candidates = _candidates_among(shape, grid, range(len(grid)))
-    heap = [(content_key(divmod(p, width)), p) for p in candidates]
-    heapq.heapify(heap)
     anchors: list[Cell] = []
-    while candidates:
-        while heap[0][1] not in candidates:
-            heapq.heappop(heap)
-        path = _extraction_walk(shape, grid, heap[0][1])
-        anchor = _anchor_of_walk(shape, divmod(path[-1], width), len(path))
-        _add_along(shape, grid, path, -1)
-        if anchors and revlex_key(anchor) < revlex_key(anchors[-1]):
-            raise RuntimeError(
-                "extraction produced a decreasing hook sequence "
-                f"(shape {shape}, filling {pi.rows!r}, anchors {anchors + [anchor]})"
-            )
-        anchors.append(anchor)
-        touched = [q for p in path for q in (p, p + 1, p + width)]
-        fresh = _candidates_among(shape, grid, touched)
-        for p in fresh - candidates:
-            heapq.heappush(heap, (content_key(divmod(p, width)), p))
-        candidates.difference_update(touched)
-        candidates |= fresh
-        yield anchor, path, grid, candidates
+    # each position is tested against the grid as it stands when the pass reaches it
+    for v in _candidates_among(shape, grid, frame.candidate_order):
+        while True:
+            path = _extraction_walk(shape, grid, v)
+            anchor = _anchor_of_walk(shape, divmod(path[-1], width), len(path))
+            _add_along(shape, grid, path, -1)
+            if anchors and revlex_key(anchor) < revlex_key(anchors[-1]):
+                raise RuntimeError(
+                    "extraction produced a decreasing hook sequence "
+                    f"(shape {shape}, filling {pi.rows!r}, anchors {anchors + [anchor]})"
+                )
+            anchors.append(anchor)
+            again = False
+            touched = [q for p in path for q in (p, p + 1, p + width)]
+            for q in _candidates_among(shape, grid, touched):
+                if q == v:
+                    again = True
+                elif q != v + width:
+                    raise RuntimeError(
+                        f"extraction at {format_cell(divmod(v, width))} made the earlier cell "
+                        f"{format_cell(divmod(q, width))} a candidate, against the "
+                        f"candidate-stability law (shape {shape}, filling {pi.rows!r}, "
+                        f"anchors {anchors})"
+                    )
+            yield anchor, path, grid
+            if not again:
+                break
 
 
 def factorize(pi: Rpp) -> Factorization:
     """The lexicographic factorization of a reverse plane partition.
 
     Repeatedly extracts at the content-minimal candidate until the zero
-    filling remains. The resulting anchor sequence is weakly increasing in
-    the rim-hook order. Costs O(cells + hooks x hook length).
+    filling remains; the anchors come out weakly increasing in the rim-hook
+    order. By the candidate-stability law that minimum never moves back, so
+    this is one pass over the cells, which raises, naming the filling, if a
+    candidate turns up behind it. Costs O(cells + hooks x hook length).
     """
     return Factorization(pi.shape, tuple(anchor for anchor, *_ in _extractions(pi)))
 

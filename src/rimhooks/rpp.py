@@ -14,7 +14,7 @@ from .geometry import (
     Cell,
     Partition,
     Region,
-    content_key,
+    _parse_ints,
     format_cell,
 )
 
@@ -118,7 +118,7 @@ class ShapedGrid:
     @classmethod
     def from_text(cls, text: str, shape: Partition | None = None):
         lines = [line for line in text.splitlines() if line.strip()]
-        rows = [tuple(int(tok) for tok in line.split()) for line in lines]
+        rows = [_parse_ints(line.split(), f"row {i}") for i, line in enumerate(lines, start=1)]
         inferred = Partition(len(row) for row in rows)
         if shape is not None and shape != inferred:
             raise ValueError(f"grid has shape {inferred}, expected {shape}")
@@ -191,18 +191,20 @@ class Rpp(ShapedGrid):
         (extended values, so first-column and first-row neighbours count as 0).
         """
         shape = self.shape
-        width = shape.frame.width
+        frame = shape.frame
         grid = _to_frame(shape, self.rows)
         return frozenset(
-            divmod(p, width) for p in _candidates_among(shape, grid, range(len(grid)))
+            divmod(p, frame.width)
+            for p in _candidates_among(shape, grid, frame.candidate_order)
         )
 
     def min_candidate(self) -> Cell | None:
         """The content-order minimum of the candidates, None for the zero filling."""
-        cand = self.candidates()
-        if not cand:
-            return None
-        return min(cand, key=content_key)
+        shape = self.shape
+        frame = shape.frame
+        grid = _to_frame(shape, self.rows)
+        p = next(_candidates_among(shape, grid, frame.candidate_order), None)
+        return None if p is None else divmod(p, frame.width)
 
 
 class Tableau(ShapedGrid):
@@ -248,23 +250,23 @@ def _from_frame(grid: Sequence, width: int, parts: Sequence[int]) -> tuple[tuple
     )
 
 
-def _candidates_among(shape: Partition, grid: Sequence, positions: Iterable[int]) -> set[int]:
+def _candidates_among(shape: Partition, grid: Sequence, positions: Iterable[int]) -> Iterator[int]:
     """The positions among `positions` that hold a candidate of the filling `grid` of `shape`.
 
     `grid` is laid out on `shape.frame`, and `positions` are positions of that
-    frame. Positions outside the diagram are never candidates. Each test reads
-    only the cell and its west and north neighbours, which the frame's border
-    supplies as 0 in the first row and column.
+    frame. They are yielded in the order given, and each is tested only when
+    reached, against `grid` as it then stands. Positions outside the diagram
+    are never candidates. Each test reads only the cell and its west and
+    north neighbours, which the frame's border supplies as 0 in the first row
+    and column.
     """
     frame = shape.frame
     width, kinds = frame.width, frame.candidate
     outer = Region.OUTER_DIAG
-    found = set()
     for p in positions:
         kind = kinds[p]
         if kind and (v := grid[p]) > grid[p - 1] and (kind is outer or v > grid[p - width]):
-            found.add(p)
-    return found
+            yield p
 
 
 def _add_along(shape: Partition, grid: list, positions: Sequence[int], delta: int) -> None:

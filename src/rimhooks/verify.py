@@ -41,6 +41,10 @@ from .series import (
 )
 
 DEFAULT_SHAPES = ((2, 2), (3, 2), (3, 3, 3), (4, 3, 1), (5, 2, 1, 1))
+#: the fixed instances of the gk, syt, rsk-thm and involution suites
+GK_SHAPE, GK_TOTAL, GK_RMAX = (3, 3, 3), 5, 4
+SYT_N = 3
+PERM_N = 4
 
 
 @dataclass(frozen=True)
@@ -51,11 +55,6 @@ class VerifyConfig:
     path_size_bound: int = 6
     stanley_degree: int = 10
     trace_degree: int = 8
-    gk_shape: tuple[int, ...] = (3, 3, 3)
-    gk_total: int = 5
-    gk_rmax: int = 4
-    syt_n: int = 3
-    perm_n: int = 4
     sample: int | None = None
     seed: int = 0
 
@@ -487,14 +486,14 @@ def suite_diag(config: VerifyConfig) -> list[CheckResult]:
 
 
 def suite_gk(config: VerifyConfig) -> list[CheckResult]:
-    shape = Partition(config.gk_shape)
-    tableaux = config.pick([Tableau(shape, rows) for rows in _grids(shape, config.gk_total)])
+    shape = Partition(GK_SHAPE)
+    tableaux = config.pick([Tableau(shape, rows) for rows in _grids(shape, GK_TOTAL)])
     checked, failed = 0, 0
     for t in tableaux:
         pi = build(t)
         for k in shape.contents:
             mu = classical.diag_partition(pi, k).parts
-            for r in range(1, config.gk_rmax + 1):
+            for r in range(1, GK_RMAX + 1):
                 checked += 2
                 if sum(mu[:r]) != classical.gk_chain_max(t, k, r, "weak"):
                     failed += 1
@@ -513,7 +512,7 @@ def suite_gk(config: VerifyConfig) -> list[CheckResult]:
 
 def suite_syt(config: VerifyConfig) -> list[CheckResult]:
     out = []
-    for n in range(1, config.syt_n + 1):
+    for n in range(1, SYT_N + 1):
         shape = Partition((n,) * n)
         total = n * n
         qualifying = [
@@ -535,7 +534,7 @@ def suite_syt(config: VerifyConfig) -> list[CheckResult]:
 
 def suite_rsk_thm(config: VerifyConfig) -> list[CheckResult]:
     out = []
-    for n in range(1, config.perm_n + 1):
+    for n in range(1, PERM_N + 1):
         ok = all(
             classical.check_rsk_transpose(classical.permutation_matrix(word))
             for word in permutations(range(1, n + 1))
@@ -553,7 +552,7 @@ def suite_rsk_thm(config: VerifyConfig) -> list[CheckResult]:
 
 def suite_involution(config: VerifyConfig) -> list[CheckResult]:
     out = []
-    for n in range(1, config.perm_n + 1):
+    for n in range(1, PERM_N + 1):
         ok = True
         for word in permutations(range(1, n + 1)):
             sigma = classical.permutation_matrix(word)

@@ -252,6 +252,82 @@ class TestGreeneKleitman:
         monkeypatch.undo()
         assert [gk_chain_max(t, 0, r, "weak") for r in (1, 2, 3)] == [4, 7, 8]
 
+    def test_threads_share_one_flow(self, monkeypatch):
+        # a second thread asking while the first resumes the shared run
+        # waits for it instead of resuming the same generator
+        import threading
+
+        import rimhooks.classical as classical
+
+        t = Tableau(Partition((3, 3, 3)), ((1, 1, 2), (0, 1, 0), (3, 0, 0)))
+        real = classical._augmentations
+        started, release = threading.Event(), threading.Event()
+
+        def paused(entries, kind):
+            started.set()
+            release.wait(10)
+            yield from real(entries, kind)
+
+        classical._chain_flow.cache_clear()
+        monkeypatch.setattr(classical, "_augmentations", paused)
+        results, errors = {}, []
+
+        def ask(name, r):
+            try:
+                results[name] = gk_chain_max(t, 0, r, "weak")
+            except BaseException as exc:
+                errors.append(exc)
+
+        first = threading.Thread(target=ask, args=("first", 2))
+        second = threading.Thread(target=ask, args=("second", 3))
+        first.start()
+        assert started.wait(10)
+        second.start()
+        second.join(0.2)
+        release.set()
+        first.join(10)
+        second.join(10)
+        classical._chain_flow.cache_clear()
+        assert not first.is_alive() and not second.is_alive()
+        assert errors == []
+        assert results == {"first": 7, "second": 8}
+
+    def test_threads_asking_at_once_agree_with_a_serial_run(self):
+        import random
+        import sys
+        import threading
+
+        import rimhooks.classical as classical
+
+        rng = random.Random(7)
+        grid = [[rng.randint(0, 3) for _ in range(10)] for _ in range(10)]
+        t = Tableau(Partition((10,) * 10), grid)
+        family_sizes = range(1, 16)
+        expected = [gk_chain_max(t, 0, r, "weak") for r in family_sizes]
+        classical._chain_flow.cache_clear()
+        results, errors = [], []
+
+        def ask():
+            try:
+                results.append([gk_chain_max(t, 0, r, "weak") for r in family_sizes])
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=ask) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+            classical._chain_flow.cache_clear()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == [expected] * 4
+
     def test_bad_arguments(self):
         t = Tableau.zero(Partition((2, 2)))
         with pytest.raises(ValueError):

@@ -270,6 +270,26 @@ class TestVerifyCommand:
         results = json.loads(out)
         assert code == 0 and all(r["passed"] for r in results)
 
+    def test_flags_set_their_config_fields(self, capsys, monkeypatch):
+        from rimhooks import cli
+        from rimhooks.verify import VerifyConfig
+
+        seen = []
+
+        def capture(names, config, jobs):
+            seen.append(config)
+            return []
+
+        monkeypatch.setattr(cli, "run_suites", capture)
+        flags = ["--size-bound", "1", "--weight-bound", "2", "--path-size-bound", "3",
+                 "--degree", "4", "--trace-degree", "5", "--sample", "6", "--seed", "7"]
+        invoke(capsys, monkeypatch, ["verify", "golden", "--shape", "2,1", "--shape", "3", *flags])
+        invoke(capsys, monkeypatch, ["verify", "golden"])
+        assert seen == [
+            VerifyConfig(((2, 1), (3,)), 1, 2, 3, 4, 5, sample=6, seed=7),
+            VerifyConfig(),
+        ]
+
     def test_unknown_suite_is_usage_error(self, capsys, monkeypatch):
         with pytest.raises(SystemExit) as err:
             run(["verify", "nonsense"])
@@ -395,6 +415,24 @@ class TestUsageErrors:
         code, out, _ = invoke(capsys, monkeypatch, [command, "--format", "json"], stdin=stdin)
         assert code == 1
         assert key in json.loads(out)["error"]
+
+    @pytest.mark.parametrize(
+        "argv, stdin, message",
+        [
+            (["validate"], "0 1\n1 x\n", "row 2: expected an integer, got 'x'"),
+            (["validate"], "1.5\n", "row 1: expected an integer, got '1.5'"),
+            (["factorize"], "0 1\n\n1 2 x\n", "row 2: expected an integer, got 'x'"),
+            (["hg-inv"], "0 x\n", "row 1: expected an integer, got 'x'"),
+            (["rsk-inv"], "1\n\n1 y\n", "row 1: expected an integer, got 'y'"),
+            (["info", "--shape", "2,,1"], "", "shape '2,,1': expected an integer, got ''"),
+            (["verify", "golden", "--shape", "x"], "", "shape 'x': expected an integer, got 'x'"),
+            (["build", "--perm", "2,a,1"], "", "permutation '2,a,1': expected an integer, got 'a'"),
+        ],
+    )
+    def test_bad_token_is_named(self, capsys, monkeypatch, argv, stdin, message):
+        code, out, err = invoke(capsys, monkeypatch, argv, stdin=stdin)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_bad_json_pair(self, capsys, monkeypatch):
         code, out, _ = invoke(

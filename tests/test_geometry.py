@@ -196,6 +196,18 @@ class TestOrders:
         ranked = sorted(shape.cells(), key=content_key)
         assert ranked == [(1, 4), (1, 3), (2, 3), (1, 2), (2, 2), (1, 1), (2, 1), (3, 1)]
 
+    def test_frame_candidate_order_is_content_order(self):
+        # the one-pass factorization relies on this order; the oracle sorts
+        # the candidate-kind cells by the content key
+        candidate_kinds = (Region.OUTER_DIAG, Region.BAND_A)
+        for shape in [Partition(())] + all_partitions(10) + [Partition((50, 1))]:
+            width = shape.frame.width
+            expected = sorted(
+                (u for u in shape.cells() if shape.region(u) in candidate_kinds),
+                key=content_key,
+            )
+            assert shape.frame.candidate_order == tuple(i * width + j for i, j in expected)
+
     def test_specific_comparisons(self):
         assert revlex_key((2, 3)) < revlex_key((1, 3))
         assert revlex_key((3, 1)) < revlex_key((2, 1))

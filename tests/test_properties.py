@@ -1,5 +1,6 @@
 """Cross-cutting invariants that tie several operations together."""
 
+import dataclasses
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from rimhooks import (
     Tableau,
     content_key,
     extraction_path,
+    factorize,
     is_compatible,
     rim_hook_of_path,
 )
@@ -20,7 +22,6 @@ from rimhooks.insertion import (
     _anchor_of_walk,
     _compatible,
     _extraction_walk,
-    _extractions,
     _insertion_walk,
     is_factor,
 )
@@ -96,18 +97,72 @@ class TestMinimalCandidateExtractionAlwaysWorks:
                     )
 
 
-class TestLocalShortcutsMatchFullChecks:
+def _chain_by_definition(pi):
+    """The lexicographic factorization step by step through the public single-step API."""
+    anchors = []
+    cur = pi
+    while cur.candidates():
+        v = min(cur.candidates(), key=content_key)
+        path = extraction_path(v, cur)
+        anchors.append(rim_hook_of_path(path, cur.shape).anchor)
+        cur = cur.with_path(path, -1)
+    return tuple(anchors)
+
+
+def _small_fillings():
+    """Every filling of every partition of at most 6 cells, up to size 4."""
+    for shape in all_partitions(6):
+        yield from enumerate_rpps(shape, 4)
+
+
+def _assert_candidates_match_the_definition(pi):
+    expected = {u for u in pi.shape.cells() if _is_candidate_per_cell(pi.shape, pi.rows, u)}
+    assert pi.candidates() == expected
+    assert pi.min_candidate() == (None if pi.is_zero() else min(expected, key=content_key))
+
+
+class TestOnePassFactorization:
     @settings(max_examples=150, deadline=None)
     @given(rpps())
-    def test_incremental_candidates_equal_a_full_scan(self, pi):
-        shape = pi.shape
-        width = shape.frame.width
-        full = pi.candidates()
-        for _, _, grid, candidates in _extractions(pi):
-            full = Rpp(shape, _from_frame(grid, width, shape.parts)).candidates()
-            assert {divmod(p, width) for p in candidates} == full
-        assert not full
+    def test_one_pass_equals_the_chain_by_definition(self, pi):
+        assert factorize(pi).anchors == _chain_by_definition(pi)
 
+    def test_one_pass_equals_the_chain_by_definition_on_small_fillings(self):
+        for pi in _small_fillings():
+            assert factorize(pi).anchors == _chain_by_definition(pi)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rpps())
+    def test_candidates_and_min_candidate_match_the_definition(self, pi):
+        _assert_candidates_match_the_definition(pi)
+
+    def test_candidates_and_min_candidate_on_small_fillings(self):
+        for pi in _small_fillings():
+            _assert_candidates_match_the_definition(pi)
+
+    def test_a_candidate_behind_the_pass_raises_naming_the_filling(self, monkeypatch):
+        # Reversed inside each diagonal, the table visits (1,2) before (2,3),
+        # which comes first in content order; the extraction at (1,2) leaves
+        # (2,3) a candidate, so the pass must raise.
+        pi = Rpp(Partition((3, 3)), ((0, 1, 1), (0, 1, 2)))
+        frame = pi.shape.frame
+        width = frame.width
+        by_diagonal = {}
+        for p in frame.candidate_order:
+            by_diagonal.setdefault(p % width - p // width, []).append(p)
+        skewed = tuple(p for ps in by_diagonal.values() for p in reversed(ps))
+        assert skewed != frame.candidate_order
+        monkeypatch.setitem(
+            pi.shape.__dict__, "frame", dataclasses.replace(frame, candidate_order=skewed)
+        )
+        with pytest.raises(RuntimeError, match="candidate-stability law") as raised:
+            factorize(pi)
+        message = str(raised.value)
+        assert repr(pi.rows) in message and "shape 3,3" in message
+        assert "(2,3)" in message
+
+
+class TestLocalShortcutsMatchFullChecks:
     @settings(max_examples=300, deadline=None)
     @given(rpps(), st.data())
     def test_in_place_update_fails_exactly_when_the_constructor_does(self, pi, data):
@@ -215,9 +270,10 @@ class TestInlineKernelsMatchPerCellLogic:
         ]
         expected = {u for u in box if _is_candidate_per_cell(shape, rows, u)}
         found = _candidates_among(shape, grid, [i * width + j for i, j in box])
-        assert {divmod(p, width) for p in found} == expected
+        # yielded in the order given
+        assert [divmod(p, width) for p in found] == [u for u in box if u in expected]
         for i, j in box:
-            assert bool(_candidates_among(shape, grid, (i * width + j,))) == (
+            assert bool(list(_candidates_among(shape, grid, (i * width + j,)))) == (
                 (i, j) in expected
             )
 
