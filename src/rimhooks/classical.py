@@ -19,32 +19,53 @@ from threading import Lock
 from typing import Iterator, Literal, Sequence
 
 from .geometry import Cell, Partition, _parse_ints, format_cell
-from .rpp import Rpp, Tableau, _add_along, _from_frame, _to_frame
+from .rpp import Rpp, Tableau, _from_frame, _raise_path_error, _to_frame
 
 ChainKind = Literal["weak", "strict"]
 Entries = tuple[tuple[Cell, int], ...]
 
 
-def _hg_walk(shape: Partition, grid: list, start_col: int) -> list[int]:
-    """The positions of the forward walk from the bottom of column start_col.
+def _hg_step(shape: Partition, grid: list, start_col: int) -> list[int]:
+    """Subtract 1 along the forward walk from the bottom of column start_col, in place.
 
-    `grid` is laid out on `shape.frame`, whose border reads math.inf east of
-    every row, so the walk stops at the end of a row without a bounds test.
-    Entries along the walk never fall below the nonzero start, so it never
-    steps north into the 0s of row 0.
+    `grid` holds a reverse plane partition of `shape` laid out on
+    `shape.frame`, with a nonzero entry at the bottom of column start_col.
+    One loop walks north on equality and east otherwise, and subtracts 1 at
+    each cell as it steps. Entries along the walk never fall below the
+    start's, so it never steps north into row 0, and the east step tests
+    that it stays in the diagram. Every read lies north-east of the cells
+    already changed, so the walk is the one on the unchanged filling.
+
+    Subtracting 1 can break only west and north edges, and only the west
+    edge of the start is tested; `hg` passes it by starting at the first
+    nonzero column. North holds because the walk steps north onto an equal
+    value, which loses 1 too, and otherwise found it unequal, hence smaller.
+    West holds after an east step (the previous cell lost 1 too) and after a
+    north step, where it lies above the start's west neighbour or above the
+    value north of the cell the walk came east from, found smaller. Returns
+    the path positions. When the test fails, the walk still finishes, every
+    changed cell is restored, and the ValueError of `Rpp.with_path` for the
+    path is raised.
     """
     frame = shape.frame
     width, inside = frame.width, frame.inside
     p = shape._conjugate_parts[start_col - 1] * width + start_col
+    ok = grid[p] > grid[p - 1]
     path = [p]
     while True:
-        if grid[p - width] == grid[p]:
+        v = grid[p]
+        grid[p] = v - 1
+        if grid[p - width] == v:
             p -= width
         elif inside[p + 1]:
             p += 1
         else:
             break
         path.append(p)
+    if not ok:
+        for q in path:
+            grid[q] += 1
+        _raise_path_error(shape, grid, path, -1)
     return path
 
 
@@ -66,11 +87,42 @@ def hg(pi: Rpp) -> Tableau:
         # walks only decrement, so the start column never moves left.
         while grid[conj[start_col - 1] * width + start_col] == 0:
             start_col += 1
-        path = _hg_walk(shape, grid, start_col)
+        path = _hg_step(shape, grid, start_col)
         counts[path[-1] // width - 1][start_col - 1] += 1
-        _add_along(shape, grid, path, -1)
         remaining -= len(path)
     return Tableau(shape, counts)
+
+
+def _hg_inv_step(shape: Partition, grid: list, f: int, s: int) -> None:
+    """Add 1 along the inverse walk of the hook recorded at (f, s), in place.
+
+    `grid` holds a reverse plane partition of `shape` laid out on
+    `shape.frame`. One loop walks from the end of row f south on equality
+    and west otherwise, down to column s, and adds 1 at each cell as it
+    steps; south of the diagram the border reads math.inf, which no entry
+    equals. Every read lies south-west of the cells already changed, so the
+    walk is the one on the unchanged filling.
+
+    From any start this keeps the filling ordered, so nothing is tested.
+    South holds because the walk steps south onto an equal value, which
+    gains 1 too, and otherwise found it unequal, hence larger. East is the
+    border at the start and the previous cell after a west step; after a
+    south step it lies below the border, or below the value south of the
+    cell the walk came west from, found larger.
+    """
+    width = shape.frame.width
+    j = shape.parts[f - 1]
+    p = f * width + j
+    while True:
+        v = grid[p]
+        grid[p] = v + 1
+        if grid[p + width] == v:
+            p += width
+        elif j > s:
+            p -= 1
+            j -= 1
+        else:
+            break
 
 
 def hg_inv(tableau: Tableau) -> Rpp:
@@ -79,32 +131,17 @@ def hg_inv(tableau: Tableau) -> Rpp:
     Recorded hooks are processed in reverse extraction order, sorted by column
     descending then row ascending. Each is undone by walking from the end of
     the hook's row south on equality and west otherwise, down to the hook's
-    column, and incrementing the walk. Comparisons read the grid before the
-    increments, mirroring the forward walk. The walks increment one grid in
-    place, laid out on `shape.frame`, whose border reads math.inf south of
-    the diagram, so a south step needs no bounds test. The cost is
+    column, and incrementing the walk (`_hg_inv_step`), which mirrors the
+    forward walk. The walks increment one grid in place, so the cost is
     O(cells + hooks x hook length).
     """
     shape = tableau.shape
     parts = shape.parts
-    width = shape.frame.width
     hooks = sorted(biword(tableau), key=lambda fs: (-fs[1], fs[0]))
-    grid = _to_frame(shape, [(0,) * p for p in parts])
+    grid = list(shape.frame.zero)
     for f, s in hooks:
-        j = parts[f - 1]
-        p = f * width + j
-        path = [p]
-        while True:
-            if grid[p + width] == grid[p]:
-                p += width
-            elif j > s:
-                p -= 1
-                j -= 1
-            else:
-                break
-            path.append(p)
-        _add_along(shape, grid, path, +1)
-    return Rpp(shape, _from_frame(grid, width, parts))
+        _hg_inv_step(shape, grid, f, s)
+    return Rpp(shape, _from_frame(grid, shape.frame.width, parts))
 
 
 def _transpose_rows(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -385,12 +422,13 @@ def gk_chain_max(tableau: Tableau, k: int, r: int, kind: ChainKind) -> int:
 def permutation_matrix(word: Sequence[int] | str) -> Tableau:
     """The square count matrix of a permutation in one-line notation.
 
-    Accepts a sequence of values or the comma-separated text form `3,1,2`;
-    the matrix has a single 1 in row i at the column the permutation sends
-    i to.
+    Accepts a sequence of values or the comma-separated text form `3,1,2`,
+    parsed like `Partition.from_string`: blank text is the empty permutation,
+    and an empty token is an error. The matrix has a single 1 in row i at the
+    column the permutation sends i to.
     """
     if isinstance(word, str):
-        tokens = [tok for tok in word.split(",") if tok.strip()]
+        tokens = word.split(",") if word.strip() else []
         word = list(_parse_ints(tokens, f"permutation {word!r}"))
     n = len(word)
     if sorted(word) != list(range(1, n + 1)):

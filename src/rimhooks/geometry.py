@@ -9,6 +9,7 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -261,6 +262,8 @@ class Partition:
         order.sort(key=lambda p: content_key(divmod(p, width)))
         return Frame(
             width,
+            tuple(0 if r is not None or p < width or p % width == 0 else math.inf
+                  for p, r in enumerate(by_position)),
             tuple(r is not None for r in by_position),
             tuple(r is band_b or r is inner for r in by_position),
             tuple(r is inner or r is band_a for r in by_position),
@@ -336,6 +339,8 @@ class Frame:
     """
 
     width: int
+    #: the zero filling on the frame, which every grid is laid out from
+    zero: tuple[int | float, ...]
     #: whether the position is a cell of the diagram
     inside: tuple[bool, ...]
     #: band B or inner diagonal: where the insertion walk may step south

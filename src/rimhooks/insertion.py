@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 from .geometry import (
     Cell,
@@ -23,7 +23,7 @@ from .geometry import (
     parse_cell,
     revlex_key,
 )
-from .rpp import Rpp, Tableau, _add_along, _candidates_among, _from_frame, _to_frame
+from .rpp import Rpp, Tableau, _candidates_among, _from_frame, _raise_path_error, _to_frame
 
 
 class Orientation(Enum):
@@ -139,73 +139,124 @@ class InsertionFailure:
         )
 
 
-def _compatible(shape: Partition, grid: Sequence, path: Sequence[int]) -> bool:
-    """`is_compatible` for positions of `shape.frame` that all lie inside the diagram.
+def _insertion_walk(shape: Partition, grid: list, tail: int, length: int) -> tuple[list[int], bool]:
+    """Insert a rim-hook with this tail position and length into `grid`, in place.
 
-    The test is on the set of path positions, so either orientation of a
-    path passes or fails alike.
+    `grid` holds a reverse plane partition of `shape` laid out on
+    `shape.frame`. One loop walks the path of `insertion_path` and adds 1 at
+    each cell as it steps. A south step needs an equal value below, so it
+    never enters the math.inf south of the diagram; the walk leaves only
+    west, into column 0, where it stops short of `length` positions (one
+    more step would wrap into the row above) and changes nothing. Every read
+    lies south-west of the cells already changed, so the walk is the one on
+    the unchanged filling.
+
+    Adding 1 can break only east and south edges. The loop tests the south
+    edge before each west step and at the last cell (before a south step the
+    cell below gains 1 too), and compatibility: an `east_forced` cell must
+    be entered by a west step from an equal value, so the tail must not be
+    one, and a south step never enters one (the diagonal below band B or an
+    inner diagonal is band B or outer). The east edge follows: at the tail
+    it is the border, and after a west step the previous cell. After a
+    south step it lies in the column of the cell the walk came west from
+    into the top of this vertical run, below that cell's south neighbour,
+    which exceeds the run's value unless the south test there failed: the
+    walk found it unequal there, or tested it.
+
+    Returns the positions and whether every test held and the walk stayed
+    in the diagram. On a failure the walk still finishes, so the path is the
+    same, and every changed cell is restored.
     """
     frame = shape.frame
-    width, east_forced = frame.width, frame.east_forced
-    on_path = set(path)
-    for p in path:
-        v = grid[p]
-        if east_forced[p] and (p + 1 not in on_path or v != grid[p + 1]):
-            return False
-        if p + width in on_path and v != grid[p + width]:
-            return False
-    return True
-
-
-def _insertion_walk(shape: Partition, grid: Sequence, tail: int, length: int) -> list[int]:
-    """The positions of `insertion_path` for a rim-hook with this tail and length.
-
-    `grid` is laid out on `shape.frame`. The walk starts at the end of a row
-    and steps south only where the value below equals the current one; south
-    of the diagram the border holds math.inf, so that step never leaves it.
-    It leaves only west, into column 0, where it stops short of `length`
-    positions: one more west step would wrap into the row above.
-    """
-    frame = shape.frame
-    width, south_step, inside = frame.width, frame.south_step, frame.inside
+    width, south_step, east_forced, inside = (
+        frame.width, frame.south_step, frame.east_forced, frame.inside
+    )
     p = tail
+    v = grid[p]
+    ok = not east_forced[p]
     path = [p]
     for _ in range(length - 1):
-        if south_step[p] and grid[p + width] == grid[p]:
+        grid[p] = v + 1
+        if south_step[p] and grid[p + width] == v:
             p += width
         else:
+            if v >= grid[p + width]:
+                ok = False
             p -= 1
             if not inside[p]:
                 path.append(p)
-                break
+                for q in path[:-1]:
+                    grid[q] -= 1
+                return path, False
+            w = grid[p]
+            if east_forced[p] and w != v:
+                ok = False
+            v = w
         path.append(p)
-    return path
+    grid[p] = v + 1
+    if v >= grid[p + width]:
+        ok = False
+    if not ok:
+        for q in path:
+            grid[q] -= 1
+    return path, ok
 
 
-def _extraction_walk(shape: Partition, grid: Sequence, v: int) -> list[int]:
-    """The positions of `extraction_path` from the candidate at position v.
+def _extraction_walk(shape: Partition, grid: list, v: int) -> tuple[list[int], bool]:
+    """Extract the rim-hook that starts at position v of `grid`, in place.
 
-    `grid` is laid out on `shape.frame`. Entries along the walk never fall
-    below the candidate's, which exceeds its west neighbour, so the walk
-    never steps north into the 0s of row 0; and no row ends on an inner
-    diagonal or in band A, so a forced east step stays in its row. The end of
-    a row is where the math.inf of the border starts.
+    `grid` holds a reverse plane partition of `shape` laid out on
+    `shape.frame`; v is a candidate, or any cell with a nonzero entry. One
+    loop walks the path of `extraction_path` and subtracts 1 at each cell as
+    it steps. Entries along the walk never fall below the start's, so it
+    never steps north into row 0. Both east steps test that they stay in the
+    diagram, although a forced one never leaves it: no row ends on an inner
+    diagonal or in band A. Every read lies north-east of the cells already
+    changed, so the walk is the one on the unchanged filling.
+
+    Subtracting 1 can break only west and north edges. The loop tests the
+    north edge before a forced east step (before a north step the cell above
+    loses 1 too, and before any other step the walk found it unequal, hence
+    smaller), and the west edge at the start, which a candidate passes; with
+    the 0 of column 0 that is also non-negativity. The west edge follows
+    elsewhere: after an east step it is the previous cell. After a north
+    step it lies above the start's west neighbour, or in the column of the
+    cell the walk came east from into the bottom of this vertical run, above
+    that cell's north neighbour, which is below the run's value unless the
+    north test there failed: the walk found it unequal there, or tested it.
+
+    Returns the positions and whether every test held and the walk stayed
+    in the diagram. On a failure the walk still finishes, so the path is the
+    same, and every changed cell is restored.
     """
     frame = shape.frame
     width, east_forced, inside = frame.width, frame.east_forced, frame.inside
     p = v
+    ok = grid[p] > grid[p - 1]
     path = [p]
     while True:
+        u = grid[p]
+        grid[p] = u - 1
         if east_forced[p]:
+            if u <= grid[p - width]:
+                ok = False
             p += 1
-        elif grid[p] == grid[p - width]:
+            if not inside[p]:
+                path.append(p)
+                for q in path[:-1]:
+                    grid[q] += 1
+                return path, False
+        elif u == grid[p - width]:
             p -= width
         elif inside[p + 1]:
             p += 1
         else:
             break
         path.append(p)
-    return path
+    if not ok:
+        for q in path:
+            grid[q] += 1
+    return path, ok
 
 
 def _anchor_of_walk(shape: Partition, tail: Cell, length: int) -> Cell:
@@ -223,24 +274,50 @@ def _anchor_of_walk(shape: Partition, tail: Cell, length: int) -> Cell:
     return (i, col)
 
 
-def _positions(shape: Partition, cells: Iterable[Cell]) -> list[int]:
-    """The positions of cells of the diagram on `shape.frame`."""
-    width = shape.frame.width
-    return [i * width + j for i, j in cells]
-
-
 def is_compatible(path: LatticePath, pi: Rpp) -> bool:
     """Whether adding or subtracting 1 along the path respects the path rules.
 
     Two conditions: every path cell on an inner diagonal or in band A must be
     followed east by a path cell of equal value, and vertically adjacent path
-    cells must hold equal values.
+    cells must hold equal values. The insertion walk makes the same test
+    inline on its own path.
     """
     shape = pi.shape
     for u in path:
         if u not in shape:
             raise ValueError(f"path leaves the shape at {format_cell(u)}")
-    return _compatible(shape, _to_frame(shape, pi.rows), _positions(shape, path))
+    frame = shape.frame
+    width, east_forced = frame.width, frame.east_forced
+    grid = _to_frame(shape, pi.rows)
+    # a test on the set of cells, so either orientation passes or fails alike
+    on_path = {i * width + j for i, j in path}
+    for p in on_path:
+        v = grid[p]
+        if east_forced[p] and (p + 1 not in on_path or v != grid[p + 1]):
+            return False
+        if p + width in on_path and v != grid[p + width]:
+            return False
+    return True
+
+
+def _insert_into_copy(hook: RimHook, pi: Rpp) -> tuple[LatticePath, bool, list]:
+    """Insert `hook` into a copy of `pi` laid out on the frame.
+
+    Returns the insertion path, whether the insertion succeeded, and the copy,
+    which holds the result when it did and `pi` otherwise.
+    """
+    shape = pi.shape
+    if hook.shape != shape:
+        raise ValueError(f"hook shape {hook.shape} does not match {shape}")
+    width = shape.frame.width
+    grid = _to_frame(shape, pi.rows)
+    (i, j), length = hook.tail, len(hook)
+    walk, ok = _insertion_walk(shape, grid, i * width + j, length)
+    cells = [divmod(p, width) for p in walk]
+    # a walk that stopped in column 0 goes on west
+    i, j = cells[-1]
+    cells += [(i, j - k) for k in range(1, length - len(cells) + 1)]
+    return LatticePath(tuple(cells), Orientation.SW), ok, grid
 
 
 def insertion_path(hook: RimHook, pi: Rpp) -> LatticePath:
@@ -253,17 +330,7 @@ def insertion_path(hook: RimHook, pi: Rpp) -> LatticePath:
     insertion it may leave the diagram through the west edge (off-shape cells
     belong to no region, so the west branch applies there).
     """
-    shape = pi.shape
-    if hook.shape != shape:
-        raise ValueError(f"hook shape {hook.shape} does not match {shape}")
-    width = shape.frame.width
-    (i, j), length = hook.tail, len(hook)
-    walk = _insertion_walk(shape, _to_frame(shape, pi.rows), i * width + j, length)
-    cells = [divmod(p, width) for p in walk]
-    # a walk that stopped in column 0 goes on west
-    i, j = cells[-1]
-    cells += [(i, j - k) for k in range(1, length - len(cells) + 1)]
-    return LatticePath(tuple(cells), Orientation.SW)
+    return _insert_into_copy(hook, pi)[0]
 
 
 def try_insert(hook: RimHook, pi: Rpp) -> Rpp | InsertionFailure:
@@ -273,14 +340,10 @@ def try_insert(hook: RimHook, pi: Rpp) -> Rpp | InsertionFailure:
     failure an InsertionFailure value is returned (failure is an expected
     outcome, not a fault); a shape mismatch is a fault.
     """
-    path = insertion_path(hook, pi)
+    path, ok, grid = _insert_into_copy(hook, pi)
     shape = pi.shape
-    # the walk leaves the diagram only through the west edge
-    if path.head[1] >= 1 and _compatible(shape, _to_frame(shape, pi.rows), _positions(shape, path)):
-        try:
-            return pi.with_path(path, +1)
-        except ValueError:
-            pass
+    if ok:
+        return Rpp(shape, _from_frame(grid, shape.frame.width, shape.parts))
     # the minimal candidate precedes the head exactly when some candidate does
     witness = pi.min_candidate()
     if witness is None or content_key(witness) >= content_key(path.head):
@@ -307,7 +370,7 @@ def extraction_path(v: Cell, pi: Rpp) -> LatticePath:
     start = v[0] * width + v[1]
     if v not in shape or next(_candidates_among(shape, grid, (start,)), None) is None:
         raise ValueError(f"{format_cell(v)} is not a candidate of the filling")
-    walk = _extraction_walk(shape, grid, start)
+    walk, _ = _extraction_walk(shape, grid, start)
     return LatticePath(tuple(divmod(p, width) for p in walk), Orientation.NE)
 
 
@@ -367,9 +430,10 @@ def _extractions(pi: Rpp) -> Iterator[tuple[Cell, list[int], list]]:
     # each position is tested against the grid as it stands when the pass reaches it
     for v in _candidates_among(shape, grid, frame.candidate_order):
         while True:
-            path = _extraction_walk(shape, grid, v)
+            path, ok = _extraction_walk(shape, grid, v)
             anchor = _anchor_of_walk(shape, divmod(path[-1], width), len(path))
-            _add_along(shape, grid, path, -1)
+            if not ok:
+                _raise_path_error(shape, grid, path, -1)
             if anchors and revlex_key(anchor) < revlex_key(anchors[-1]):
                 raise RuntimeError(
                     "extraction produced a decreasing hook sequence "
@@ -417,21 +481,15 @@ def build(tableau: Tableau) -> Rpp:
     shape = tableau.shape
     parts = shape.parts
     conj = shape._conjugate_parts
-    frame = shape.frame
-    width, inside = frame.width, frame.inside
+    width = shape.frame.width
     anchors = tableau.anchors()
-    grid = _to_frame(shape, [(0,) * p for p in parts])
+    grid = list(shape.frame.zero)
     for step, anchor in enumerate(reversed(anchors), start=1):
         i, j = anchor
         hook_length = parts[i - 1] + conj[j - 1] - i - j + 1
-        path = _insertion_walk(shape, grid, i * width + parts[i - 1], hook_length)
-        # the walk leaves the diagram only through the west edge
-        if inside[path[-1]] and _compatible(shape, grid, path):
-            try:
-                _add_along(shape, grid, path, +1)
-                continue
-            except ValueError:
-                pass
+        if _insertion_walk(shape, grid, i * width + parts[i - 1], hook_length)[1]:
+            continue
+        # the walk restored the filling as it was before this insertion
         pi = Rpp(shape, _from_frame(grid, width, parts))
         result = try_insert(shape.rim_hook(anchor), pi)
         raise RuntimeError(

@@ -11,7 +11,7 @@ differential test.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .geometry import Cell, Partition, format_cell, north, west
 from .rpp import Rpp, Tableau, _from_frame, _to_frame
@@ -25,45 +25,55 @@ def _is_outer_corner(parts: list[int], x: Cell) -> bool:
     return 1 <= r <= len(parts) and parts[r - 1] == s and (r == len(parts) or parts[r] < s)
 
 
-def _toggle(grid: list, width: int, parts: list[int], x: Cell) -> None:
-    """Toggle x's diagonal in place and remove the outer corner x.
+def _peel(grid: list, width: int, parts: list[int], corners: Iterable[Cell]) -> list:
+    """Peel the outer corners `corners` one by one, in place; returns their counts.
 
     `grid` holds the filling of the diagram `parts` laid out on a frame of
     this width (`Partition.frame`, of this diagram or a larger one): 0 in row
     0 and column 0, math.inf at every other position outside the diagram, so
-    the four neighbours of a cell need no bounds test. Removing x writes
-    math.inf at its position. The cells of the diagonal lie north-west of x,
-    and their neighbours lie on the two adjacent diagonals, so every toggle
-    reads untoggled values. A toggled value lies between max(north, west)
-    and min(east, south) exactly when the filling stays weakly increasing
-    around it (and hi is at least 0); when one does not, the toggle is
-    finished and the ValueError of the Rpp constructor is raised.
+    the four neighbours of a cell need no bounds test. Each corner x, taken
+    when the loop reaches it, must be an outer corner of `parts` as it then
+    stands. Its count, value(x) - max(north, west), is recorded at the
+    position of x in a list laid out like `grid`; the rest of its diagonal
+    is toggled; and removing x writes math.inf at its position and shortens
+    its row in `parts`. The cells of
+    the diagonal lie north-west of x, and their neighbours lie on the two
+    adjacent diagonals, so every toggle reads untoggled values. A toggled
+    value lies between max(north, west) and min(east, south) exactly when
+    the filling stays weakly increasing around it (and hi is at least 0);
+    when one does not, the corner is finished and the ValueError of the Rpp
+    constructor is raised.
     """
-    r, s = x
-    diag = s - r
     inf = math.inf
-    ordered = True
-    for p in range(max(1, 1 - diag) * (width + 1) + diag, r * width + s, width + 1):
-        right, below = grid[p + 1], grid[p + width]
-        lo = right if right < below else below
-        if lo == inf:
-            raise RuntimeError(
-                f"both east and south of {format_cell(divmod(p, width))} fall outside "
-                f"{Partition(parts)}; cannot toggle"
-            )
-        above, left = grid[p - width], grid[p - 1]
-        hi = above if above > left else left
-        new = hi + lo - grid[p]
-        if not hi <= new <= lo:
-            ordered = False
-        grid[p] = new
-    grid[r * width + s] = inf
-    parts[r - 1] -= 1
-    if not parts[r - 1]:
-        parts.pop()
-    if not ordered:
-        # raises, naming the first offending cell
-        Rpp(Partition(parts), _from_frame(grid, width, parts))
+    step = width + 1
+    counts = [0] * len(grid)
+    for r, s in corners:
+        x = r * width + s
+        above, left = grid[x - width], grid[x - 1]
+        counts[x] = grid[x] - (above if above > left else left)
+        ordered = True
+        for p in range(x - ((r if r < s else s) - 1) * step, x, step):
+            right, below = grid[p + 1], grid[p + width]
+            lo = right if right < below else below
+            if lo == inf:
+                raise RuntimeError(
+                    f"both east and south of {format_cell(divmod(p, width))} fall outside "
+                    f"{Partition(parts)}; cannot toggle"
+                )
+            above, left = grid[p - width], grid[p - 1]
+            hi = above if above > left else left
+            new = hi + lo - grid[p]
+            if not hi <= new <= lo:
+                ordered = False
+            grid[p] = new
+        grid[x] = inf
+        parts[r - 1] -= 1
+        if not parts[r - 1]:
+            parts.pop()
+        if not ordered:
+            # raises, naming the first offending cell
+            Rpp(Partition(parts), _from_frame(grid, width, parts))
+    return counts
 
 
 def corner_toggle(pi: Rpp, x: Cell) -> Rpp:
@@ -80,7 +90,7 @@ def corner_toggle(pi: Rpp, x: Cell) -> Rpp:
     width = shape.frame.width
     grid = _to_frame(shape, pi.rows)
     parts = list(shape.parts)
-    _toggle(grid, width, parts, x)
+    _peel(grid, width, parts, (x,))
     return Rpp(reduced, _from_frame(grid, width, parts))
 
 
@@ -93,6 +103,21 @@ def corner_is_tight(pi: Rpp, x: Cell) -> bool:
     if x not in outer:
         raise ValueError(f"{format_cell(x)} is not an outer corner of {pi.shape}")
     return pi.value(x) == max(pi.value_ext(*north(x)), pi.value_ext(*west(x)))
+
+
+def _chosen_corners(parts: list[int], choose_corner: CornerChooser) -> Iterator[Cell]:
+    """The chooser's picks, each checked as an outer corner of `parts` as it stands when asked for.
+
+    `_peel` shortens `parts` between picks, and the picks end with the diagram.
+    """
+    while parts:
+        current = Partition(parts)
+        x = choose_corner(current)
+        if not _is_outer_corner(parts, x):
+            raise ValueError(
+                f"chooser returned {format_cell(x)}, not an outer corner of {current}"
+            )
+        yield x
 
 
 def peel_tableau(pi: Rpp, choose_corner: CornerChooser | None = None) -> Tableau:
@@ -109,22 +134,11 @@ def peel_tableau(pi: Rpp, choose_corner: CornerChooser | None = None) -> Tableau
     width = shape.frame.width
     grid = _to_frame(shape, pi.rows)
     parts = list(shape.parts)
-    counts = [[0] * p for p in shape.parts]
     # The revlex-minimal outer corner is the bottom cell of the last column,
     # so by default the cells go in increasing revlex order.
-    default_order = iter(shape.revlex_cells)
-    while parts:
-        if choose_corner is None:
-            x = next(default_order)
-        else:
-            current = Partition(parts)
-            x = choose_corner(current)
-            if not _is_outer_corner(parts, x):
-                raise ValueError(
-                    f"chooser returned {format_cell(x)}, not an outer corner of {current}"
-                )
-        r, s = x
-        p = r * width + s
-        counts[r - 1][s - 1] = grid[p] - max(grid[p - width], grid[p - 1])
-        _toggle(grid, width, parts, x)
-    return Tableau(shape, counts)
+    if choose_corner is None:
+        corners = shape.revlex_cells
+    else:
+        corners = _chosen_corners(parts, choose_corner)
+    counts = _peel(grid, width, parts, corners)
+    return Tableau(shape, _from_frame(counts, width, shape.parts))

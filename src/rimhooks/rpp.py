@@ -1,5 +1,5 @@
 """Reverse plane partitions and hook-count tableaux: extended-value lookup,
-sizes, traces, candidates, and the in-place path update the bijection
+sizes, traces, candidates, and the frame layout and path error the bijection
 kernels share."""
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ import json
 import math
 from functools import cached_property
 from operator import le
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .geometry import (
     Cell,
@@ -232,14 +232,13 @@ def _to_frame(shape: Partition, rows: Iterable[Sequence[int]]) -> list:
     Row 0 and column 0 hold 0, and every other position outside the diagram
     holds math.inf: the extended values of `ShapedGrid.value_ext`.
     """
-    width = shape.frame.width
-    grid: list = [0] * width
+    frame = shape.frame
+    width = frame.width
+    grid = list(frame.zero)
+    p = width + 1
     for row in rows:
-        grid.append(0)
-        grid += row
-        grid += [math.inf] * (width - 1 - len(row))
-    grid.append(0)
-    grid += [math.inf] * (width - 1)
+        grid[p : p + len(row)] = row
+        p += width
     return grid
 
 
@@ -269,47 +268,16 @@ def _candidates_among(shape: Partition, grid: Sequence, positions: Iterable[int]
             yield p
 
 
-def _add_along(shape: Partition, grid: list, positions: Sequence[int], delta: int) -> None:
-    """Add `delta` in place at every position of `positions`, as `with_path` does on a copy.
+def _raise_path_error(shape: Partition, grid: Sequence, positions: Sequence[int], delta: int) -> NoReturn:
+    """Raise the ValueError of `with_path` for a path update that a kernel's walk rejected.
 
-    `grid` must hold a reverse plane partition of `shape`, laid out on
-    `shape.frame`, on entry. Every position must be a cell of the diagram;
-    otherwise the ValueError of `with_path` is raised before anything changes.
-    Then an edge can break only on the far side of a changed cell: east or
-    south of it when `delta` is positive, west or north of it when negative.
-    The border makes those reads total: math.inf east and south of the
-    diagram, 0 in row 0 and column 0. Non-negativity needs no test of its
-    own: a decreased cell that is at least its west neighbour is at least the
-    0 of column 0. On a violation the entries are restored and the
-    ValueError of the Rpp constructor, naming the first offending cell, is
-    raised.
+    `grid` holds the filling of `shape` laid out on `shape.frame` as it was
+    before the update (the walk has restored it), and `positions` is the
+    walk's path. The message names the first path cell outside the diagram,
+    or else the first cell where the updated filling breaks an order.
     """
-    frame = shape.frame
-    width, inside = frame.width, frame.inside
-    for p in positions:
-        if not inside[p]:
-            raise ValueError(
-                f"cell {format_cell(divmod(p, width))} lies outside the shape {shape}"
-            )
-    for p in positions:
-        grid[p] += delta
-    if delta > 0:
-        for p in positions:
-            v = grid[p]
-            if v > grid[p + 1] or v > grid[p + width]:
-                break
-        else:
-            return
-    else:
-        for p in positions:
-            v = grid[p]
-            if v < grid[p - 1] or v < grid[p - width]:
-                break
-        else:
-            return
-    try:
-        Rpp(shape, _from_frame(grid, width, shape.parts))
-    except ValueError:
-        for p in positions:
-            grid[p] -= delta
-        raise
+    width = shape.frame.width
+    Rpp(shape, _from_frame(grid, width, shape.parts)).with_path(
+        [divmod(p, width) for p in positions], delta
+    )
+    raise RuntimeError(f"a walk on {shape} rejected a path update that with_path accepts")

@@ -221,6 +221,12 @@ class TestClassicalCommands:
         assert first.splitlines() == ["1 2", "3"]
         assert second.splitlines() == ["1 3", "2"]
 
+    @pytest.mark.parametrize("word", ["", " "])
+    def test_blank_perm_is_the_empty_permutation(self, capsys, monkeypatch, word):
+        # like --shape '', which is the empty partition
+        code, out, _ = invoke(capsys, monkeypatch, ["build", "--perm", word])
+        assert code == 0 and out.strip() == ""
+
     def test_gk(self, capsys, monkeypatch):
         code, out, _ = invoke(
             capsys,
@@ -427,6 +433,9 @@ class TestUsageErrors:
             (["info", "--shape", "2,,1"], "", "shape '2,,1': expected an integer, got ''"),
             (["verify", "golden", "--shape", "x"], "", "shape 'x': expected an integer, got 'x'"),
             (["build", "--perm", "2,a,1"], "", "permutation '2,a,1': expected an integer, got 'a'"),
+            (["build", "--perm", "2,,1"], "", "permutation '2,,1': expected an integer, got ''"),
+            (["rsk", "--perm", "3,1,2,"], "", "permutation '3,1,2,': expected an integer, got ''"),
+            (["info", "--shape", "2,1,"], "", "shape '2,1,': expected an integer, got ''"),
         ],
     )
     def test_bad_token_is_named(self, capsys, monkeypatch, argv, stdin, message):

@@ -2,9 +2,11 @@
 
 import dataclasses
 import math
+import re
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rimhooks import (
     Partition,
@@ -17,16 +19,19 @@ from rimhooks import (
     is_compatible,
     rim_hook_of_path,
 )
+from rimhooks.classical import _hg_inv_step, _hg_step
 from rimhooks.enumeration import enumerate_rpps, enumerate_sw_paths
 from rimhooks.insertion import (
+    LatticePath,
+    Orientation,
     _anchor_of_walk,
-    _compatible,
     _extraction_walk,
     _insertion_walk,
+    build,
     is_factor,
 )
-from rimhooks.peeling import _toggle
-from rimhooks.rpp import _add_along, _candidates_among, _from_frame, _to_frame
+from rimhooks.peeling import _peel
+from rimhooks.rpp import _candidates_among, _from_frame, _raise_path_error, _to_frame
 from conftest import all_partitions, partitions, rpps
 
 
@@ -162,34 +167,6 @@ class TestOnePassFactorization:
         assert "(2,3)" in message
 
 
-class TestLocalShortcutsMatchFullChecks:
-    @settings(max_examples=300, deadline=None)
-    @given(rpps(), st.data())
-    def test_in_place_update_fails_exactly_when_the_constructor_does(self, pi, data):
-        shape = pi.shape
-        cells = [data.draw(st.sampled_from(list(shape.cells())))]
-        steps = data.draw(st.sampled_from((((-1, 0), (0, 1)), ((1, 0), (0, -1)))))
-        for _ in range(data.draw(st.integers(0, 8))):
-            di, dj = data.draw(st.sampled_from(steps))
-            cells.append((cells[-1][0] + di, cells[-1][1] + dj))
-        delta = data.draw(st.sampled_from((1, -1)))
-        width = shape.frame.width
-        # the first cell off the diagram, where the containment test stops,
-        # borders a cell of it, so it has a position on the frame
-        positions = [i * width + j for i, j in cells]
-        grid = _to_frame(shape, pi.rows)
-        try:
-            expected = pi.with_path(cells, delta)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as raised:
-                _add_along(shape, grid, positions, delta)
-            assert str(raised.value) == str(exc)
-            assert grid == _to_frame(shape, pi.rows)
-        else:
-            _add_along(shape, grid, positions, delta)
-            assert grid == _to_frame(shape, expected.rows)
-
-
 # The kernels read the flag tables of Partition.frame on positions, with
 # the frame's border in place of bounds tests. The per-cell logic they
 # replaced, written with Partition.region and `in shape`, is the oracle below.
@@ -256,6 +233,157 @@ def _extraction_walk_per_cell(shape, rows, v):
     return cells
 
 
+def _with_path_outcome(pi, cells, delta):
+    """The filling `with_path` gives, or None and the text of its ValueError."""
+    try:
+        return pi.with_path(cells, delta), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def _check_walk(pi, grid, positions, ok, cells, delta, compatible=True):
+    """A walker's outcome against the per-cell walk `cells` followed by `with_path`.
+
+    Returns "ok", "incompatible" or "order".
+    """
+    shape = pi.shape
+    expected, error = _with_path_outcome(pi, cells, delta)
+    assert ok == (error is None and compatible)
+    if ok:
+        assert grid == _to_frame(shape, expected.rows)
+        return "ok"
+    # the walk restored every cell it changed
+    assert grid == _to_frame(shape, pi.rows)
+    if error is None:
+        return "incompatible"
+    with pytest.raises(ValueError) as raised:
+        _raise_path_error(shape, grid, positions, delta)
+    assert str(raised.value) == error
+    assert grid == _to_frame(shape, pi.rows)
+    return "order"
+
+
+def _check_insertion_and_extraction_walks(pi):
+    """Both single-loop walkers on `pi`, against the per-cell walks, `with_path` and
+    `is_compatible`: every row end with every walk length (every rim-hook, and
+    walks that leave the diagram west), and every cell with a nonzero entry.
+    Returns a tally of the outcomes."""
+    shape, rows = pi.shape, pi.rows
+    width = shape.frame.width
+    outcomes = Counter()
+    for i, p in enumerate(shape.parts, start=1):
+        for length in range(1, p + shape.length + 1):
+            cells = _insertion_walk_per_cell(shape, rows, (i, p), length)
+            grid = _to_frame(shape, rows)
+            positions, ok = _insertion_walk(shape, grid, i * width + p, length)
+            walk = [divmod(q, width) for q in positions]
+            # the walk stops in column 0; the oracle goes on west
+            assert len(walk) == length or walk[-1][1] == 0
+            a, b = walk[-1]
+            walk += [(a, b - k) for k in range(1, length - len(walk) + 1)]
+            assert walk == cells
+            inside = all(u in shape for u in walk)
+            assert (walk[-1][1] >= 1) == inside
+            compatible = False
+            if inside:
+                compatible = _compatible_per_cell(shape, rows, walk)
+                path = LatticePath(tuple(walk), Orientation.SW)
+                assert is_compatible(path, pi) == compatible
+                # set-based, so the reversed path reads the same
+                assert is_compatible(path.reverse(), pi) == compatible
+            outcome = _check_walk(pi, grid, positions, ok, cells, +1, compatible)
+            outcomes["insert", outcome if inside else "left west"] += 1
+    # from every candidate, not only the minimal one, and from every other
+    # nonzero cell, where the first cell may already break its west edge
+    for v in shape.cells():
+        if pi.value(v):
+            cells = _extraction_walk_per_cell(shape, rows, v)
+            grid = _to_frame(shape, rows)
+            positions, ok = _extraction_walk(shape, grid, v[0] * width + v[1])
+            assert [divmod(q, width) for q in positions] == cells
+            outcomes["extract", _check_walk(pi, grid, positions, ok, cells, -1)] += 1
+    return outcomes
+
+
+def _hg_walk_per_cell(pi, start_col):
+    i, j = pi.shape.col_length(start_col), start_col
+    cells = [(i, j)]
+    while True:
+        if pi.value_ext(i - 1, j) == pi.value_ext(i, j):
+            i -= 1
+        elif (i, j + 1) in pi.shape:
+            j += 1
+        else:
+            break
+        cells.append((i, j))
+    return cells
+
+
+def _hg_inv_walk_per_cell(pi, f, s):
+    i, j = f, pi.shape.row_length(f)
+    cells = [(i, j)]
+    while True:
+        if pi.value_ext(i + 1, j) == pi.value_ext(i, j):
+            i += 1
+        elif j > s:
+            j -= 1
+        else:
+            break
+        cells.append((i, j))
+    return cells
+
+
+def _check_hillman_grassl_steps(pi):
+    """The per-hook steps of `hg` and `hg_inv` from every start, against the
+    per-cell walks followed by `with_path`. Returns a tally of the outcomes.
+
+    `hg` starts only at the first nonzero column; from any later one the
+    first cell may break its west edge. `hg_inv` runs its hooks in one
+    order, but from any start its walk keeps the filling ordered, which is
+    why its step tests nothing.
+    """
+    shape, rows = pi.shape, pi.rows
+    width = shape.frame.width
+    outcomes = Counter()
+    for j in range(1, shape.row_length(1) + 1):
+        if not pi.value((shape.col_length(j), j)):
+            continue
+        cells = _hg_walk_per_cell(pi, j)
+        expected, error = _with_path_outcome(pi, cells, -1)
+        grid = _to_frame(shape, rows)
+        if error is None:
+            assert [divmod(q, width) for q in _hg_step(shape, grid, j)] == cells
+            assert grid == _to_frame(shape, expected.rows)
+            outcomes["hg", "ok"] += 1
+        else:
+            with pytest.raises(ValueError) as raised:
+                _hg_step(shape, grid, j)
+            assert str(raised.value) == error
+            assert grid == _to_frame(shape, rows)
+            outcomes["hg", "order"] += 1
+    for f, s in shape.cells():
+        expected, error = _with_path_outcome(pi, _hg_inv_walk_per_cell(pi, f, s), +1)
+        assert error is None
+        grid = _to_frame(shape, rows)
+        _hg_inv_step(shape, grid, f, s)
+        assert grid == _to_frame(shape, expected.rows)
+        outcomes["hg_inv", "ok"] += 1
+    return outcomes
+
+
+class TestHillmanGrasslSteps:
+    @settings(max_examples=300, deadline=None)
+    @given(rpps())
+    def test_steps_from_every_start(self, pi):
+        _check_hillman_grassl_steps(pi)
+
+    def test_steps_from_every_start_on_small_fillings(self):
+        outcomes = Counter()
+        for pi in _small_fillings():
+            outcomes += _check_hillman_grassl_steps(pi)
+        assert set(outcomes) == {("hg", "ok"), ("hg", "order"), ("hg_inv", "ok")}
+
+
 class TestInlineKernelsMatchPerCellLogic:
     @settings(max_examples=200, deadline=None)
     @given(rpps())
@@ -277,38 +405,60 @@ class TestInlineKernelsMatchPerCellLogic:
                 (i, j) in expected
             )
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(rpps())
+    # the insertion at (1,3) of 4 cells breaks only the south edge of (1,2),
+    # which it leaves by a west step
+    @example(Rpp(Partition((3, 3, 2)), ((0, 0, 0), (0, 0, 1), (1, 1))))
     def test_walks_and_compatibility(self, pi):
-        shape, rows = pi.shape, pi.rows
-        width = shape.frame.width
-        grid = _to_frame(shape, rows)
-        for i, p in enumerate(shape.parts, start=1):
-            # long enough walks leave the diagram through the west edge
-            for length in range(1, p + shape.length + 1):
-                positions = _insertion_walk(shape, grid, i * width + p, length)
-                walk = [divmod(q, width) for q in positions]
-                # the walk stops in column 0; the oracle goes on west
-                assert len(walk) == length or walk[-1][1] == 0
-                a, b = walk[-1]
-                walk += [(a, b - k) for k in range(1, length - len(walk) + 1)]
-                assert walk == _insertion_walk_per_cell(shape, rows, (i, p), length)
-                inside = all(u in shape for u in walk)
-                assert (walk[-1][1] >= 1) == inside
-                if inside:
-                    assert _compatible(shape, grid, positions) == _compatible_per_cell(
-                        shape, rows, walk
-                    )
-                    # set-based, so the reversed path reads the same
-                    assert _compatible(shape, grid, positions[::-1]) == _compatible(
-                        shape, grid, positions
-                    )
-        for v in shape.cells():
-            if _is_candidate_per_cell(shape, rows, v):
-                walk = _extraction_walk(shape, grid, v[0] * width + v[1])
-                assert [divmod(q, width) for q in walk] == _extraction_walk_per_cell(
-                    shape, rows, v
-                )
+        _check_insertion_and_extraction_walks(pi)
+
+    def test_walks_and_compatibility_on_small_fillings(self):
+        outcomes = Counter()
+        for pi in _small_fillings():
+            outcomes += _check_insertion_and_extraction_walks(pi)
+        # every branch of both walkers, failures included, is reached
+        assert set(outcomes) == {
+            ("insert", "ok"),
+            ("insert", "left west"),
+            ("insert", "incompatible"),
+            ("insert", "order"),
+            ("extract", "ok"),
+            ("extract", "order"),
+        }
+
+    def test_a_forced_east_step_out_of_the_diagram_is_refused(self, monkeypatch):
+        # No row ends on an inner diagonal or in band A, so only a frame that
+        # forces an east step at the end of a row takes the walk outside.
+        pi = Rpp(Partition((1,)), ((1,),))
+        frame = pi.shape.frame
+        width = frame.width
+        forced = list(frame.east_forced)
+        forced[width + 1] = True
+        monkeypatch.setitem(
+            pi.shape.__dict__, "frame", dataclasses.replace(frame, east_forced=tuple(forced))
+        )
+        grid = _to_frame(pi.shape, pi.rows)
+        positions, ok = _extraction_walk(pi.shape, grid, width + 1)
+        assert (positions, ok) == ([width + 1, width + 2], False)
+        assert grid == _to_frame(pi.shape, pi.rows)
+        with pytest.raises(ValueError, match=r"^cell \(1,2\) lies outside the shape 1$"):
+            _raise_path_error(pi.shape, grid, positions, -1)
+
+    def test_a_failed_insertion_is_reported_on_the_filling_before_it(self, monkeypatch):
+        # Forcing an east step at the end of the first row makes the second
+        # insertion of build, at (1,2), incompatible; the dump names the
+        # filling left by the first insertion, at (2,1), and not one with the
+        # failed walk applied.
+        tableau = Tableau(Partition((2, 1)), ((0, 1), (1,)))
+        frame = tableau.shape.frame
+        forced = list(frame.east_forced)
+        forced[frame.width + 2] = True
+        monkeypatch.setitem(
+            tableau.shape.__dict__, "frame", dataclasses.replace(frame, east_forced=tuple(forced))
+        )
+        with pytest.raises(RuntimeError, match=re.escape("filling ((0, 0), (1,))")):
+            build(tableau)
 
     @settings(max_examples=200, deadline=None)
     @given(rpps())
@@ -347,6 +497,7 @@ class TestFrame:
             else:
                 assert v == math.inf == pi.value_ext(i, j)
             region = shape.region((i, j)) if (i, j) in shape else None
+            assert frame.zero[p] == (0 if i == 0 or j == 0 or region else math.inf)
             assert frame.inside[p] == (region is not None)
             assert frame.south_step[p] == (region in (Region.BAND_B, Region.INNER_DIAG))
             assert frame.east_forced[p] == (region in (Region.INNER_DIAG, Region.BAND_A))
@@ -406,7 +557,7 @@ class TestToggleCheck:
         grid = _to_frame(shape, rows)
         parts = list(shape.parts)
         try:
-            _toggle(grid, width, parts, x)
+            _peel(grid, width, parts, (x,))
             fired = False
         except ValueError:
             fired = True
