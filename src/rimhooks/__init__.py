@@ -23,11 +23,10 @@ from .geometry import (
     south,
     west,
 )
-from .rpp import Rpp, ShapedGrid
+from .rpp import Rpp, ShapedGrid, Tableau
 from .insertion import (
     Factorization,
     InsertionFailure,
-    Tableau,
     build,
     extraction_path,
     factorize,

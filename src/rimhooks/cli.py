@@ -24,13 +24,12 @@ from .geometry import Partition, content_key, format_cell, parse_cell
 from .insertion import (
     Factorization,
     InsertionFailure,
-    Tableau,
     _extractions,
     build,
     factorize,
     try_insert,
 )
-from .rpp import Rpp
+from .rpp import Rpp, Tableau
 from .series import gansner_product, hook_product, rpp_series, trace_series
 from .verify import SUITE_NAMES, VerifyConfig, run_suites
 
@@ -149,9 +148,8 @@ def cmd_rimhooks(args) -> int:
     shape = _shape_arg(args)
     hooks = shape.rim_hooks()
     if args.svg:
-        parts = [render.svg_shape(shape, hook.cells) for hook in hooks]
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(parts) + "\n")
+            fh.write(render.svg_shapes(shape, [hook.cells for hook in hooks]) + "\n")
     obj = [
         {
             "anchor": format_cell(h.anchor),

@@ -10,8 +10,8 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .geometry import Cell, Partition, format_cell, south, west
-from .insertion import LatticePath, Orientation, Tableau
-from .rpp import Rpp
+from .insertion import LatticePath, Orientation
+from .rpp import Rpp, Tableau
 
 DEFAULT_CEILING = 10_000_000
 

@@ -1,28 +1,22 @@
 """Corner peeling: the min-max corner toggle and the iterative peeling map.
 
-Peeling removes one outer corner at a time. Each step records how far the
-corner entry exceeds its north/west neighbours and toggles the remaining
-entries of the corner's diagonal by a min-max reflection. The resulting
-tableau coincides with the one produced by the lexicographic factorization;
-the two code paths are kept fully independent so the equivalence is a genuine
+Peeling removes one outer corner at a time, in an order given as the
+sequence of cells to peel (by default `Partition.revlex_cells`). Each step
+records how far the corner entry exceeds its north/west neighbours and
+toggles the remaining entries of the corner's diagonal by a min-max
+reflection. The resulting tableau does not depend on the order and
+coincides with the one produced by the lexicographic factorization; the two
+code paths are kept fully independent so the equivalence is a genuine
 differential test.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator
+from typing import Iterable
 
 from .geometry import Cell, Partition, format_cell, north, west
 from .rpp import Rpp, Tableau, _from_frame, _to_frame
-
-CornerChooser = Callable[[Partition], Cell]
-
-
-def _is_outer_corner(parts: list[int], x: Cell) -> bool:
-    """Whether x ends its row and the row below it, if any, is shorter."""
-    r, s = x
-    return 1 <= r <= len(parts) and parts[r - 1] == s and (r == len(parts) or parts[r] < s)
 
 
 def _peel(grid: list, width: int, parts: list[int], corners: Iterable[Cell]) -> list:
@@ -33,21 +27,28 @@ def _peel(grid: list, width: int, parts: list[int], corners: Iterable[Cell]) -> 
     0 and column 0, math.inf at every other position outside the diagram, so
     the four neighbours of a cell need no bounds test. Each corner x, taken
     when the loop reaches it, must be an outer corner of `parts` as it then
-    stands. Its count, value(x) - max(north, west), is recorded at the
-    position of x in a list laid out like `grid`; the rest of its diagonal
-    is toggled; and removing x writes math.inf at its position and shortens
-    its row in `parts`. The cells of
-    the diagonal lie north-west of x, and their neighbours lie on the two
-    adjacent diagonals, so every toggle reads untoggled values. A toggled
-    value lies between max(north, west) and min(east, south) exactly when
-    the filling stays weakly increasing around it (and hi is at least 0);
-    when one does not, the corner is finished and the ValueError of the Rpp
-    constructor is raised.
+    stands: it ends its row, and the row below, if any, is shorter. Otherwise
+    the ValueError "x is not an outer corner of <parts>" is raised. Its
+    count, value(x) - max(north, west), is recorded at the position of x in
+    a list laid out like `grid`; the rest of its diagonal is toggled; and
+    removing x writes math.inf at its position and shortens its row in
+    `parts`. The cells of the diagonal lie north-west of x, and their
+    neighbours lie on the two adjacent diagonals, so every toggle reads
+    untoggled values; the diagonal successor of each lies inside the
+    diagram, so min(east, south) is finite. A toggled value lies between
+    max(north, west) and min(east, south) exactly when the filling stays
+    weakly increasing around it (and hi is at least 0); when one does not,
+    the corner is finished and the ValueError of the Rpp constructor is
+    raised.
     """
     inf = math.inf
     step = width + 1
     counts = [0] * len(grid)
     for r, s in corners:
+        n = len(parts)
+        if not (0 < r <= n and parts[r - 1] == s and (r == n or parts[r] < s)):
+            shape = Partition(parts) if parts else "the empty diagram"
+            raise ValueError(f"{format_cell((r, s))} is not an outer corner of {shape}")
         x = r * width + s
         above, left = grid[x - width], grid[x - 1]
         counts[x] = grid[x] - (above if above > left else left)
@@ -55,11 +56,6 @@ def _peel(grid: list, width: int, parts: list[int], corners: Iterable[Cell]) -> 
         for p in range(x - ((r if r < s else s) - 1) * step, x, step):
             right, below = grid[p + 1], grid[p + width]
             lo = right if right < below else below
-            if lo == inf:
-                raise RuntimeError(
-                    f"both east and south of {format_cell(divmod(p, width))} fall outside "
-                    f"{Partition(parts)}; cannot toggle"
-                )
             above, left = grid[p - width], grid[p - 1]
             hi = above if above > left else left
             new = hi + lo - grid[p]
@@ -86,12 +82,11 @@ def corner_toggle(pi: Rpp, x: Cell) -> Rpp:
     shape, so at least one of east/south exists.
     """
     shape = pi.shape
-    reduced = shape.remove_corner(x)
     width = shape.frame.width
     grid = _to_frame(shape, pi.rows)
     parts = list(shape.parts)
     _peel(grid, width, parts, (x,))
-    return Rpp(reduced, _from_frame(grid, width, parts))
+    return Rpp(Partition(parts), _from_frame(grid, width, parts))
 
 
 def corner_is_tight(pi: Rpp, x: Cell) -> bool:
@@ -105,40 +100,28 @@ def corner_is_tight(pi: Rpp, x: Cell) -> bool:
     return pi.value(x) == max(pi.value_ext(*north(x)), pi.value_ext(*west(x)))
 
 
-def _chosen_corners(parts: list[int], choose_corner: CornerChooser) -> Iterator[Cell]:
-    """The chooser's picks, each checked as an outer corner of `parts` as it stands when asked for.
-
-    `_peel` shortens `parts` between picks, and the picks end with the diagram.
-    """
-    while parts:
-        current = Partition(parts)
-        x = choose_corner(current)
-        if not _is_outer_corner(parts, x):
-            raise ValueError(
-                f"chooser returned {format_cell(x)}, not an outer corner of {current}"
-            )
-        yield x
-
-
-def peel_tableau(pi: Rpp, choose_corner: CornerChooser | None = None) -> Tableau:
+def peel_tableau(pi: Rpp, order: Iterable[Cell] | None = None) -> Tableau:
     """Peel outer corners one at a time, recording one count per cell.
 
     The count at a corner x is value(x) - max(north, west); peeling then goes
-    on with the toggled filling of the reduced shape. One grid is updated in
-    place, so a corner costs the length of its diagonal. The result does not
-    depend on the corner choices; by default the revlex-minimal outer corner
-    is peeled so runs are deterministic, and corner independence is enforced
-    by tests rather than by construction.
+    on with the toggled filling of the reduced shape. `order` lists the cells
+    in the sequence they are peeled: each must be an outer corner of what
+    remains when its turn comes, and the order must empty the diagram, or a
+    ValueError names the offending cell. The result does not depend on the
+    order; corner independence is enforced by tests rather than by
+    construction. The default, `shape.revlex_cells`, always peels the
+    revlex-minimal outer corner (the bottom cell of the last column), so
+    runs are deterministic. One grid is updated in place, so a corner costs
+    the length of its diagonal.
     """
     shape = pi.shape
     width = shape.frame.width
     grid = _to_frame(shape, pi.rows)
     parts = list(shape.parts)
-    # The revlex-minimal outer corner is the bottom cell of the last column,
-    # so by default the cells go in increasing revlex order.
-    if choose_corner is None:
-        corners = shape.revlex_cells
-    else:
-        corners = _chosen_corners(parts, choose_corner)
-    counts = _peel(grid, width, parts, corners)
+    counts = _peel(grid, width, parts, shape.revlex_cells if order is None else order)
+    if parts:
+        raise ValueError(
+            f"order ends before {format_cell((len(parts), parts[-1]))}, "
+            f"leaving {Partition(parts)} unpeeled"
+        )
     return Tableau(shape, _from_frame(counts, width, shape.parts))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .geometry import Cell, Partition
 from .rpp import Rpp, ShapedGrid
@@ -41,11 +41,18 @@ def ascii_shape(shape: Partition, marked: Iterable[Cell] = ()) -> str:
 
 
 _SVG_CELL = 36
+_SVG_GAP = _SVG_CELL // 2  # between drawings stacked in one document
 
 
-def _svg_header(shape: Partition) -> list[str]:
+def _svg_stride(shape: Partition) -> int:
+    """The height of one drawing of the shape plus the gap below it."""
+    return max(shape.length, 1) * _SVG_CELL + 2 + _SVG_GAP
+
+
+def _svg_header(shape: Partition, copies: int = 1) -> list[str]:
+    """The root tag of a document of `copies` drawings of the shape, stacked top to bottom."""
     width = (shape.parts[0] if shape else 1) * _SVG_CELL + 2
-    height = max(shape.length, 1) * _SVG_CELL + 2
+    height = max(copies, 1) * _svg_stride(shape) - _SVG_GAP
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">'
@@ -72,17 +79,25 @@ def svg_grid(grid: ShapedGrid, highlight: Iterable[Cell] = ()) -> str:
     return "\n".join(out)
 
 
-def svg_shape(shape: Partition, marked: Iterable[Cell] = ()) -> str:
-    """An SVG drawing of the bare diagram with marked cells filled."""
-    cells = set(marked)
-    out = _svg_header(shape)
-    for u in shape.cells():
-        i, j = u
-        x, y = (j - 1) * _SVG_CELL + 1, (i - 1) * _SVG_CELL + 1
-        fill = "#9fc5e8" if u in cells else "white"
-        out.append(
-            f'<rect x="{x}" y="{y}" width="{_SVG_CELL}" height="{_SVG_CELL}" '
-            f'fill="{fill}" stroke="black"/>'
-        )
+def svg_shapes(shape: Partition, markings: Sequence[Iterable[Cell]]) -> str:
+    """One SVG document with a drawing of the bare diagram per marking.
+
+    The drawings are stacked top to bottom, each in its own `<g>` group,
+    with the marked cells filled.
+    """
+    out = _svg_header(shape, len(markings))
+    step = _svg_stride(shape)
+    for k, marked in enumerate(markings):
+        cells = set(marked)
+        out.append(f'<g transform="translate(0,{k * step})">')
+        for u in shape.cells():
+            i, j = u
+            x, y = (j - 1) * _SVG_CELL + 1, (i - 1) * _SVG_CELL + 1
+            fill = "#9fc5e8" if u in cells else "white"
+            out.append(
+                f'<rect x="{x}" y="{y}" width="{_SVG_CELL}" height="{_SVG_CELL}" '
+                f'fill="{fill}" stroke="black"/>'
+            )
+        out.append("</g>")
     out.append("</svg>")
     return "\n".join(out)

@@ -21,7 +21,6 @@ from .enumeration import _grids, enumerate_rpps, enumerate_sw_paths, enumerate_t
 from .geometry import Partition, content_key, revlex_key, rim_hook_key
 from .insertion import (
     InsertionFailure,
-    Tableau,
     build,
     extraction_path,
     factorize,
@@ -30,7 +29,7 @@ from .insertion import (
     rim_hook_of_path,
     try_insert,
 )
-from .rpp import Rpp
+from .rpp import Rpp, Tableau
 from .series import (
     MultiTraceSeries,
     gansner_product,
@@ -250,13 +249,19 @@ def suite_pak(config: VerifyConfig) -> list[CheckResult]:
             )
         )
         _, outer = shape.corners()
-        independent = True
-        for pi, reference in zip(fillings, references):
-            for first in outer:
-                if peeling.peel_tableau(pi, _first_then_default(first)) != reference:
-                    independent = False
-            if peeling.peel_tableau(pi, _max_corner) != reference:
-                independent = False
+        # Two corner policies, spelled as orders: each outer corner x first,
+        # then the revlex-minimal corner of what remains at every step; and
+        # the revlex-maximal corner at every step (the rows bottom-up, each
+        # row right to left).
+        orders = [[x, *(u for u in shape.revlex_cells if u != x)] for x in outer]
+        orders.append(
+            [(i, j) for i in range(shape.length, 0, -1) for j in range(shape.parts[i - 1], 0, -1)]
+        )
+        independent = all(
+            peeling.peel_tableau(pi, order) == reference
+            for pi, reference in zip(fillings, references)
+            for order in orders
+        )
         out.append(
             CheckResult(
                 "pak",
@@ -266,23 +271,6 @@ def suite_pak(config: VerifyConfig) -> list[CheckResult]:
             )
         )
     return out
-
-
-def _first_then_default(first):
-    used = False
-
-    def choose(shape: Partition):
-        nonlocal used
-        if not used:
-            used = True
-            return first
-        return min(shape.corners()[1], key=revlex_key)
-
-    return choose
-
-
-def _max_corner(shape: Partition):
-    return max(shape.corners()[1], key=revlex_key)
 
 
 def suite_commute(config: VerifyConfig) -> list[CheckResult]:

@@ -4,6 +4,7 @@ import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -49,6 +50,23 @@ class TestRimhooks:
         assert code == 0
         assert out.count("anchor") == 4
         assert svg.read_text().startswith("<svg")
+
+    def test_svg_is_one_document_with_a_group_per_hook(self, capsys, monkeypatch, tmp_path):
+        svg = tmp_path / "hooks.svg"
+        code, _, _ = invoke(
+            capsys, monkeypatch, ["rimhooks", "--shape", "4,3,1", "--svg", str(svg)]
+        )
+        assert code == 0
+        ns = "{http://www.w3.org/2000/svg}"
+        root = ElementTree.parse(svg).getroot()
+        groups = root.findall(f"{ns}g")
+        hooks = Partition((4, 3, 1)).rim_hooks()
+        assert root.tag == f"{ns}svg" and len(groups) == len(hooks) == 8
+        # each group draws the whole diagram with its hook filled
+        for group, hook in zip(groups, hooks):
+            rects = group.findall(f"{ns}rect")
+            assert len(rects) == 8
+            assert sum(rect.get("fill") != "white" for rect in rects) == len(hook)
 
 
 class TestValidate:
@@ -183,7 +201,15 @@ class TestPeelingCommands:
             capsys, monkeypatch, ["zeta", "--corner", "(1,1)"],
             stdin="0 0\n0 0\n",
         )
-        assert code == 1 and "outer corner" in err
+        assert code == 1 and err == "error: (1,1) is not an outer corner of 2,2\n"
+
+    @pytest.mark.parametrize("corner", ["(1,2)", "(2,3)", "(3,1)", "(0,3)", "(-1,3)", "(9,9)"])
+    def test_zeta_corner_off_the_rim(self, capsys, monkeypatch, corner):
+        code, _, err = invoke(
+            capsys, monkeypatch, ["zeta", "--corner", corner],
+            stdin="0 0 0\n0 0\n",
+        )
+        assert code == 1 and err == f"error: {corner} is not an outer corner of 3,2\n"
 
 
 class TestClassicalCommands:

@@ -1,6 +1,8 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rimhooks import (
     Partition,
@@ -10,11 +12,10 @@ from rimhooks import (
     corner_toggle,
     factorize,
     peel_tableau,
-    revlex_key,
 )
 from rimhooks.enumeration import enumerate_rpps
 from rimhooks.peeling import corner_is_tight
-from conftest import all_partitions
+from conftest import all_partitions, rpps
 
 
 class TestCornerToggle:
@@ -62,11 +63,23 @@ class TestPeel:
     def test_corner_independence_broad(self):
         for shape in all_partitions(6):
             _, outer = shape.corners()
+            orders = [[x, *(u for u in shape.revlex_cells if u != x)] for x in outer]
             for pi in enumerate_rpps(shape, 4):
                 reference = peel_tableau(pi)
-                for first in outer:
-                    forced = _force_first(first)
-                    assert peel_tableau(pi, forced) == reference
+                for order in orders:
+                    assert peel_tableau(pi, order) == reference
+
+    @settings(max_examples=200, deadline=None)
+    @given(rpps(), st.data())
+    def test_any_order_gives_the_same_tableau(self, pi, data):
+        parts, order = list(pi.shape.parts), []
+        while parts:
+            x = data.draw(st.sampled_from(Partition(parts).corners()[1]))
+            order.append(x)
+            parts[x[0] - 1] -= 1
+            if not parts[-1]:
+                parts.pop()
+        assert peel_tableau(pi, order) == peel_tableau(pi) == factorize(pi).to_tableau()
 
     def test_inverts_build(self):
         shape = Partition((3, 2))
@@ -84,21 +97,23 @@ class TestPeel:
         tab = Tableau(Partition((40,) * 40), counts)
         assert peel_tableau(build(tab)) == tab
 
-    def test_rejects_a_chooser_that_returns_no_outer_corner(self, steep_example):
-        with pytest.raises(ValueError, match="not an outer corner"):
-            peel_tableau(steep_example, lambda shape: (1, shape.parts[0] - 1))
-
-
-def _force_first(first):
-    state = {"used": False}
-
-    def choose(shape):
-        if not state["used"]:
-            state["used"] = True
-            return first
-        return min(shape.corners()[1], key=revlex_key)
-
-    return choose
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            # ends its row, but the row below is as long
+            ([(2, 3)], "(2,3) is not an outer corner of 3,3,3"),
+            ([(3, 3), (3, 3)], "(3,3) is not an outer corner of 3,3,2"),
+            ([(3, 3)], "order ends before (3,2), leaving 3,3,2 unpeeled"),
+            (
+                [*Partition((3, 3, 3)).revlex_cells, (1, 1)],
+                "(1,1) is not an outer corner of the empty diagram",
+            ),
+        ],
+        ids=["non-corner", "repeated", "stops-early", "extra-cell"],
+    )
+    def test_rejects_an_order_that_is_no_peeling(self, steep_example, order, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            peel_tableau(steep_example, order)
 
 
 class TestCornerTight:

@@ -81,6 +81,14 @@ def test_hillman_grassl_round_trip(built):
     assert hg_inv(image) == pi
 
 
+def test_peeling_row_by_row(built):
+    # the reversed policy of `verify pak`: rows bottom-up, each right to left
+    t, pi = built
+    parts = t.shape.parts
+    order = [(i, j) for i in range(len(parts), 0, -1) for j in range(parts[i - 1], 0, -1)]
+    assert peel_tableau(pi, order) == peel_tableau(pi) == t
+
+
 def test_rsk_round_trip(built):
     t, _ = built
     assert rsk_inv(rsk(t), t.shape) == t
