@@ -248,26 +248,42 @@ class Partition:
     def frame(self) -> "Frame":
         """The bordered flat layout of this diagram that the bijection kernels share."""
         parts = self.parts
+        n = len(parts)
         width = (parts[0] if parts else 0) + 2
-        regions = self.regions_by_content
-        by_position: list[Region | None] = [None] * ((len(parts) + 2) * width)
-        for i, p in enumerate(parts, start=1):
-            by_position[i * width + 1 : i * width + p + 1] = [
-                regions[c] for c in range(1 - i, p - i + 1)
-            ]
         inner, outer = Region.INNER_DIAG, Region.OUTER_DIAG
         band_a, band_b = Region.BAND_A, Region.BAND_B
-        candidate = tuple(r if r is outer or r is band_a else None for r in by_position)
-        order = [p for p, r in enumerate(candidate) if r]
-        order.sort(key=lambda p: content_key(divmod(p, width)))
+        # per diagonal, lowest content first; row i holds contents 1 - i to
+        # p - i, the slice [n - i : n - i + p]
+        regions = self.regions_by_content
+        kinds = [regions[c] for c in self.contents]
+        candidate = [r if r is outer or r is band_a else None for r in kinds]
+
+        def by_row(per_content: list, border, outside) -> tuple:
+            # `border` in row 0 and column 0, `outside` at the other positions off the diagram
+            laid = [border] * width
+            for i, p in enumerate(parts, start=1):
+                laid.append(border)
+                laid += per_content[n - i : n - i + p]
+                laid += [outside] * (width - 1 - p)
+            return tuple(laid + [border] + [outside] * (width - 1))
+
+        # bottom to top along each candidate diagonal, largest content first;
+        # (i, i + c) sits at i * step + c, and row `bottom` ends the diagonal
+        step = width + 1
+        order: list[int] = []
+        bottom = 0
+        for c in reversed(self.contents):
+            while bottom < n and parts[bottom] - bottom - 1 >= c:
+                bottom += 1
+            if candidate[c + n - 1]:
+                order += range(bottom * step + c, max(0, -c) * step + c, -step)
         return Frame(
             width,
-            tuple(0 if r is not None or p < width or p % width == 0 else math.inf
-                  for p, r in enumerate(by_position)),
-            tuple(r is not None for r in by_position),
-            tuple(r is band_b or r is inner for r in by_position),
-            tuple(r is inner or r is band_a for r in by_position),
-            candidate,
+            by_row([0] * len(kinds), 0, math.inf),
+            by_row([True] * len(kinds), False, False),
+            by_row([r is band_b or r is inner for r in kinds], False, False),
+            by_row([r is inner or r is band_a for r in kinds], False, False),
+            by_row(candidate, None, None),
             tuple(order),
         )
 
@@ -336,6 +352,11 @@ class Frame:
     `candidate_order`: by the candidate-stability law, extracting at the
     content-minimal candidate makes no earlier cell a candidate, and the pass
     raises if one does, which it can tell only while that order is right.
+
+    `Partition.frame` builds it row by row, with no per-position work: a
+    row's cells lie on consecutive diagonals, so each flag table takes one
+    slice per row of a list indexed by content, and `candidate_order` is one
+    descending range of positions per candidate diagonal, with no sort.
     """
 
     width: int
@@ -349,7 +370,8 @@ class Frame:
     east_forced: tuple[bool, ...]
     #: OUTER_DIAG or BAND_A where a candidate may sit, None elsewhere
     candidate: tuple[Region | None, ...]
-    #: the positions where a candidate may sit, in content order
+    #: the positions where a candidate may sit, in content order: the
+    #: candidate diagonals from the largest content down, each bottom to top
     candidate_order: tuple[int, ...]
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import le
 from typing import Iterator
 
 from .geometry import (
@@ -96,7 +97,7 @@ class Factorization:
 
     def __post_init__(self):
         keys = [revlex_key(u) for u in self.anchors]
-        if keys != sorted(keys):
+        if not all(map(le, keys, keys[1:])):
             raise ValueError("anchors must be weakly increasing in rim-hook order")
 
     def hooks(self) -> list[RimHook]:
@@ -417,23 +418,32 @@ def _extractions(pi: Rpp) -> Iterator[tuple[Cell, list[int], list]]:
     the grid is the live state after that extraction. One pass along
     `frame.candidate_order` extracts at each position v while it holds a
     candidate: by the candidate-stability law, that makes no cell before v a
-    candidate. Whether a cell is a candidate depends only on the cell and its
-    west and north neighbours, so after a path update only the path cells and
-    their east and south neighbours are re-tested; of those, only v and the
-    cell south of it come after v, and any other candidate raises.
+    candidate. A cell's status reads only it and its west and north
+    neighbours, and a path cell keeps or loses both margins (a neighbour on
+    the path loses 1 with it). Off the path, margins grow only: south of v,
+    which comes after v; east of the tail, outside the diagram; east of a
+    after a north step a -> b, on band B or an inner diagonal (the diagonal
+    after an outer or band-B one is one of those), where no candidate sits;
+    and south of b after an east step a -> b. So the guard re-tests v and
+    one cell per east step, and any candidate among them but v raises.
     """
     shape = pi.shape
     frame = shape.frame
-    width = frame.width
+    width, heads = frame.width, shape._column_by_head_content
     grid = _to_frame(shape, pi.rows)
     anchors: list[Cell] = []
     # each position is tested against the grid as it stands when the pass reaches it
     for v in _candidates_among(shape, grid, frame.candidate_order):
-        while True:
+        again = True
+        while again:
             path, ok = _extraction_walk(shape, grid, v)
-            anchor = _anchor_of_walk(shape, divmod(path[-1], width), len(path))
-            if not ok:
+            i, j = divmod(path[-1], width)
+            col = heads.get(j - i + 1 - len(path), j + 1)
+            if not ok or col > j:
+                # an ok walk ends a row; a bad tail is reported before a bad path
+                _anchor_of_walk(shape, (i, j), len(path))
                 _raise_path_error(shape, grid, path, -1)
+            anchor = (i, col)
             if anchors and revlex_key(anchor) < revlex_key(anchors[-1]):
                 raise RuntimeError(
                     "extraction produced a decreasing hook sequence "
@@ -441,20 +451,22 @@ def _extractions(pi: Rpp) -> Iterator[tuple[Cell, list[int], list]]:
                 )
             anchors.append(anchor)
             again = False
-            touched = [q for p in path for q in (p, p + 1, p + width)]
-            for q in _candidates_among(shape, grid, touched):
-                if q == v:
-                    again = True
-                elif q != v + width:
+            tested = [v]
+            a = v
+            for b in path:
+                if b == a + 1:
+                    tested.append(b + width)
+                a = b
+            for q in _candidates_among(shape, grid, tested):
+                if q != v:
                     raise RuntimeError(
                         f"extraction at {format_cell(divmod(v, width))} made the earlier cell "
                         f"{format_cell(divmod(q, width))} a candidate, against the "
                         f"candidate-stability law (shape {shape}, filling {pi.rows!r}, "
                         f"anchors {anchors})"
                     )
+                again = True
             yield anchor, path, grid
-            if not again:
-                break
 
 
 def factorize(pi: Rpp) -> Factorization:
@@ -463,10 +475,11 @@ def factorize(pi: Rpp) -> Factorization:
     Repeatedly extracts at the content-minimal candidate until the zero
     filling remains; the anchors come out weakly increasing in the rim-hook
     order. By the candidate-stability law that minimum never moves back, so
-    this is one pass over the cells, which raises, naming the filling, if a
-    candidate turns up behind it. Costs O(cells + hooks x hook length).
+    this is one pass over the cells. After each extraction it re-tests v and
+    one cell per east step of the path, and raises, naming the filling, if
+    a candidate turned up behind v. Costs O(cells + hooks x hook length).
     """
-    return Factorization(pi.shape, tuple(anchor for anchor, *_ in _extractions(pi)))
+    return Factorization(pi.shape, tuple(anchor for anchor, _, _ in _extractions(pi)))
 
 
 def build(tableau: Tableau) -> Rpp:

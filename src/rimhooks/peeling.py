@@ -13,10 +13,22 @@ differential test.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .geometry import Cell, Partition, format_cell, north, west
 from .rpp import Rpp, Tableau, _from_frame, _to_frame
+
+
+def _require_outer_corner(parts: Sequence[int], r: int, s: int) -> None:
+    """Raise the ValueError "(r,s) is not an outer corner of <parts>" unless it is one.
+
+    An outer corner ends its row, and the row below, if any, is shorter: O(1)
+    on `parts`.
+    """
+    n = len(parts)
+    if not (0 < r <= n and parts[r - 1] == s and (r == n or parts[r] < s)):
+        shape = Partition(parts) if parts else "the empty diagram"
+        raise ValueError(f"{format_cell((r, s))} is not an outer corner of {shape}")
 
 
 def _peel(grid: list, width: int, parts: list[int], corners: Iterable[Cell]) -> list:
@@ -27,8 +39,7 @@ def _peel(grid: list, width: int, parts: list[int], corners: Iterable[Cell]) -> 
     0 and column 0, math.inf at every other position outside the diagram, so
     the four neighbours of a cell need no bounds test. Each corner x, taken
     when the loop reaches it, must be an outer corner of `parts` as it then
-    stands: it ends its row, and the row below, if any, is shorter. Otherwise
-    the ValueError "x is not an outer corner of <parts>" is raised. Its
+    stands, or `_require_outer_corner` raises its ValueError. Its
     count, value(x) - max(north, west), is recorded at the position of x in
     a list laid out like `grid`; the rest of its diagonal is toggled; and
     removing x writes math.inf at its position and shortens its row in
@@ -45,10 +56,7 @@ def _peel(grid: list, width: int, parts: list[int], corners: Iterable[Cell]) -> 
     step = width + 1
     counts = [0] * len(grid)
     for r, s in corners:
-        n = len(parts)
-        if not (0 < r <= n and parts[r - 1] == s and (r == n or parts[r] < s)):
-            shape = Partition(parts) if parts else "the empty diagram"
-            raise ValueError(f"{format_cell((r, s))} is not an outer corner of {shape}")
+        _require_outer_corner(parts, r, s)
         x = r * width + s
         above, left = grid[x - width], grid[x - 1]
         counts[x] = grid[x] - (above if above > left else left)
@@ -94,9 +102,7 @@ def corner_is_tight(pi: Rpp, x: Cell) -> bool:
 
     Equivalently, whether the peeling map records a zero count at x.
     """
-    _, outer = pi.shape.corners()
-    if x not in outer:
-        raise ValueError(f"{format_cell(x)} is not an outer corner of {pi.shape}")
+    _require_outer_corner(pi.shape.parts, *x)
     return pi.value(x) == max(pi.value_ext(*north(x)), pi.value_ext(*west(x)))
 
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,7 +15,10 @@ from rimhooks import (
     rim_hook_key,
     south,
 )
+from rimhooks.geometry import Frame
 from conftest import all_partitions
+from perfbench.workloads import LARGE_SHAPES
+from test_scale import SQUARE, STAIRCASE
 
 cells = st.tuples(st.integers(1, 9), st.integers(1, 9))
 
@@ -40,6 +45,34 @@ def corner_cells_oracle(shape: Partition):
     inner.sort(key=content)
     outer.sort(key=content)
     return tuple(inner), tuple(outer)
+
+
+def frame_oracle(shape: Partition) -> Frame:
+    # position by position: each cell's region, with the border and the
+    # outside as None, and the candidate positions sorted by the content key
+    parts = shape.parts
+    width = (parts[0] if parts else 0) + 2
+    by_position = [None] * ((len(parts) + 2) * width)
+    for i, j in shape.cells():
+        by_position[i * width + j] = shape.region((i, j))
+    inner, outer = Region.INNER_DIAG, Region.OUTER_DIAG
+    band_a, band_b = Region.BAND_A, Region.BAND_B
+    candidate = tuple(r if r is outer or r is band_a else None for r in by_position)
+    order = sorted(
+        (p for p, r in enumerate(candidate) if r), key=lambda p: content_key(divmod(p, width))
+    )
+    return Frame(
+        width,
+        tuple(
+            0 if r is not None or p < width or p % width == 0 else math.inf
+            for p, r in enumerate(by_position)
+        ),
+        tuple(r is not None for r in by_position),
+        tuple(r is band_b or r is inner for r in by_position),
+        tuple(r is inner or r is band_a for r in by_position),
+        candidate,
+        tuple(order),
+    )
 
 
 class TestPartition:
@@ -178,6 +211,14 @@ class TestRegions:
         for shape in all_partitions(12):
             for u in shape.cells():
                 shape.region(u)  # total on the diagram, raises otherwise
+
+
+class TestFrame:
+    def test_matches_the_per_position_oracle(self):
+        shapes = [Partition(()), *all_partitions(15), SQUARE, STAIRCASE]
+        shapes += [Partition(parts) for parts, _ in LARGE_SHAPES]
+        for shape in shapes:
+            assert shape.frame == frame_oracle(shape), shape
 
 
 class TestOrders:

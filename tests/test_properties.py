@@ -14,10 +14,12 @@ from rimhooks import (
     Rpp,
     Tableau,
     content_key,
+    east,
     extraction_path,
     factorize,
     is_compatible,
     rim_hook_of_path,
+    south,
 )
 from rimhooks.classical import _hg_inv_step, _hg_step
 from rimhooks.enumeration import enumerate_rpps, enumerate_sw_paths
@@ -165,6 +167,54 @@ class TestOnePassFactorization:
         message = str(raised.value)
         assert repr(pi.rows) in message and "shape 3,3" in message
         assert "(2,3)" in message
+
+
+def _new_candidates_by_kind(pi):
+    """Extract at every candidate v of `pi` in turn; sort the cells that turn into candidates.
+
+    The guard lemma of `insertion._extractions`: such a cell lies south of b
+    after some east step a -> b of the path ("south of b"), or south of v
+    ("south of v"). Anything else is filed under "unguarded". Candidates are
+    read off the per-cell oracle, before and after.
+    """
+    shape = pi.shape
+    width = shape.frame.width
+    before = {u for u in shape.cells() if _is_candidate_per_cell(shape, pi.rows, u)}
+    kinds = Counter()
+    for v in before:
+        grid = _to_frame(shape, pi.rows)
+        path, _ = _extraction_walk(shape, grid, v[0] * width + v[1])
+        cells = [divmod(p, width) for p in path]
+        guarded = {south(b): "south of b" for a, b in zip(cells, cells[1:]) if b == east(a)}
+        guarded[south(v)] = "south of v"
+        rows = _from_frame(grid, width, shape.parts)
+        for u in shape.cells():
+            if u not in before and _is_candidate_per_cell(shape, rows, u):
+                kinds[guarded.get(u, "unguarded")] += 1
+    return kinds
+
+
+class TestGuardLemma:
+    # at every candidate, not only the content-minimal one, so that both
+    # guarded kinds turn up
+
+    @settings(max_examples=150, deadline=None)
+    @given(rpps())
+    def test_new_candidates_lie_in_the_guarded_cells(self, pi):
+        assert _new_candidates_by_kind(pi)["unguarded"] == 0
+
+    def test_new_candidates_lie_in_the_guarded_cells_on_small_fillings(self):
+        kinds = Counter()
+        for pi in _small_fillings():
+            kinds += _new_candidates_by_kind(pi)
+        assert kinds["unguarded"] == 0 and kinds["south of v"]
+
+    def test_an_east_step_can_make_the_cell_south_of_it_a_candidate(self):
+        # extracting at (1,1) walks (1,1) (1,2) (1,3); (2,2), south of the
+        # east step's (1,2), and (2,1), south of v, turn into candidates.
+        # Extracting at (1,2) instead makes (2,2), south of v, one.
+        pi = Rpp(Partition((3, 3)), ((1, 2, 2), (1, 2, 2)))
+        assert _new_candidates_by_kind(pi) == Counter({"south of b": 1, "south of v": 2})
 
 
 # The kernels read the flag tables of Partition.frame on positions, with
