@@ -128,20 +128,23 @@ def _hg_inv_step(shape: Partition, grid: list, f: int, s: int) -> None:
 def hg_inv(tableau: Tableau) -> Rpp:
     """Invert the Hillman-Grassl map.
 
-    Recorded hooks are processed in reverse extraction order, sorted by column
-    descending then row ascending. Each is undone by walking from the end of
-    the hook's row south on equality and west otherwise, down to the hook's
-    column, and incrementing the walk (`_hg_inv_step`), which mirrors the
-    forward walk. The walks increment one grid in place, so the cost is
-    O(cells + hooks x hook length).
+    Recorded hooks are processed in reverse extraction order: the tableau is
+    read in place by columns east to west, each top to bottom, and each
+    cell's hook is undone as many times as its count. Each is undone by
+    walking from the end of the hook's row south on equality and west
+    otherwise, down to the hook's column, and incrementing the walk
+    (`_hg_inv_step`), which mirrors the forward walk. The walks increment one
+    grid in place, so the cost is O(cells + hooks x hook length).
     """
     shape = tableau.shape
-    parts = shape.parts
-    hooks = sorted(biword(tableau), key=lambda fs: (-fs[1], fs[0]))
+    conj = shape._conjugate_parts
+    rows = tableau.rows
     grid = list(shape.frame.zero)
-    for f, s in hooks:
-        _hg_inv_step(shape, grid, f, s)
-    return Rpp(shape, _from_frame(grid, shape.frame.width, parts))
+    for s in range(len(conj), 0, -1):
+        for f in range(1, conj[s - 1] + 1):
+            for _ in range(rows[f - 1][s - 1]):
+                _hg_inv_step(shape, grid, f, s)
+    return Rpp(shape, _from_frame(grid, shape.frame.width, shape.parts))
 
 
 def _transpose_rows(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

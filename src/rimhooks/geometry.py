@@ -222,26 +222,25 @@ class Partition:
         Every cell (i, j) of the diagram lies in region `regions_by_content[j - i]`;
         the bijection kernels read this table directly in their inner loops.
         """
+        # One sweep up the contents: each diagonal up to the next corner is
+        # band B after an outer corner, and band A after an inner one or
+        # before the first corner.
         inner, outer = self._corner_cells
-        inner_contents = [content(u) for u in inner]
-        outer_contents = [content(u) for u in outer]
+        contents = self.contents
+        outer_diag, band_a, band_b = Region.OUTER_DIAG, Region.BAND_A, Region.BAND_B
+        corner_kinds = [None] * len(contents)
+        for i, j in outer:
+            corner_kinds[j - i - contents.start] = outer_diag
+        for i, j in inner:
+            corner_kinds[j - i - contents.start] = Region.INNER_DIAG
         regions: dict[int, Region] = {}
-        for c in self.contents:
-            if c in outer_contents:
-                regions[c] = Region.OUTER_DIAG
-            elif c in inner_contents:
-                regions[c] = Region.INNER_DIAG
+        band = band_a
+        for c, kind in zip(contents, corner_kinds):
+            if kind is None:
+                regions[c] = band
             else:
-                below = sum(1 for o in outer_contents if o < c)
-                if below == 0:
-                    regions[c] = Region.BAND_A
-                elif below == len(outer_contents):
-                    regions[c] = Region.BAND_B
-                else:
-                    # between o_below and o_{below+1}; i_below separates B from A
-                    regions[c] = (
-                        Region.BAND_B if c < inner_contents[below - 1] else Region.BAND_A
-                    )
+                regions[c] = kind
+                band = band_b if kind is outer_diag else band_a
         return MappingProxyType(regions)
 
     @cached_property

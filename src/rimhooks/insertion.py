@@ -203,7 +203,7 @@ def _insertion_walk(shape: Partition, grid: list, tail: int, length: int) -> tup
     return path, ok
 
 
-def _extraction_walk(shape: Partition, grid: list, v: int) -> tuple[list[int], bool]:
+def _extraction_walk(shape: Partition, grid: list, v: int) -> tuple[list[int], bool, list[int]]:
     """Extract the rim-hook that starts at position v of `grid`, in place.
 
     `grid` holds a reverse plane partition of `shape` laid out on
@@ -226,15 +226,18 @@ def _extraction_walk(shape: Partition, grid: list, v: int) -> tuple[list[int], b
     that cell's north neighbour, which is below the run's value unless the
     north test there failed: the walk found it unequal there, or tested it.
 
-    Returns the positions and whether every test held and the walk stayed
-    in the diagram. On a failure the walk still finishes, so the path is the
-    same, and every changed cell is restored.
+    Returns the positions, whether every test held and the walk stayed in
+    the diagram, and the guard of `_extractions`: v, then the position south
+    of b for each east step a -> b, which both east branches record as they
+    step. On a failure the walk still finishes, so the path is the same, and
+    every changed cell is restored.
     """
     frame = shape.frame
     width, east_forced, inside = frame.width, frame.east_forced, frame.inside
     p = v
     ok = grid[p] > grid[p - 1]
     path = [p]
+    guard = [p]
     while True:
         u = grid[p]
         grid[p] = u - 1
@@ -242,22 +245,24 @@ def _extraction_walk(shape: Partition, grid: list, v: int) -> tuple[list[int], b
             if u <= grid[p - width]:
                 ok = False
             p += 1
+            guard.append(p + width)
             if not inside[p]:
                 path.append(p)
                 for q in path[:-1]:
                     grid[q] += 1
-                return path, False
+                return path, False, guard
         elif u == grid[p - width]:
             p -= width
         elif inside[p + 1]:
             p += 1
+            guard.append(p + width)
         else:
             break
         path.append(p)
     if not ok:
         for q in path:
             grid[q] += 1
-    return path, ok
+    return path, ok, guard
 
 
 def _anchor_of_walk(shape: Partition, tail: Cell, length: int) -> Cell:
@@ -371,7 +376,7 @@ def extraction_path(v: Cell, pi: Rpp) -> LatticePath:
     start = v[0] * width + v[1]
     if v not in shape or next(_candidates_among(shape, grid, (start,)), None) is None:
         raise ValueError(f"{format_cell(v)} is not a candidate of the filling")
-    walk, _ = _extraction_walk(shape, grid, start)
+    walk = _extraction_walk(shape, grid, start)[0]
     return LatticePath(tuple(divmod(p, width) for p in walk), Orientation.NE)
 
 
@@ -425,7 +430,8 @@ def _extractions(pi: Rpp) -> Iterator[tuple[Cell, list[int], list]]:
     after a north step a -> b, on band B or an inner diagonal (the diagonal
     after an outer or band-B one is one of those), where no candidate sits;
     and south of b after an east step a -> b. So the guard re-tests v and
-    one cell per east step, and any candidate among them but v raises.
+    one cell per east step, which `_extraction_walk` lists as it walks, and
+    any candidate among them but v raises.
     """
     shape = pi.shape
     frame = shape.frame
@@ -436,7 +442,7 @@ def _extractions(pi: Rpp) -> Iterator[tuple[Cell, list[int], list]]:
     for v in _candidates_among(shape, grid, frame.candidate_order):
         again = True
         while again:
-            path, ok = _extraction_walk(shape, grid, v)
+            path, ok, guard = _extraction_walk(shape, grid, v)
             i, j = divmod(path[-1], width)
             col = heads.get(j - i + 1 - len(path), j + 1)
             if not ok or col > j:
@@ -451,13 +457,7 @@ def _extractions(pi: Rpp) -> Iterator[tuple[Cell, list[int], list]]:
                 )
             anchors.append(anchor)
             again = False
-            tested = [v]
-            a = v
-            for b in path:
-                if b == a + 1:
-                    tested.append(b + width)
-                a = b
-            for q in _candidates_among(shape, grid, tested):
+            for q in _candidates_among(shape, grid, guard):
                 if q != v:
                     raise RuntimeError(
                         f"extraction at {format_cell(divmod(v, width))} made the earlier cell "
@@ -485,29 +485,37 @@ def factorize(pi: Rpp) -> Factorization:
 def build(tableau: Tableau) -> Rpp:
     """Insert the encoded multiset of rim-hooks into the zero filling.
 
-    The multiset is sorted weakly increasing in the rim-hook order and
-    inserted right to left (largest hook first). Every insertion succeeds;
-    a failure would contradict the well-definedness theorem and aborts with
-    a diagnostic dump. The insertions update one grid in place, so the cost
-    is O(cells + hooks x hook length).
+    The multiset is inserted in decreasing rim-hook order (largest hook
+    first): columns west to east, each top to bottom, reading the tableau in
+    place, with each cell's tail and hook length computed once. Every
+    insertion succeeds; a failure would contradict the well-definedness
+    theorem and aborts with a diagnostic dump. The insertions update one
+    grid in place, so the cost is O(cells + hooks x hook length).
     """
     shape = tableau.shape
     parts = shape.parts
     conj = shape._conjugate_parts
     width = shape.frame.width
-    anchors = tableau.anchors()
+    rows = tableau.rows
     grid = list(shape.frame.zero)
-    for step, anchor in enumerate(reversed(anchors), start=1):
-        i, j = anchor
-        hook_length = parts[i - 1] + conj[j - 1] - i - j + 1
-        if _insertion_walk(shape, grid, i * width + parts[i - 1], hook_length)[1]:
-            continue
-        # the walk restored the filling as it was before this insertion
-        pi = Rpp(shape, _from_frame(grid, width, parts))
-        result = try_insert(shape.rim_hook(anchor), pi)
-        raise RuntimeError(
-            "lexicographic insertion failed, which contradicts the "
-            f"well-definedness theorem: shape {tableau.shape}, multiset "
-            f"{anchors}, step {step} at anchor {format_cell(anchor)}: {result}"
-        )
+    for j, height in enumerate(conj, start=1):
+        for i in range(1, height + 1):
+            count = rows[i - 1][j - 1]
+            if not count:
+                continue
+            tail = i * width + parts[i - 1]
+            hook_length = parts[i - 1] + height - i - j + 1
+            for k in range(count):
+                if _insertion_walk(shape, grid, tail, hook_length)[1]:
+                    continue
+                # the walk restored the filling as it was before this insertion
+                pi = Rpp(shape, _from_frame(grid, width, parts))
+                result = try_insert(shape.rim_hook((i, j)), pi)
+                anchors = tableau.anchors()
+                step = anchors[::-1].index((i, j)) + k + 1
+                raise RuntimeError(
+                    "lexicographic insertion failed, which contradicts the "
+                    f"well-definedness theorem: shape {tableau.shape}, multiset "
+                    f"{anchors}, step {step} at anchor {format_cell((i, j))}: {result}"
+                )
     return Rpp(shape, _from_frame(grid, width, parts))

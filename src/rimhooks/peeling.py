@@ -34,49 +34,48 @@ def _require_outer_corner(parts: Sequence[int], r: int, s: int) -> None:
 def _peel(grid: list, width: int, parts: list[int], corners: Iterable[Cell]) -> list:
     """Peel the outer corners `corners` one by one, in place; returns their counts.
 
-    `grid` holds the filling of the diagram `parts` laid out on a frame of
-    this width (`Partition.frame`, of this diagram or a larger one): 0 in row
-    0 and column 0, math.inf at every other position outside the diagram, so
-    the four neighbours of a cell need no bounds test. Each corner x, taken
-    when the loop reaches it, must be an outer corner of `parts` as it then
-    stands, or `_require_outer_corner` raises its ValueError. Its
-    count, value(x) - max(north, west), is recorded at the position of x in
-    a list laid out like `grid`; the rest of its diagonal is toggled; and
-    removing x writes math.inf at its position and shortens its row in
-    `parts`. The cells of the diagonal lie north-west of x, and their
-    neighbours lie on the two adjacent diagonals, so every toggle reads
-    untoggled values; the diagonal successor of each lies inside the
-    diagram, so min(east, south) is finite. A toggled value lies between
-    max(north, west) and min(east, south) exactly when the filling stays
-    weakly increasing around it (and hi is at least 0); when one does not,
-    the corner is finished and the ValueError of the Rpp constructor is
-    raised.
+    `grid` holds a reverse plane partition of the diagram `parts` laid out on
+    a frame of this width (`Partition.frame`, of this diagram or a larger
+    one): 0 in row 0 and column 0, math.inf at every other position outside
+    the diagram. Each corner x, taken when the loop reaches it, must be an
+    outer corner of `parts` as it then stands, or `_require_outer_corner`
+    raises its ValueError. Its count, value(x) - max(north, west), is
+    recorded at the position of x in a list laid out like `grid`; the rest
+    of its diagonal is toggled; and removing x writes math.inf at its
+    position and shortens its row in `parts`.
+
+    The toggle walks the diagonal from x north-west. A cell's east and south
+    neighbours are the north and west of the cell before it, so each step
+    reads two neighbours and carries lo = min(east, south) forward. All of
+    them lie on the two adjacent diagonals, so every toggle reads untoggled
+    values. Along the diagonal lo weakly decreases and stays at least 0;
+    once it is 0, every cell further north-west and its neighbours hold 0,
+    where the toggle is the identity, so the walk stops. The first cell of
+    the diagonal has the border 0 north or west of it, so the walk never
+    leaves the diagram. The toggle maps [max(north, west), lo] onto itself,
+    so the filling stays a reverse plane partition, corner by corner, and
+    nothing is tested.
     """
     inf = math.inf
     step = width + 1
     counts = [0] * len(grid)
     for r, s in corners:
         _require_outer_corner(parts, r, s)
-        x = r * width + s
-        above, left = grid[x - width], grid[x - 1]
-        counts[x] = grid[x] - (above if above > left else left)
-        ordered = True
-        for p in range(x - ((r if r < s else s) - 1) * step, x, step):
-            right, below = grid[p + 1], grid[p + width]
-            lo = right if right < below else below
+        p = r * width + s
+        above, left = grid[p - width], grid[p - 1]
+        hi = above if above > left else left
+        counts[p] = grid[p] - hi
+        lo = above + left - hi
+        grid[p] = inf
+        while lo:
+            p -= step
             above, left = grid[p - width], grid[p - 1]
             hi = above if above > left else left
-            new = hi + lo - grid[p]
-            if not hi <= new <= lo:
-                ordered = False
-            grid[p] = new
-        grid[x] = inf
+            grid[p] = hi + lo - grid[p]
+            lo = above + left - hi
         parts[r - 1] -= 1
         if not parts[r - 1]:
             parts.pop()
-        if not ordered:
-            # raises, naming the first offending cell
-            Rpp(Partition(parts), _from_frame(grid, width, parts))
     return counts
 
 
@@ -117,8 +116,9 @@ def peel_tableau(pi: Rpp, order: Iterable[Cell] | None = None) -> Tableau:
     order; corner independence is enforced by tests rather than by
     construction. The default, `shape.revlex_cells`, always peels the
     revlex-minimal outer corner (the bottom cell of the last column), so
-    runs are deterministic. One grid is updated in place, so a corner costs
-    the length of its diagonal.
+    runs are deterministic. One grid is updated in place, and a corner's
+    toggles stop at the first zero of min(east, south) north-west of it, so
+    a corner costs the nonzero part of its diagonal.
     """
     shape = pi.shape
     width = shape.frame.width

@@ -216,7 +216,14 @@ class Tableau(ShapedGrid):
     @property
     def weighted_size(self) -> int:
         """Total number of diagram cells covered by the encoded multiset."""
-        return sum(v * self.shape.hook_length(u) for u, v in self.entries() if v)
+        # hook length of (i, j): parts[i-1] - i + 1 east of and at it, conj[j-1] - j below
+        conj = self.shape._conjugate_parts
+        return sum(
+            v * (len(row) - i + 1 + c - j)
+            for i, row in enumerate(self.rows, start=1)
+            for j, (v, c) in enumerate(zip(row, conj), start=1)
+            if v
+        )
 
     def anchors(self) -> list[Cell]:
         """The multiset of anchors, weakly increasing in the rim-hook order."""

@@ -19,12 +19,27 @@ from rimhooks import (
     rsk,
     rsk_inv,
 )
-from rimhooks.classical import biword, rectangle_cells
+from rimhooks.classical import _hg_inv_step, biword, rectangle_cells
+from rimhooks.rpp import _from_frame
 from rimhooks.enumeration import _grids, enumerate_rpps, enumerate_tableaux
 from conftest import all_partitions
 
 
+def hg_inv_oracle(tableau: Tableau) -> Rpp:
+    # the biword sorted by column descending, then row ascending
+    shape = tableau.shape
+    grid = list(shape.frame.zero)
+    for f, s in sorted(biword(tableau), key=lambda fs: (-fs[1], fs[0])):
+        _hg_inv_step(shape, grid, f, s)
+    return Rpp(shape, _from_frame(grid, shape.frame.width, shape.parts))
+
+
 class TestHillmanGrassl:
+    def test_inverse_matches_the_sorted_biword_oracle(self):
+        for shape in all_partitions(6):
+            for tab in enumerate_tableaux(shape, 7):
+                assert hg_inv(tab) == hg_inv_oracle(tab)
+
     def test_zero(self):
         assert hg(Rpp.zero(Partition((3, 2)))).is_zero()
 

@@ -75,6 +75,29 @@ def frame_oracle(shape: Partition) -> Frame:
     )
 
 
+def regions_oracle(shape: Partition) -> dict:
+    # per content: scan the corner contents, and count the outer corners below
+    inner, outer = shape.corners() if shape else ((), ())
+    inner_contents = [content(u) for u in inner]
+    outer_contents = [content(u) for u in outer]
+    regions = {}
+    for c in shape.contents:
+        if c in outer_contents:
+            regions[c] = Region.OUTER_DIAG
+        elif c in inner_contents:
+            regions[c] = Region.INNER_DIAG
+        else:
+            below = sum(1 for o in outer_contents if o < c)
+            if below == 0:
+                regions[c] = Region.BAND_A
+            elif below == len(outer_contents):
+                regions[c] = Region.BAND_B
+            else:
+                # between o_below and o_{below+1}; i_below separates B from A
+                regions[c] = Region.BAND_B if c < inner_contents[below - 1] else Region.BAND_A
+    return regions
+
+
 class TestPartition:
     def test_conjugate_examples(self):
         assert Partition((4, 3, 1)).conjugate() == Partition((3, 2, 2, 1))
@@ -206,6 +229,11 @@ class TestRegions:
                 else Region.BAND_A
             )
             assert shape.region(u) is expected
+
+    def test_matches_the_per_content_oracle(self):
+        for shape in [Partition(()), *all_partitions(15), SQUARE, STAIRCASE]:
+            regions = shape.regions_by_content
+            assert list(regions.items()) == list(regions_oracle(shape).items()), shape
 
     def test_regions_partition_the_cells(self):
         for shape in all_partitions(12):

@@ -1,5 +1,6 @@
 import pytest
 
+from rimhooks import insertion
 from rimhooks import (
     Factorization,
     InsertionFailure,
@@ -10,6 +11,7 @@ from rimhooks import (
     content_key,
     extraction_path,
     factorize,
+    format_cell,
     insertion_path,
     is_compatible,
     rim_hook_of_path,
@@ -17,6 +19,8 @@ from rimhooks import (
 )
 from rimhooks.enumeration import enumerate_rpps, enumerate_sw_paths, enumerate_tableaux
 from rimhooks.insertion import LatticePath, Orientation, extract_min, is_factor
+from rimhooks.rpp import _from_frame
+from conftest import all_partitions
 
 
 class TestLatticePath:
@@ -258,7 +262,58 @@ class TestFactorize:
             Factorization(Partition((2, 2)), ((1, 1), (1, 4)))
 
 
+def build_oracle(tableau: Tableau) -> Rpp:
+    # the multiset expanded into its anchors and inserted largest first, one
+    # hook length per hook; a failure is reported as `build` reports it
+    shape = tableau.shape
+    parts, width = shape.parts, shape.frame.width
+    anchors = tableau.anchors()
+    grid = list(shape.frame.zero)
+    for step, anchor in enumerate(reversed(anchors), start=1):
+        tail = anchor[0] * width + parts[anchor[0] - 1]
+        if insertion._insertion_walk(shape, grid, tail, shape.hook_length(anchor))[1]:
+            continue
+        result = try_insert(shape.rim_hook(anchor), Rpp(shape, _from_frame(grid, width, parts)))
+        raise RuntimeError(
+            "lexicographic insertion failed, which contradicts the "
+            f"well-definedness theorem: shape {shape}, multiset "
+            f"{anchors}, step {step} at anchor {format_cell(anchor)}: {result}"
+        )
+    return Rpp(shape, _from_frame(grid, width, parts))
+
+
 class TestBuild:
+    def test_matches_the_anchor_list_oracle(self):
+        for shape in all_partitions(6):
+            for tab in enumerate_tableaux(shape, 7):
+                assert build(tab) == build_oracle(tab)
+
+    def test_a_failure_names_the_step_the_oracle_names(self, monkeypatch):
+        # the m-th insertion fails as a walk that changed nothing, for every m,
+        # so repeated hooks fail on their first copy and on later ones
+        tab = Tableau(Partition((3, 2, 1)), ((2, 0, 1), (1, 3), (2,)))
+        walk = insertion._insertion_walk
+
+        def failing_at(m):
+            calls = 0
+
+            def step(shape, grid, tail, length):
+                nonlocal calls
+                calls += 1
+                return ([tail], False) if calls == m else walk(shape, grid, tail, length)
+
+            return step
+
+        for m in range(1, tab.size + 1):
+            messages = []
+            for run in (build, build_oracle):
+                monkeypatch.setattr(insertion, "_insertion_walk", failing_at(m))
+                with pytest.raises(RuntimeError) as raised:
+                    run(tab)
+                messages.append(str(raised.value))
+            assert messages[0] == messages[1]
+            assert f"step {m} at anchor" in messages[0]
+
     def test_golden_inverse(self, running_example):
         tab = Tableau(running_example.shape, ((1, 0, 1, 1), (0, 1, 0), (0,)))
         assert build(tab) == running_example

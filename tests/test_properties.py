@@ -6,7 +6,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from rimhooks import (
     Partition,
@@ -34,7 +34,7 @@ from rimhooks.insertion import (
 )
 from rimhooks.peeling import _peel
 from rimhooks.rpp import _candidates_among, _from_frame, _raise_path_error, _to_frame
-from conftest import all_partitions, partitions, rpps
+from conftest import all_partitions, rpps
 
 
 class TestFactorPathsReverseToExtractions:
@@ -183,7 +183,7 @@ def _new_candidates_by_kind(pi):
     kinds = Counter()
     for v in before:
         grid = _to_frame(shape, pi.rows)
-        path, _ = _extraction_walk(shape, grid, v[0] * width + v[1])
+        path = _extraction_walk(shape, grid, v[0] * width + v[1])[0]
         cells = [divmod(p, width) for p in path]
         guarded = {south(b): "south of b" for a, b in zip(cells, cells[1:]) if b == east(a)}
         guarded[south(v)] = "south of v"
@@ -215,6 +215,32 @@ class TestGuardLemma:
         # Extracting at (1,2) instead makes (2,2), south of v, one.
         pi = Rpp(Partition((3, 3)), ((1, 2, 2), (1, 2, 2)))
         assert _new_candidates_by_kind(pi) == Counter({"south of b": 1, "south of v": 2})
+
+
+def _check_extraction_guards(pi):
+    """The guard `_extraction_walk` records, from every cell with a nonzero
+    entry, against the one read off its path: v, then b + width for each east
+    step a -> b. Returns how many east steps the walks took."""
+    shape = pi.shape
+    width = shape.frame.width
+    east_steps = 0
+    for i, j in shape.cells():
+        if pi.value((i, j)):
+            path, _, guard = _extraction_walk(shape, _to_frame(shape, pi.rows), i * width + j)
+            expected = [path[0]] + [b + width for a, b in zip(path, path[1:]) if b == a + 1]
+            assert guard == expected
+            east_steps += len(guard) - 1
+    return east_steps
+
+
+class TestExtractionGuard:
+    @settings(max_examples=200, deadline=None)
+    @given(rpps())
+    def test_the_walk_records_the_cell_south_of_each_east_step(self, pi):
+        _check_extraction_guards(pi)
+
+    def test_the_walk_records_the_cell_south_of_each_east_step_on_small_fillings(self):
+        assert sum(_check_extraction_guards(pi) for pi in _small_fillings())
 
 
 # The kernels read the flag tables of Partition.frame on positions, with
@@ -349,7 +375,7 @@ def _check_insertion_and_extraction_walks(pi):
         if pi.value(v):
             cells = _extraction_walk_per_cell(shape, rows, v)
             grid = _to_frame(shape, rows)
-            positions, ok = _extraction_walk(shape, grid, v[0] * width + v[1])
+            positions, ok, _ = _extraction_walk(shape, grid, v[0] * width + v[1])
             assert [divmod(q, width) for q in positions] == cells
             outcomes["extract", _check_walk(pi, grid, positions, ok, cells, -1)] += 1
     return outcomes
@@ -489,8 +515,8 @@ class TestInlineKernelsMatchPerCellLogic:
             pi.shape.__dict__, "frame", dataclasses.replace(frame, east_forced=tuple(forced))
         )
         grid = _to_frame(pi.shape, pi.rows)
-        positions, ok = _extraction_walk(pi.shape, grid, width + 1)
-        assert (positions, ok) == ([width + 1, width + 2], False)
+        positions, ok, guard = _extraction_walk(pi.shape, grid, width + 1)
+        assert (positions, ok, guard) == ([width + 1, width + 2], False, [width + 1, 2 * width + 2])
         assert grid == _to_frame(pi.shape, pi.rows)
         with pytest.raises(ValueError, match=r"^cell \(1,2\) lies outside the shape 1$"):
             _raise_path_error(pi.shape, grid, positions, -1)
@@ -561,8 +587,7 @@ class TestFrame:
 
 
 def _monotone_around(rows, parts, cells):
-    # the check the toggle's inline test replaced: each entry at `cells` is
-    # non-negative and in order with its four neighbours
+    # each entry at `cells` is non-negative and in order with its four neighbours
     n = len(parts)
     for i, j in cells:
         row = rows[i - 1]
@@ -578,40 +603,34 @@ def _monotone_around(rows, parts, cells):
     return True
 
 
-@st.composite
-def _any_grids(draw):
-    """A shape and non-negative entries in no particular order."""
-    shape = draw(partitions.filter(bool))
-    rows = tuple(
-        tuple(draw(st.integers(0, 4)) for _ in range(p)) for p in shape.parts
-    )
-    return shape, rows
-
-
 class TestToggleCheck:
+    # `_peel` takes a reverse plane partition, walks each corner's diagonal
+    # north-west and stops where min(east, south) is 0; the per-cell formula
+    # must hold on the whole diagonal, the cells past the stop included
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(_any_grids(), rpps().map(lambda pi: (pi.shape, pi.rows))), st.data())
-    def test_fused_check_fires_exactly_when_the_neighbour_check_fails(self, drawn, data):
-        shape, rows = drawn
-        x = data.draw(st.sampled_from(shape.corners()[1]))
-        r, s = x
-        toggled = [(i, i + s - r) for i in range(max(1, 1 - s + r), r)]
-        old = Tableau(shape, rows)  # the extended lookup, without the order check
-        expected = {
-            (i, j): max(old.value_ext(i - 1, j), old.value_ext(i, j - 1))
-            + min(old.value_ext(i, j + 1), old.value_ext(i + 1, j))
-            - rows[i - 1][j - 1]
-            for i, j in toggled
-        }
+    @given(rpps())
+    # (1,1) is 0 and (2,2) is 1: the walk from (3,3) toggles (2,2) and stops
+    # at (1,1), where lo is 0
+    @example(Rpp(Partition((3, 3, 3)), ((0, 0, 1), (0, 1, 1), (1, 1, 2))))
+    def test_every_diagonal_cell_gets_the_toggle_and_stays_in_order(self, pi):
+        shape, rows = pi.shape, pi.rows
         width = shape.frame.width
-        grid = _to_frame(shape, rows)
-        parts = list(shape.parts)
-        try:
-            _peel(grid, width, parts, (x,))
-            fired = False
-        except ValueError:
-            fired = True
-        assert parts == list(shape.remove_corner(x).parts)
-        after = _from_frame(grid, width, parts)
-        assert {u: after[u[0] - 1][u[1] - 1] for u in toggled} == expected
-        assert fired == (not _monotone_around(after, parts, toggled))
+        for x in shape.corners()[1]:
+            r, s = x
+            toggled = [(i, i + s - r) for i in range(max(1, 1 - s + r), r)]
+            expected = {
+                (i, j): max(pi.value_ext(i - 1, j), pi.value_ext(i, j - 1))
+                + min(pi.value_ext(i, j + 1), pi.value_ext(i + 1, j))
+                - rows[i - 1][j - 1]
+                for i, j in toggled
+            }
+            grid = _to_frame(shape, rows)
+            parts = list(shape.parts)
+            counts = _peel(grid, width, parts, (x,))
+            assert parts == list(shape.remove_corner(x).parts)
+            assert counts[r * width + s] == rows[r - 1][s - 1] - max(
+                pi.value_ext(r - 1, s), pi.value_ext(r, s - 1)
+            )
+            after = _from_frame(grid, width, parts)
+            assert {u: after[u[0] - 1][u[1] - 1] for u in toggled} == expected
+            assert _monotone_around(after, parts, toggled)

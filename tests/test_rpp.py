@@ -2,9 +2,11 @@ import math
 
 import pytest
 
-from rimhooks import Partition, Region, Rpp, content
+from hypothesis import given, settings, strategies as st
+
+from rimhooks import Partition, Region, Rpp, Tableau, content
 from rimhooks.enumeration import enumerate_rpps
-from conftest import all_partitions
+from conftest import all_partitions, partitions
 
 
 class TestValidate:
@@ -131,3 +133,21 @@ class TestEquality:
     def test_hashable(self):
         shape = Partition((2,))
         assert len({Rpp(shape, ((0, 1),)), Rpp(shape, ((0, 1),))}) == 1
+
+
+@st.composite
+def tableaux(draw):
+    shape = draw(partitions)
+    return Tableau(shape, [[draw(st.integers(0, 3)) for _ in range(p)] for p in shape.parts])
+
+
+class TestWeightedSize:
+    @settings(max_examples=300, deadline=None)
+    @given(tableaux())
+    def test_equals_the_sum_of_hook_lengths(self, t):
+        assert t.weighted_size == sum(v * t.shape.hook_length(u) for u, v in t.entries())
+
+    def test_counts_every_cell_of_each_hook_once(self):
+        for shape in all_partitions(8):
+            ones = Tableau(shape, [[1] * p for p in shape.parts])
+            assert ones.weighted_size == sum(len(h) for h in shape.rim_hooks())

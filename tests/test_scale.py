@@ -89,6 +89,17 @@ def test_peeling_row_by_row(built):
     assert peel_tableau(pi, order) == peel_tableau(pi) == t
 
 
+def test_peeling_a_large_square_that_holds_one_hook():
+    # each corner's toggles stop at the first zero north-west of it, so this
+    # costs O(cells), not a whole diagonal per corner
+    shape = Partition((100,) * 100)
+    rows = [[0] * 100 for _ in range(100)]
+    rows[0][0] = 1
+    t = Tableau(shape, rows)
+    pi = build(t)
+    assert peel_tableau(pi) == factorize(pi).to_tableau() == t
+
+
 def test_rsk_round_trip(built):
     t, _ = built
     assert rsk_inv(rsk(t), t.shape) == t
