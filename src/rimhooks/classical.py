@@ -19,7 +19,7 @@ from threading import Lock
 from typing import Iterator, Literal, Sequence
 
 from .geometry import Cell, Partition, _parse_ints, format_cell
-from .rpp import Rpp, Tableau, _from_frame, _raise_path_error, _to_frame
+from .rpp import Rpp, Tableau, _from_frame, _to_frame
 
 ChainKind = Literal["weak", "strict"]
 Entries = tuple[tuple[Cell, int], ...]
@@ -29,28 +29,26 @@ def _hg_step(shape: Partition, grid: list, start_col: int) -> list[int]:
     """Subtract 1 along the forward walk from the bottom of column start_col, in place.
 
     `grid` holds a reverse plane partition of `shape` laid out on
-    `shape.frame`, with a nonzero entry at the bottom of column start_col.
-    One loop walks north on equality and east otherwise, and subtracts 1 at
-    each cell as it steps. Entries along the walk never fall below the
-    start's, so it never steps north into row 0, and the east step tests
-    that it stays in the diagram. Every read lies north-east of the cells
-    already changed, so the walk is the one on the unchanged filling.
+    `shape.frame`, with a nonzero entry at the bottom of column start_col
+    and only 0s west of that column. One loop walks north on equality and
+    east otherwise, and subtracts 1 at each cell as it steps. Entries along
+    the walk never fall below the start's, so it never steps north into row
+    0, and the east step tests that it stays in the diagram. Every read lies
+    north-east of the cells already changed, so the walk is the one on the
+    unchanged filling.
 
-    Subtracting 1 can break only west and north edges, and only the west
-    edge of the start is tested; `hg` passes it by starting at the first
-    nonzero column. North holds because the walk steps north onto an equal
-    value, which loses 1 too, and otherwise found it unequal, hence smaller.
-    West holds after an east step (the previous cell lost 1 too) and after a
-    north step, where it lies above the start's west neighbour or above the
-    value north of the cell the walk came east from, found smaller. Returns
-    the path positions. When the test fails, the walk still finishes, every
-    changed cell is restored, and the ValueError of `Rpp.with_path` for the
-    path is raised.
+    Subtracting 1 can break only west and north edges, and on this input
+    neither breaks, so nothing is tested. The start's west neighbour is 0,
+    below the start's entry. North holds because the walk steps north onto
+    an equal value, which loses 1 too, and otherwise found it unequal, hence
+    smaller. West holds after an east step (the previous cell lost 1 too)
+    and after a north step, where it lies above the start's west neighbour
+    or above the value north of the cell the walk came east from, found
+    smaller. Returns the path positions.
     """
     frame = shape.frame
     width, inside = frame.width, frame.inside
     p = shape._conjugate_parts[start_col - 1] * width + start_col
-    ok = grid[p] > grid[p - 1]
     path = [p]
     while True:
         v = grid[p]
@@ -62,18 +60,16 @@ def _hg_step(shape: Partition, grid: list, start_col: int) -> list[int]:
         else:
             break
         path.append(p)
-    if not ok:
-        for q in path:
-            grid[q] += 1
-        _raise_path_error(shape, grid, path, -1)
     return path
 
 
 def hg(pi: Rpp) -> Tableau:
     """The Hillman-Grassl image of a reverse plane partition.
 
-    The walks decrement one grid in place, so the cost is
-    O(cells + hooks x hook length).
+    Each walk starts at the first column whose bottom entry is nonzero, so
+    every column west of it holds only 0s and the walk keeps the filling
+    ordered (`_hg_step`); nothing is tested. The walks decrement one grid in
+    place, so the cost is O(cells + hooks x hook length).
     """
     shape = pi.shape
     conj = shape._conjugate_parts

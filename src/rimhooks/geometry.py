@@ -16,7 +16,7 @@ from enum import Enum
 from functools import cached_property
 from operator import ge
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Cell = tuple[int, int]
 
@@ -326,14 +326,24 @@ class Partition:
 
     def remove_corner(self, x: Cell) -> "Partition":
         """The partition with the outer corner x removed."""
-        _, outer = self.corners()
-        if x not in outer:
-            raise ValueError(f"{format_cell(x)} is not an outer corner of {self}")
+        _require_outer_corner(self.parts, *x)
         parts = list(self.parts)
         parts[x[0] - 1] -= 1
-        if parts and parts[-1] == 0:
+        if parts[-1] == 0:
             parts.pop()
         return Partition(parts)
+
+
+def _require_outer_corner(parts: Sequence[int], r: int, s: int) -> None:
+    """Raise the ValueError "(r,s) is not an outer corner of <parts>" unless it is one.
+
+    An outer corner ends its row, and the row below, if any, is shorter: O(1)
+    on `parts`.
+    """
+    n = len(parts)
+    if not (0 < r <= n and parts[r - 1] == s and (r == n or parts[r] < s)):
+        shape = Partition(parts) if parts else "the empty diagram"
+        raise ValueError(f"{format_cell((r, s))} is not an outer corner of {shape}")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .geometry import (
     parse_cell,
     revlex_key,
 )
-from .rpp import Rpp, Tableau, _candidates_among, _from_frame, _raise_path_error, _to_frame
+from .rpp import Rpp, Tableau, _candidates_among, _from_frame, _to_frame
 
 
 class Orientation(Enum):
@@ -204,38 +204,37 @@ def _insertion_walk(shape: Partition, grid: list, tail: int, length: int) -> tup
 
 
 def _extraction_walk(shape: Partition, grid: list, v: int) -> tuple[list[int], bool, list[int]]:
-    """Extract the rim-hook that starts at position v of `grid`, in place.
+    """Extract the rim-hook that starts at the candidate position v of `grid`, in place.
 
     `grid` holds a reverse plane partition of `shape` laid out on
-    `shape.frame`; v is a candidate, or any cell with a nonzero entry. One
-    loop walks the path of `extraction_path` and subtracts 1 at each cell as
-    it steps. Entries along the walk never fall below the start's, so it
-    never steps north into row 0. Both east steps test that they stay in the
-    diagram, although a forced one never leaves it: no row ends on an inner
-    diagonal or in band A. Every read lies north-east of the cells already
-    changed, so the walk is the one on the unchanged filling.
+    `shape.frame`. One loop walks the path of `extraction_path` and
+    subtracts 1 at each cell as it steps. Entries along the walk never fall
+    below the start's, so it never steps north into row 0, and no row ends
+    on an inner diagonal or in band A, so a forced east step stays in the
+    diagram. Every read lies north-east of the cells already changed, so the
+    walk is the one on the unchanged filling.
 
-    Subtracting 1 can break only west and north edges. The loop tests the
-    north edge before a forced east step (before a north step the cell above
-    loses 1 too, and before any other step the walk found it unequal, hence
-    smaller), and the west edge at the start, which a candidate passes; with
-    the 0 of column 0 that is also non-negativity. The west edge follows
-    elsewhere: after an east step it is the previous cell. After a north
-    step it lies above the start's west neighbour, or in the column of the
-    cell the walk came east from into the bottom of this vertical run, above
-    that cell's north neighbour, which is below the run's value unless the
-    north test there failed: the walk found it unequal there, or tested it.
+    Subtracting 1 can break only west and north edges. West holds at the
+    start, a candidate, and after an east step (the previous cell). After a
+    north step it lies above the start's west neighbour, or in the column of
+    the cell the walk came east from into the bottom of this vertical run,
+    above that cell's north neighbour, which is below the run's value unless
+    the north test there failed: the walk found it unequal there, or tested
+    it. North holds before a north step (the cell above loses 1 too) and
+    before an unforced east step or the end (found unequal, hence smaller).
+    Before a forced east step it is tested: from the candidate (2,1) of
+    (3,3) ((0,1,1),(1,1,2)), not content-minimal, the walk steps east from
+    (2,2) below an equal 1, so only the extraction theorem rules a failure
+    out at the minimal one.
 
-    Returns the positions, whether every test held and the walk stayed in
-    the diagram, and the guard of `_extractions`: v, then the position south
-    of b for each east step a -> b, which both east branches record as they
-    step. On a failure the walk still finishes, so the path is the same, and
-    every changed cell is restored.
+    Returns the positions, whether the north test held, and the guard of
+    `_extractions`: v, then the position south of b for each east step
+    a -> b, which both east branches record as they step.
     """
     frame = shape.frame
     width, east_forced, inside = frame.width, frame.east_forced, frame.inside
     p = v
-    ok = grid[p] > grid[p - 1]
+    ok = True
     path = [p]
     guard = [p]
     while True:
@@ -246,11 +245,6 @@ def _extraction_walk(shape: Partition, grid: list, v: int) -> tuple[list[int], b
                 ok = False
             p += 1
             guard.append(p + width)
-            if not inside[p]:
-                path.append(p)
-                for q in path[:-1]:
-                    grid[q] += 1
-                return path, False, guard
         elif u == grid[p - width]:
             p -= width
         elif inside[p + 1]:
@@ -259,25 +253,7 @@ def _extraction_walk(shape: Partition, grid: list, v: int) -> tuple[list[int], b
         else:
             break
         path.append(p)
-    if not ok:
-        for q in path:
-            grid[q] += 1
     return path, ok, guard
-
-
-def _anchor_of_walk(shape: Partition, tail: Cell, length: int) -> Cell:
-    """Anchor of the unique rim-hook with this tail and this many cells."""
-    i, j = tail
-    if shape.row_length(i) != j:
-        raise RuntimeError(
-            f"path tail {format_cell((i, j))} is not at the end of row {i} of {shape}"
-        )
-    col = shape._column_by_head_content.get(j - i + 1 - length)
-    if col is None or col > j:
-        raise RuntimeError(
-            f"no rim-hook of {shape} has tail {format_cell((i, j))} and {length} cells"
-        )
-    return (i, col)
 
 
 def is_compatible(path: LatticePath, pi: Rpp) -> bool:
@@ -368,7 +344,8 @@ def extraction_path(v: Cell, pi: Rpp) -> LatticePath:
     cells whose value equals the one above; step east from inner-diagonal or
     band-A cells, and from the others while the row continues; stop at the end
     of a row when the value above is strictly smaller. Both greedy rules are
-    deterministic, so no tie-breaking is ever needed.
+    deterministic, so no tie-breaking is ever needed. From a candidate that
+    is not content-minimal, subtracting 1 along the walk may break the order.
     """
     shape = pi.shape
     width = shape.frame.width
@@ -381,8 +358,21 @@ def extraction_path(v: Cell, pi: Rpp) -> LatticePath:
 
 
 def rim_hook_of_path(path: LatticePath, shape: Partition) -> RimHook:
-    """The unique rim-hook with the same tail and the same number of cells."""
-    return shape.rim_hook(_anchor_of_walk(shape, path.tail, len(path)))
+    """The unique rim-hook with the same tail and the same number of cells.
+
+    Raises RuntimeError, naming the tail, when there is none.
+    """
+    (i, j), length = path.tail, len(path)
+    if shape.row_length(i) != j:
+        raise RuntimeError(
+            f"path tail {format_cell((i, j))} is not at the end of row {i} of {shape}"
+        )
+    col = shape._column_by_head_content.get(j - i + 1 - length)
+    if col is None or col > j:
+        raise RuntimeError(
+            f"no rim-hook of {shape} has tail {format_cell((i, j))} and {length} cells"
+        )
+    return shape.rim_hook((i, col))
 
 
 def is_factor(hook: RimHook, pi: Rpp) -> bool:
@@ -431,7 +421,9 @@ def _extractions(pi: Rpp) -> Iterator[tuple[Cell, list[int], list]]:
     after an outer or band-B one is one of those), where no candidate sits;
     and south of b after an east step a -> b. So the guard re-tests v and
     one cell per east step, which `_extraction_walk` lists as it walks, and
-    any candidate among them but v raises.
+    any candidate among them but v raises. So does a walk that fails its
+    north test or ends on no rim-hook, which the extraction theorem rules
+    out at the content-minimal candidate; each dump names the filling.
     """
     shape = pi.shape
     frame = shape.frame
@@ -446,9 +438,11 @@ def _extractions(pi: Rpp) -> Iterator[tuple[Cell, list[int], list]]:
             i, j = divmod(path[-1], width)
             col = heads.get(j - i + 1 - len(path), j + 1)
             if not ok or col > j:
-                # an ok walk ends a row; a bad tail is reported before a bad path
-                _anchor_of_walk(shape, (i, j), len(path))
-                _raise_path_error(shape, grid, path, -1)
+                raise RuntimeError(
+                    f"extraction at {format_cell(divmod(v, width))} broke the order or "
+                    "ended on no rim-hook, against the extraction theorem "
+                    f"(shape {shape}, filling {pi.rows!r}, anchors {anchors})"
+                )
             anchor = (i, col)
             if anchors and revlex_key(anchor) < revlex_key(anchors[-1]):
                 raise RuntimeError(

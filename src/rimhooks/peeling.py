@@ -13,22 +13,10 @@ differential test.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .geometry import Cell, Partition, format_cell, north, west
+from .geometry import Cell, Partition, _require_outer_corner, format_cell, north, west
 from .rpp import Rpp, Tableau, _from_frame, _to_frame
-
-
-def _require_outer_corner(parts: Sequence[int], r: int, s: int) -> None:
-    """Raise the ValueError "(r,s) is not an outer corner of <parts>" unless it is one.
-
-    An outer corner ends its row, and the row below, if any, is shorter: O(1)
-    on `parts`.
-    """
-    n = len(parts)
-    if not (0 < r <= n and parts[r - 1] == s and (r == n or parts[r] < s)):
-        shape = Partition(parts) if parts else "the empty diagram"
-        raise ValueError(f"{format_cell((r, s))} is not an outer corner of {shape}")
 
 
 def _peel(grid: list, width: int, parts: list[int], corners: Iterable[Cell]) -> list:

@@ -1,6 +1,5 @@
 """Reverse plane partitions and hook-count tableaux: extended-value lookup,
-sizes, traces, candidates, and the frame layout and path error the bijection
-kernels share."""
+sizes, traces, candidates, and the frame layout the bijection kernels share."""
 
 from __future__ import annotations
 
@@ -8,7 +7,7 @@ import json
 import math
 from functools import cached_property
 from operator import le
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .geometry import (
     Cell,
@@ -273,18 +272,3 @@ def _candidates_among(shape: Partition, grid: Sequence, positions: Iterable[int]
         kind = kinds[p]
         if kind and (v := grid[p]) > grid[p - 1] and (kind is outer or v > grid[p - width]):
             yield p
-
-
-def _raise_path_error(shape: Partition, grid: Sequence, positions: Sequence[int], delta: int) -> NoReturn:
-    """Raise the ValueError of `with_path` for a path update that a kernel's walk rejected.
-
-    `grid` holds the filling of `shape` laid out on `shape.frame` as it was
-    before the update (the walk has restored it), and `positions` is the
-    walk's path. The message names the first path cell outside the diagram,
-    or else the first cell where the updated filling breaks an order.
-    """
-    width = shape.frame.width
-    Rpp(shape, _from_frame(grid, width, shape.parts)).with_path(
-        [divmod(p, width) for p in positions], delta
-    )
-    raise RuntimeError(f"a walk on {shape} rejected a path update that with_path accepts")

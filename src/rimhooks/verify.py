@@ -359,9 +359,8 @@ def suite_crossing(config: VerifyConfig) -> list[CheckResult]:
         stab_checked, stab_failed = 0, 0
         for pi in fillings:
             candidates = pi.candidates()
-            hooks_at = {
-                u: rim_hook_of_path(extraction_path(u, pi), shape) for u in candidates
-            }
+            paths = {u: extraction_path(u, pi) for u in candidates}
+            hooks_at = {u: rim_hook_of_path(path, shape) for u, path in paths.items()}
             for hook in hooks:
                 head_key = content_key(insertion_path(hook, pi).head)
                 for u in candidates:
@@ -372,8 +371,7 @@ def suite_crossing(config: VerifyConfig) -> list[CheckResult]:
                     if head_key <= content_key(u):
                         if rim_hook_key(hook) > rim_hook_key(hooks_at[u]):
                             cross_failed += 1
-            for v in candidates:
-                path = extraction_path(v, pi)
+            for v, path in paths.items():
                 if not is_compatible(path, pi):
                     continue
                 try:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -203,6 +204,30 @@ class TestCorners:
     def test_matches_cell_scan_oracle(self):
         for shape in all_partitions(10):
             assert shape.corners() == corner_cells_oracle(shape)
+
+    def test_remove_corner_against_the_corner_list(self):
+        for shape in all_partitions(8):
+            outer = shape.corners()[1]
+            for x in [(i, j) for i in range(5 + shape.length) for j in range(5 + shape.parts[0])]:
+                if x in outer:
+                    assert shape.remove_corner(x).size == shape.size - 1
+                else:
+                    message = f"^{re.escape(format_cell(x))} is not an outer corner of {shape}$"
+                    with pytest.raises(ValueError, match=message):
+                        shape.remove_corner(x)
+
+    @pytest.mark.parametrize(
+        "parts, x, message",
+        [
+            ((3, 3, 3), (2, 3), "(2,3) is not an outer corner of 3,3,3"),
+            ((3, 3, 2), (3, 3), "(3,3) is not an outer corner of 3,3,2"),
+            ((2, 1), (0, 2), "(0,2) is not an outer corner of 2,1"),
+            ((), (1, 1), "(1,1) is not an outer corner of the empty diagram"),
+        ],
+    )
+    def test_remove_corner_names_the_cell_and_the_shape(self, parts, x, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Partition(parts).remove_corner(x)
 
 
 class TestRegions:

@@ -26,14 +26,13 @@ from rimhooks.enumeration import enumerate_rpps, enumerate_sw_paths
 from rimhooks.insertion import (
     LatticePath,
     Orientation,
-    _anchor_of_walk,
     _extraction_walk,
     _insertion_walk,
     build,
     is_factor,
 )
 from rimhooks.peeling import _peel
-from rimhooks.rpp import _candidates_among, _from_frame, _raise_path_error, _to_frame
+from rimhooks.rpp import _candidates_among, _from_frame, _to_frame
 from conftest import all_partitions, rpps
 
 
@@ -168,6 +167,22 @@ class TestOnePassFactorization:
         assert repr(pi.rows) in message and "shape 3,3" in message
         assert "(2,3)" in message
 
+    def test_a_walk_that_breaks_the_order_raises_naming_the_filling(self, monkeypatch):
+        # Visited first, the candidate (2,1), which is not content-minimal,
+        # starts a walk that fails its north test at (2,2).
+        pi = Rpp(Partition((3, 3)), ((0, 1, 1), (1, 1, 2)))
+        frame = pi.shape.frame
+        start = 2 * frame.width + 1
+        skewed = (start,) + tuple(p for p in frame.candidate_order if p != start)
+        monkeypatch.setitem(
+            pi.shape.__dict__, "frame", dataclasses.replace(frame, candidate_order=skewed)
+        )
+        with pytest.raises(RuntimeError, match="extraction theorem") as raised:
+            factorize(pi)
+        message = str(raised.value)
+        assert message.startswith("extraction at (2,1) ")
+        assert repr(pi.rows) in message and "shape 3,3" in message
+
 
 def _new_candidates_by_kind(pi):
     """Extract at every candidate v of `pi` in turn; sort the cells that turn into candidates.
@@ -183,7 +198,10 @@ def _new_candidates_by_kind(pi):
     kinds = Counter()
     for v in before:
         grid = _to_frame(shape, pi.rows)
-        path = _extraction_walk(shape, grid, v[0] * width + v[1])[0]
+        path, ok, _ = _extraction_walk(shape, grid, v[0] * width + v[1])
+        if not ok:
+            # the walk broke the order, so it extracted nothing
+            continue
         cells = [divmod(p, width) for p in path]
         guarded = {south(b): "south of b" for a, b in zip(cells, cells[1:]) if b == east(a)}
         guarded[south(v)] = "south of v"
@@ -218,18 +236,17 @@ class TestGuardLemma:
 
 
 def _check_extraction_guards(pi):
-    """The guard `_extraction_walk` records, from every cell with a nonzero
-    entry, against the one read off its path: v, then b + width for each east
-    step a -> b. Returns how many east steps the walks took."""
+    """The guard `_extraction_walk` records, from every candidate, against the
+    one read off its path: v, then b + width for each east step a -> b.
+    Returns how many east steps the walks took."""
     shape = pi.shape
     width = shape.frame.width
     east_steps = 0
-    for i, j in shape.cells():
-        if pi.value((i, j)):
-            path, _, guard = _extraction_walk(shape, _to_frame(shape, pi.rows), i * width + j)
-            expected = [path[0]] + [b + width for a, b in zip(path, path[1:]) if b == a + 1]
-            assert guard == expected
-            east_steps += len(guard) - 1
+    for i, j in sorted(pi.candidates()):
+        path, _, guard = _extraction_walk(shape, _to_frame(shape, pi.rows), i * width + j)
+        expected = [path[0]] + [b + width for a, b in zip(path, path[1:]) if b == a + 1]
+        assert guard == expected
+        east_steps += len(guard) - 1
     return east_steps
 
 
@@ -317,7 +334,7 @@ def _with_path_outcome(pi, cells, delta):
         return None, str(exc)
 
 
-def _check_walk(pi, grid, positions, ok, cells, delta, compatible=True):
+def _check_walk(pi, grid, ok, cells, delta, compatible=True):
     """A walker's outcome against the per-cell walk `cells` followed by `with_path`.
 
     Returns "ok", "incompatible" or "order".
@@ -328,22 +345,17 @@ def _check_walk(pi, grid, positions, ok, cells, delta, compatible=True):
     if ok:
         assert grid == _to_frame(shape, expected.rows)
         return "ok"
-    # the walk restored every cell it changed
-    assert grid == _to_frame(shape, pi.rows)
-    if error is None:
-        return "incompatible"
-    with pytest.raises(ValueError) as raised:
-        _raise_path_error(shape, grid, positions, delta)
-    assert str(raised.value) == error
-    assert grid == _to_frame(shape, pi.rows)
-    return "order"
+    if delta > 0:
+        # a failed insertion restores every cell it changed
+        assert grid == _to_frame(shape, pi.rows)
+    return "order" if error else "incompatible"
 
 
 def _check_insertion_and_extraction_walks(pi):
     """Both single-loop walkers on `pi`, against the per-cell walks, `with_path` and
     `is_compatible`: every row end with every walk length (every rim-hook, and
-    walks that leave the diagram west), and every cell with a nonzero entry.
-    Returns a tally of the outcomes."""
+    walks that leave the diagram west), and every candidate. Returns a tally
+    of the outcomes."""
     shape, rows = pi.shape, pi.rows
     width = shape.frame.width
     outcomes = Counter()
@@ -367,17 +379,15 @@ def _check_insertion_and_extraction_walks(pi):
                 assert is_compatible(path, pi) == compatible
                 # set-based, so the reversed path reads the same
                 assert is_compatible(path.reverse(), pi) == compatible
-            outcome = _check_walk(pi, grid, positions, ok, cells, +1, compatible)
+            outcome = _check_walk(pi, grid, ok, cells, +1, compatible)
             outcomes["insert", outcome if inside else "left west"] += 1
-    # from every candidate, not only the minimal one, and from every other
-    # nonzero cell, where the first cell may already break its west edge
-    for v in shape.cells():
-        if pi.value(v):
-            cells = _extraction_walk_per_cell(shape, rows, v)
-            grid = _to_frame(shape, rows)
-            positions, ok, _ = _extraction_walk(shape, grid, v[0] * width + v[1])
-            assert [divmod(q, width) for q in positions] == cells
-            outcomes["extract", _check_walk(pi, grid, positions, ok, cells, -1)] += 1
+    # from every candidate, not only the minimal one, where the north test may fail
+    for v in sorted(pi.candidates()):
+        cells = _extraction_walk_per_cell(shape, rows, v)
+        grid = _to_frame(shape, rows)
+        positions, ok, _ = _extraction_walk(shape, grid, v[0] * width + v[1])
+        assert [divmod(q, width) for q in positions] == cells
+        outcomes["extract", _check_walk(pi, grid, ok, cells, -1)] += 1
     return outcomes
 
 
@@ -410,33 +420,27 @@ def _hg_inv_walk_per_cell(pi, f, s):
 
 
 def _check_hillman_grassl_steps(pi):
-    """The per-hook steps of `hg` and `hg_inv` from every start, against the
-    per-cell walks followed by `with_path`. Returns a tally of the outcomes.
+    """The per-hook steps of `hg` and `hg_inv`, against the per-cell walks
+    followed by `with_path`. Returns a tally of the outcomes.
 
-    `hg` starts only at the first nonzero column; from any later one the
-    first cell may break its west edge. `hg_inv` runs its hooks in one
-    order, but from any start its walk keeps the filling ordered, which is
-    why its step tests nothing.
+    `hg` starts only at the first column whose bottom entry is nonzero, and
+    from there its walk keeps the filling ordered. `hg_inv` runs its hooks
+    in one order, but from any start its walk keeps the filling ordered, so
+    both steps test nothing.
     """
     shape, rows = pi.shape, pi.rows
     width = shape.frame.width
     outcomes = Counter()
-    for j in range(1, shape.row_length(1) + 1):
-        if not pi.value((shape.col_length(j), j)):
-            continue
-        cells = _hg_walk_per_cell(pi, j)
+    columns = range(1, shape.row_length(1) + 1)
+    start = next((j for j in columns if pi.value((shape.col_length(j), j))), None)
+    if start is not None:
+        cells = _hg_walk_per_cell(pi, start)
         expected, error = _with_path_outcome(pi, cells, -1)
+        assert error is None
         grid = _to_frame(shape, rows)
-        if error is None:
-            assert [divmod(q, width) for q in _hg_step(shape, grid, j)] == cells
-            assert grid == _to_frame(shape, expected.rows)
-            outcomes["hg", "ok"] += 1
-        else:
-            with pytest.raises(ValueError) as raised:
-                _hg_step(shape, grid, j)
-            assert str(raised.value) == error
-            assert grid == _to_frame(shape, rows)
-            outcomes["hg", "order"] += 1
+        assert [divmod(q, width) for q in _hg_step(shape, grid, start)] == cells
+        assert grid == _to_frame(shape, expected.rows)
+        outcomes["hg", "ok"] += 1
     for f, s in shape.cells():
         expected, error = _with_path_outcome(pi, _hg_inv_walk_per_cell(pi, f, s), +1)
         assert error is None
@@ -457,7 +461,7 @@ class TestHillmanGrasslSteps:
         outcomes = Counter()
         for pi in _small_fillings():
             outcomes += _check_hillman_grassl_steps(pi)
-        assert set(outcomes) == {("hg", "ok"), ("hg", "order"), ("hg_inv", "ok")}
+        assert set(outcomes) == {("hg", "ok"), ("hg_inv", "ok")}
 
 
 class TestInlineKernelsMatchPerCellLogic:
@@ -493,33 +497,33 @@ class TestInlineKernelsMatchPerCellLogic:
         outcomes = Counter()
         for pi in _small_fillings():
             outcomes += _check_insertion_and_extraction_walks(pi)
-        # every branch of both walkers, failures included, is reached
+        # every branch of the insertion walker, failures included, is
+        # reached; from these candidates the extraction walk never fails
         assert set(outcomes) == {
             ("insert", "ok"),
             ("insert", "left west"),
             ("insert", "incompatible"),
             ("insert", "order"),
             ("extract", "ok"),
-            ("extract", "order"),
         }
 
-    def test_a_forced_east_step_out_of_the_diagram_is_refused(self, monkeypatch):
-        # No row ends on an inner diagonal or in band A, so only a frame that
-        # forces an east step at the end of a row takes the walk outside.
-        pi = Rpp(Partition((1,)), ((1,),))
-        frame = pi.shape.frame
-        width = frame.width
-        forced = list(frame.east_forced)
-        forced[width + 1] = True
-        monkeypatch.setitem(
-            pi.shape.__dict__, "frame", dataclasses.replace(frame, east_forced=tuple(forced))
-        )
-        grid = _to_frame(pi.shape, pi.rows)
-        positions, ok, guard = _extraction_walk(pi.shape, grid, width + 1)
-        assert (positions, ok, guard) == ([width + 1, width + 2], False, [width + 1, 2 * width + 2])
-        assert grid == _to_frame(pi.shape, pi.rows)
-        with pytest.raises(ValueError, match=r"^cell \(1,2\) lies outside the shape 1$"):
-            _raise_path_error(pi.shape, grid, positions, -1)
+    def test_the_north_test_fails_from_a_candidate_that_is_not_minimal(self):
+        # From (2,1) the walk steps east from (2,2), whose 1 equals the 1
+        # above it, and subtracting 1 there breaks the column.
+        pi = Rpp(Partition((3, 3)), ((0, 1, 1), (1, 1, 2)))
+        assert (2, 1) in pi.candidates() and pi.min_candidate() == (2, 3)
+        outcomes = _check_insertion_and_extraction_walks(pi)
+        assert outcomes["extract", "order"] == 1 and outcomes["extract", "ok"] == 2
+
+    def test_no_row_end_forces_an_east_step(self):
+        # so a forced east step of the extraction walk never leaves the diagram
+        row_ends = 0
+        for shape in all_partitions(15):
+            frame = shape.frame
+            for i, p in enumerate(shape.parts, start=1):
+                assert not frame.east_forced[i * frame.width + p]
+                row_ends += 1
+        assert row_ends == 3615
 
     def test_a_failed_insertion_is_reported_on_the_filling_before_it(self, monkeypatch):
         # Forcing an east step at the end of the first row makes the second
@@ -539,18 +543,23 @@ class TestInlineKernelsMatchPerCellLogic:
     @settings(max_examples=200, deadline=None)
     @given(rpps())
     def test_anchor_lookup_against_every_rim_hook(self, pi):
+        # through north-east paths along the row, which may leave it west
         shape = pi.shape
         hooks = {(h.tail, len(h)): h.anchor for h in shape.rim_hooks()}
+
+        def along_row(i, j, length):
+            return LatticePath(tuple((i, j - k) for k in reversed(range(length))), Orientation.NE)
+
         for i, p in enumerate(shape.parts, start=1):
             for length in range(1, p + shape.length + 1):
                 expected = hooks.get(((i, p), length))
                 if expected is None:
                     with pytest.raises(RuntimeError, match="no rim-hook"):
-                        _anchor_of_walk(shape, (i, p), length)
+                        rim_hook_of_path(along_row(i, p, length), shape)
                 else:
-                    assert _anchor_of_walk(shape, (i, p), length) == expected
+                    assert rim_hook_of_path(along_row(i, p, length), shape).anchor == expected
         with pytest.raises(RuntimeError, match="is not at the end of row"):
-            _anchor_of_walk(shape, (1, shape.parts[0] - 1), 1)
+            rim_hook_of_path(along_row(1, shape.parts[0] - 1, 1), shape)
 
 
 class TestFrame:
