@@ -324,14 +324,28 @@ class Partition:
         """All rim-hooks, smallest first in the rim-hook order."""
         return [self.rim_hook(u) for u in self.revlex_cells]
 
+    @cached_property
+    def _reduced(self) -> dict[Cell, "Partition"]:
+        # remove_corner's results by corner, kept as long as this partition
+        return {}
+
     def remove_corner(self, x: Cell) -> "Partition":
-        """The partition with the outer corner x removed."""
+        """The partition with the outer corner x removed.
+
+        The result is shared per (shape, corner): every call on this
+        partition with the same x returns the same object, so its cached
+        tables, `frame` among them, are built once.
+        """
         _require_outer_corner(self.parts, *x)
-        parts = list(self.parts)
-        parts[x[0] - 1] -= 1
-        if parts[-1] == 0:
-            parts.pop()
-        return Partition(parts)
+        key = tuple(x)
+        reduced = self._reduced.get(key)
+        if reduced is None:
+            parts = list(self.parts)
+            parts[x[0] - 1] -= 1
+            if parts[-1] == 0:
+                parts.pop()
+            reduced = self._reduced[key] = Partition(parts)
+        return reduced
 
 
 def _require_outer_corner(parts: Sequence[int], r: int, s: int) -> None:

@@ -74,14 +74,15 @@ def corner_toggle(pi: Rpp, x: Cell) -> Rpp:
     diagonal becomes max(north, west) + min(east, south) - value(u), with
     neighbours read through the extended lookup of the original filling. The
     min is always finite: u has a diagonal successor inside the original
-    shape, so at least one of east/south exists.
+    shape, so at least one of east/south exists. The result's shape is
+    `pi.shape.remove_corner(x)`, the one object that call returns.
     """
     shape = pi.shape
     width = shape.frame.width
     grid = _to_frame(shape, pi.rows)
     parts = list(shape.parts)
     _peel(grid, width, parts, (x,))
-    return Rpp(Partition(parts), _from_frame(grid, width, parts))
+    return Rpp(shape.remove_corner(x), _from_frame(grid, width, parts))
 
 
 def corner_is_tight(pi: Rpp, x: Cell) -> bool:

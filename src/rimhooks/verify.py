@@ -2,8 +2,10 @@
 
 Each suite returns one CheckResult per unit of work; the CLI `verify`
 subcommand and the acceptance tests both run through this module, so the two
-always agree. `run_suites` can shard suites across processes; results are
-aggregated in a fixed order so runs are deterministic for a given
+always agree. `run_suites(..., jobs=N)` runs whole suites in N processes, so
+a single suite always runs in one process. The process pool is imported only
+when N > 1 and two or more suites run, so a serial run never loads it.
+Results are aggregated in a fixed order so runs are deterministic for a given
 configuration (seed included).
 """
 
@@ -11,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Sequence
@@ -617,6 +618,9 @@ def run_suites(
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     units = [(name, config) for name in expanded]
     if jobs > 1 and len(units) > 1:
+        # imported here: the serial path, the CLI default, must not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             grouped = list(pool.map(_run_one, units))
     else:

@@ -4,6 +4,11 @@ Each test prints one PASS/FAIL line; run with `pytest tests/test_acceptance.py -
 to see them all, or `rimhooks verify all` for the same checks via the CLI.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from rimhooks.verify import VerifyConfig, run_suites
 
 CONFIG = VerifyConfig()  # acceptance bounds are the defaults
@@ -90,3 +95,30 @@ def test_criterion_10_classical_theorems():
 def test_parallel_jobs_match_serial():
     suites = ["golden", "diag", "gk"]
     assert run_suites(suites, CONFIG, jobs=2) == run_suites(suites, CONFIG)
+
+
+# A fresh interpreter: the serial CLI run must leave the process-pool stack
+# unloaded, and --jobs 2 over two suites must load it and match serial.
+_POOL_PROBE = """
+import io, sys
+from contextlib import redirect_stdout
+from rimhooks import cli
+from rimhooks.verify import VerifyConfig, run_suites
+
+with redirect_stdout(io.StringIO()):
+    assert cli.run(["verify", "golden"]) == 0
+assert "concurrent.futures.process" not in sys.modules, "a serial run loaded the pool"
+serial = run_suites(["golden", "syt"], VerifyConfig())
+assert run_suites(["golden", "syt"], VerifyConfig(), jobs=2) == serial
+assert "concurrent.futures.process" in sys.modules, "--jobs 2 did not use the pool"
+"""
+
+
+def test_a_serial_run_loads_no_process_pool():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", _POOL_PROBE], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr

@@ -216,6 +216,12 @@ class TestCorners:
                     with pytest.raises(ValueError, match=message):
                         shape.remove_corner(x)
 
+    def test_remove_corner_returns_one_object_per_corner(self):
+        shape = Partition((3, 2, 2))
+        for x in shape.corners()[1]:
+            assert shape.remove_corner(x) is shape.remove_corner(x)
+        assert shape.remove_corner((1, 3)) is not shape.remove_corner((3, 2))
+
     @pytest.mark.parametrize(
         "parts, x, message",
         [

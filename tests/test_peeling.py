@@ -33,6 +33,10 @@ class TestCornerToggle:
         toggled = corner_toggle(Rpp(Partition((1,)), ((5,),)), (1, 1))
         assert toggled.shape == Partition(()) and toggled.is_zero()
 
+    def test_shares_the_reduced_shape(self, steep_example):
+        for x in steep_example.shape.corners()[1]:
+            assert corner_toggle(steep_example, x).shape is steep_example.shape.remove_corner(x)
+
     def test_rejects_non_corner(self, steep_example):
         with pytest.raises(ValueError, match="outer corner"):
             corner_toggle(steep_example, (1, 1))
