@@ -10,7 +10,7 @@ is admissible.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -195,21 +195,16 @@ def biword(tableau: Tableau) -> list[tuple[int, int]]:
 
 
 def _row_insert(rows: list[list[int]], x: int) -> tuple[int, int]:
-    # returns the (0-indexed) position of the new box
-    r = 0
-    while True:
-        if r == len(rows):
-            rows.append([x])
-            return r, 0
-        row = rows[r]
-        for idx, val in enumerate(row):
-            if val > x:
-                row[idx], x = x, val
-                break
-        else:
+    # returns the (0-indexed) position of the new box; each row weakly
+    # increases, so x bumps its leftmost entry greater than x, by bisection
+    for r, row in enumerate(rows):
+        idx = bisect_right(row, x)
+        if idx == len(row):
             row.append(x)
-            return r, len(row) - 1
-        r += 1
+            return r, idx
+        row[idx], x = x, row[idx]
+    rows.append([x])
+    return len(rows) - 1, 0
 
 
 def rsk(tableau: Tableau) -> SsytPair:
@@ -249,7 +244,15 @@ def rsk_inv(pair: SsytPair, shape: Partition | None = None) -> Tableau:
         q[r].pop()
         for upper in range(r - 1, -1, -1):
             row = p[upper]
-            idx = max(k for k, entry in enumerate(row) if entry < x)
+            # x bumps back the rightmost entry less than x. P stays column-strict
+            # under reverse bumping, and x sat just below row `upper` in a
+            # column that row reaches, so the entry above it is less than x and
+            # idx >= 0 whenever SsytPair has checked P.
+            idx = bisect_left(row, x) - 1
+            if idx < 0:
+                raise ValueError(
+                    f"insertion tableau row {upper + 1} has no entry less than {x}"
+                )
             row[idx], x = x, row[idx]
         pairs.append((val, x))
     pairs.reverse()

@@ -2,18 +2,23 @@
 tableaux up to a weighted-size bound, and all south-west paths of a given
 length. Streams are duplicate-free, complete, and deterministically ordered,
 so the property suites can rely on them as ground truth. The filling and
-tableau streams share one iterative generator, `_grids`.
+tableau streams share one iterative generator, `_grids`, and each knows its
+exact length in advance from the hook-product formula (Stanley, "Theory and
+applications of plane partitions", 1971): it checks that length against the
+budget when the stream is opened, and against the items made when it ends.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .geometry import Cell, Partition, format_cell, south, west
 from .insertion import LatticePath, Orientation
 from .rpp import Rpp, Tableau
 
 DEFAULT_CEILING = 10_000_000
+
+T = TypeVar("T")
 
 
 class BudgetExceededError(RuntimeError):
@@ -91,20 +96,48 @@ def _grids(
             return
 
 
+def _budget(what: str, projected: int, ceiling: int) -> int:
+    if projected > ceiling:
+        raise BudgetExceededError(what, projected, ceiling)
+    return projected
+
+
+def _exact_stream(
+    make: Callable[[Partition, list[list[int]]], T],
+    shape: Partition,
+    bound: int,
+    expected: int,
+    what: str,
+    weights: Sequence[int] | None = None,
+    monotone: bool = False,
+) -> Iterator[T]:
+    made = 0
+    for rows in _grids(shape, bound, weights, monotone):
+        yield make(shape, rows)
+        made += 1
+    if made != expected:
+        raise RuntimeError(
+            f"enumerating {what} up to {bound} gave {made} items, "
+            f"but the hook-product count is {expected}"
+        )
+
+
 def enumerate_rpps(
     shape: Partition, bound: int, *, ceiling: int = DEFAULT_CEILING
 ) -> Iterator[Rpp]:
     """Every reverse plane partition of the shape with size at most `bound`.
 
     Emitted exactly once each, in row-major lexicographic order of the entry
-    grids. Raises BudgetExceededError when the projected count is over the
-    ceiling.
+    grids. The stream has exactly `projected_rpp_count(shape, bound)` items,
+    Stanley's hook-product count: the call raises BudgetExceededError, before
+    any item is made, when that count is over the ceiling, and a stream read
+    to its end raises RuntimeError if its length differs from it. Nothing is
+    held between items, so a reader that keeps nothing runs in constant
+    memory.
     """
-    projected = projected_rpp_count(shape, bound)
-    if projected > ceiling:
-        raise BudgetExceededError(f"fillings of {shape}", projected, ceiling)
-    for rows in _grids(shape, bound, monotone=True):
-        yield Rpp(shape, rows)
+    what = f"fillings of {shape}"
+    expected = _budget(what, projected_rpp_count(shape, bound), ceiling)
+    return _exact_stream(Rpp, shape, bound, expected, what, monotone=True)
 
 
 def enumerate_tableaux(
@@ -113,15 +146,13 @@ def enumerate_tableaux(
     """Every hook tableau with weighted size at most `bound`, exactly once.
 
     Weighted size is the count at each cell times that cell's hook length.
-    Same ordering and budget conventions as enumerate_rpps; the two streams
-    always have equal cardinality.
+    Same ordering, length, budget and count-check conventions as
+    enumerate_rpps; the two streams always have equal cardinality.
     """
-    projected = projected_rpp_count(shape, bound)
-    if projected > ceiling:
-        raise BudgetExceededError(f"hook tableaux of {shape}", projected, ceiling)
+    what = f"hook tableaux of {shape}"
+    expected = _budget(what, projected_rpp_count(shape, bound), ceiling)
     weights = [shape.hook_length(u) for u in shape.cells()]
-    for rows in _grids(shape, bound, weights):
-        yield Tableau(shape, rows)
+    return _exact_stream(Tableau, shape, bound, expected, what, weights)
 
 
 def enumerate_sw_paths(
@@ -130,15 +161,14 @@ def enumerate_sw_paths(
     """All south-west paths inside the shape with the given tail and cell count.
 
     Deterministic order: at each step the south branch is explored before the
-    west branch.
+    west branch. The arguments and the budget are checked at the call, before
+    any path is made.
     """
     if tail not in shape:
         raise ValueError(f"tail {format_cell(tail)} lies outside {shape}")
     if length < 1:
         raise ValueError("a path needs at least one cell")
-    projected = 2 ** (length - 1)
-    if projected > ceiling:
-        raise BudgetExceededError(f"paths of {length} cells", projected, ceiling)
+    _budget(f"paths of {length} cells", 2 ** (length - 1), ceiling)
     prefix = [tail]
 
     def extend() -> Iterator[LatticePath]:
@@ -152,4 +182,4 @@ def enumerate_sw_paths(
                 yield from extend()
                 prefix.pop()
 
-    yield from extend()
+    return extend()

@@ -2,11 +2,17 @@
 
 Each suite returns one CheckResult per unit of work; the CLI `verify`
 subcommand and the acceptance tests both run through this module, so the two
-always agree. `run_suites(..., jobs=N)` runs whole suites in N processes, so
-a single suite always runs in one process. The process pool is imported only
-when N > 1 and two or more suites run, so a serial run never loads it.
-Results are aggregated in a fixed order so runs are deterministic for a given
-configuration (seed included).
+always agree. A suite reads each enumeration as a stream, in one pass, and
+keeps running counters rather than the items, so its memory does not grow
+with the number of fillings or tableaux. It opens all its streams before it
+reads any, and opening checks the enumeration budget, so a shape over it
+raises BudgetExceededError before the first item is made. Sampling picks
+items by their index in a stream, whose exact length the hook-product
+formula gives in advance. `run_suites(..., jobs=N)` runs whole suites in N
+processes, so a single suite always runs in one process. The process pool is
+imported only when N > 1 and two or more suites run, so a serial run never
+loads it. Results are aggregated in a fixed order so runs are deterministic
+for a given configuration (seed included).
 """
 
 from __future__ import annotations
@@ -15,10 +21,17 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import classical, peeling
-from .enumeration import _grids, enumerate_rpps, enumerate_sw_paths, enumerate_tableaux
+from .enumeration import (
+    _counts_by_size,
+    _grids,
+    enumerate_rpps,
+    enumerate_sw_paths,
+    enumerate_tableaux,
+    projected_rpp_count,
+)
 from .geometry import Partition, content_key, revlex_key, rim_hook_key
 from .insertion import (
     InsertionFailure,
@@ -46,6 +59,8 @@ GK_SHAPE, GK_TOTAL, GK_RMAX = (3, 3, 3), 5, 4
 SYT_N = 3
 PERM_N = 4
 
+T = TypeVar("T")
+
 
 @dataclass(frozen=True)
 class VerifyConfig:
@@ -61,13 +76,23 @@ class VerifyConfig:
     def partitions(self) -> list[Partition]:
         return [Partition(parts) for parts in self.shapes]
 
-    def pick(self, items: list) -> list:
-        """Deterministic subsample (order preserving) when sampling is on."""
-        if self.sample is None or len(items) <= self.sample:
-            return items
-        rng = random.Random(self.seed)
-        keep = sorted(rng.sample(range(len(items)), self.sample))
-        return [items[i] for i in keep]
+    def kept(self, count: int) -> range | set[int]:
+        """The indexes that `pick` keeps from a stream of `count` items."""
+        if self.sample is None or count <= self.sample:
+            return range(count)
+        return set(random.Random(self.seed).sample(range(count), self.sample))
+
+    def pick(self, items: Iterable[T], count: int) -> Iterator[T]:
+        """The items of a stream of exactly `count` items, or a deterministic
+        order-preserving subsample of `sample` of them when sampling is on.
+
+        The kept indexes are `random.Random(seed).sample(range(count),
+        sample)`, so a stream yields the same items a list of it would. The
+        stream is read to its end either way, which runs the enumerators'
+        length check; the items are not held.
+        """
+        kept = self.kept(count)
+        return (item for index, item in enumerate(items) if index in kept)
 
 
 @dataclass(frozen=True)
@@ -129,33 +154,40 @@ def suite_gansner(config: VerifyConfig) -> list[CheckResult]:
 
 def suite_bijection(config: VerifyConfig) -> list[CheckResult]:
     out = []
-    for shape in config.partitions():
-        fillings = config.pick(list(enumerate_rpps(shape, config.size_bound)))
-        ok = 0
-        for pi in fillings:
+    size, weight = config.size_bound, config.weight_bound
+    # opened up front, so every budget is checked before any stream is read
+    streams = [
+        (shape, enumerate_rpps(shape, size), enumerate_tableaux(shape, weight))
+        for shape in config.partitions()
+    ]
+    for shape, fillings, tableaux in streams:
+        seen, ok, broken = 0, 0, False
+        for pi in config.pick(fillings, projected_rpp_count(shape, size)):
+            seen += 1
+            if broken:
+                continue
             fact = factorize(pi)
             keys = [revlex_key(u) for u in fact.anchors]
-            if keys != sorted(keys):
-                break
-            if build(fact.to_tableau()) != pi:
-                break
-            ok += 1
+            broken = keys != sorted(keys) or build(fact.to_tableau()) != pi
+            ok += not broken
         out.append(
             CheckResult(
                 "bijection",
                 f"factorize then build is the identity on {shape}",
-                ok == len(fillings),
-                f"{ok}/{len(fillings)} fillings",
+                ok == seen,
+                f"{ok}/{seen} fillings",
             )
         )
-        tableaux = config.pick(list(enumerate_tableaux(shape, config.weight_bound)))
-        ok = sum(1 for t in tableaux if factorize(build(t)).to_tableau() == t)
+        seen, ok = 0, 0
+        for t in config.pick(tableaux, projected_rpp_count(shape, weight)):
+            seen += 1
+            ok += factorize(build(t)).to_tableau() == t
         out.append(
             CheckResult(
                 "bijection",
                 f"build then factorize is the identity on {shape}",
-                ok == len(tableaux),
-                f"{ok}/{len(tableaux)} tableaux",
+                ok == seen,
+                f"{ok}/{seen} tableaux",
             )
         )
     return out
@@ -234,21 +266,9 @@ def suite_golden(config: VerifyConfig) -> list[CheckResult]:
 
 def suite_pak(config: VerifyConfig) -> list[CheckResult]:
     out = []
-    for shape in config.partitions():
-        fillings = config.pick(list(enumerate_rpps(shape, config.size_bound)))
-        references = [peeling.peel_tableau(pi) for pi in fillings]
-        agree = all(
-            reference == factorize(pi).to_tableau()
-            for pi, reference in zip(fillings, references)
-        )
-        out.append(
-            CheckResult(
-                "pak",
-                f"peeling equals factorization on {shape}",
-                agree,
-                f"{len(fillings)} fillings, two independent code paths",
-            )
-        )
+    size = config.size_bound
+    streams = [(shape, enumerate_rpps(shape, size)) for shape in config.partitions()]
+    for shape, fillings in streams:
         _, outer = shape.corners()
         # Two corner policies, spelled as orders: each outer corner x first,
         # then the revlex-minimal corner of what remains at every step; and
@@ -258,10 +278,21 @@ def suite_pak(config: VerifyConfig) -> list[CheckResult]:
         orders.append(
             [(i, j) for i in range(shape.length, 0, -1) for j in range(shape.parts[i - 1], 0, -1)]
         )
-        independent = all(
-            peeling.peel_tableau(pi, order) == reference
-            for pi, reference in zip(fillings, references)
-            for order in orders
+        seen, agree, independent = 0, True, True
+        for pi in config.pick(fillings, projected_rpp_count(shape, size)):
+            seen += 1
+            reference = peeling.peel_tableau(pi)
+            agree = agree and reference == factorize(pi).to_tableau()
+            independent = independent and all(
+                peeling.peel_tableau(pi, order) == reference for order in orders
+            )
+        out.append(
+            CheckResult(
+                "pak",
+                f"peeling equals factorization on {shape}",
+                agree,
+                f"{seen} fillings, two independent code paths",
+            )
         )
         out.append(
             CheckResult(
@@ -276,28 +307,45 @@ def suite_pak(config: VerifyConfig) -> list[CheckResult]:
 
 def suite_commute(config: VerifyConfig) -> list[CheckResult]:
     out = []
-    for shape in config.partitions():
+    weight = config.weight_bound
+    streams = [(shape, enumerate_tableaux(shape, weight)) for shape in config.partitions()]
+    for shape, tableaux in streams:
         _, outer = shape.corners()
-        nonzero = [t for t in enumerate_tableaux(shape, config.weight_bound) if t.size >= 1]
-        # (first anchor, build without it, build of the whole tableau)
-        # depends only on the tableau; computed at its first corner
-        built: dict[Tableau, tuple] = {}
+        # The pairs at corner x are the nonzero tableaux that vanish at x,
+        # sampled per corner. A corner's hook length is 1, so the tableaux
+        # vanishing there number the coefficient of q^w in the hook product
+        # (its other factors times 1/(1 - q), which sums their coefficients).
+        vanishing = _counts_by_size(shape, weight)[-1] - 1
+        kept = {x: config.kept(vanishing) for x in outer}
+        reduced = {x: shape.remove_corner(x) for x in outer}
+        seen = dict.fromkeys(outer, 0)
         checked, failed = 0, 0
-        for x in outer:
-            reduced = shape.remove_corner(x)
-            tableaux = [t for t in nonzero if t.value(x) == 0]
-            for t in config.pick(tableaux):
-                if t not in built:
-                    first = t.anchors()[0]
-                    built[t] = (first, build(t.with_path([first], -1)), build(t))
-                first, partial, whole = built[t]
+        for t in tableaux:
+            if t.size == 0:
+                continue
+            corners = []
+            for x in outer:
+                if t.value(x) == 0:
+                    if seen[x] in kept[x]:
+                        corners.append(x)
+                    seen[x] += 1
+            if not corners:
+                continue
+            first = t.anchors()[0]
+            partial, whole = build(t.with_path([first], -1)), build(t)
+            for x in corners:
                 left = peeling.corner_toggle(whole, x)
                 inserted = try_insert(
-                    reduced.rim_hook(first), peeling.corner_toggle(partial, x)
+                    reduced[x].rim_hook(first), peeling.corner_toggle(partial, x)
                 )
                 checked += 1
                 if isinstance(inserted, InsertionFailure) or inserted != left:
                     failed += 1
+        if any(n != vanishing for n in seen.values()):
+            raise RuntimeError(
+                f"tableaux of {shape} vanishing at a corner: counted {seen}, "
+                f"but the hook-product count is {vanishing}"
+            )
         out.append(
             CheckResult(
                 "commute",
@@ -311,12 +359,21 @@ def suite_commute(config: VerifyConfig) -> list[CheckResult]:
 
 def suite_insertion_uniqueness(config: VerifyConfig) -> list[CheckResult]:
     out = []
-    for shape in config.partitions():
+    size = config.path_size_bound
+    streams = [
+        (
+            shape,
+            [enumerate_sw_paths(shape, hook.tail, len(hook)) for hook in shape.rim_hooks()],
+            enumerate_rpps(shape, size),
+        )
+        for shape in config.partitions()
+    ]
+    for shape, sw_paths, fillings in streams:
         hooks = shape.rim_hooks()
-        sw_paths = [list(enumerate_sw_paths(shape, hook.tail, len(hook))) for hook in hooks]
-        fillings = config.pick(list(enumerate_rpps(shape, config.path_size_bound)))
+        # each hook's paths are kept, since every filling is tried against them
+        sw_paths = [tuple(paths) for paths in sw_paths]
         checked, failed = 0, 0
-        for pi in fillings:
+        for pi in config.pick(fillings, projected_rpp_count(shape, size)):
             for hook, paths in zip(hooks, sw_paths):
                 attempted = insertion_path(hook, pi)
                 valid = []
@@ -353,12 +410,13 @@ def suite_insertion_uniqueness(config: VerifyConfig) -> list[CheckResult]:
 
 def suite_crossing(config: VerifyConfig) -> list[CheckResult]:
     out = []
-    for shape in config.partitions():
+    size = config.path_size_bound
+    streams = [(shape, enumerate_rpps(shape, size)) for shape in config.partitions()]
+    for shape, fillings in streams:
         hooks = shape.rim_hooks()
-        fillings = config.pick(list(enumerate_rpps(shape, config.path_size_bound)))
         cross_checked, cross_failed = 0, 0
         stab_checked, stab_failed = 0, 0
-        for pi in fillings:
+        for pi in config.pick(fillings, projected_rpp_count(shape, size)):
             candidates = pi.candidates()
             paths = {u: extraction_path(u, pi) for u in candidates}
             hooks_at = {u: rim_hook_of_path(path, shape) for u, path in paths.items()}
@@ -411,19 +469,26 @@ def suite_crossing(config: VerifyConfig) -> list[CheckResult]:
 
 def suite_hg(config: VerifyConfig) -> list[CheckResult]:
     out = []
-    for shape in config.partitions():
-        fillings = config.pick(list(enumerate_rpps(shape, config.size_bound)))
-        images = [classical.hg(pi) for pi in fillings]
-        roundtrip = all(classical.hg_inv(t) == pi for pi, t in zip(fillings, images))
+    size, degree = config.size_bound, config.trace_degree
+    streams = [
+        (shape, enumerate_rpps(shape, size), enumerate_rpps(shape, degree))
+        for shape in config.partitions()
+    ]
+    for shape, fillings, traced in streams:
+        seen, roundtrip, weights = 0, True, True
+        for pi in config.pick(fillings, projected_rpp_count(shape, size)):
+            seen += 1
+            t = classical.hg(pi)
+            roundtrip = roundtrip and classical.hg_inv(t) == pi
+            weights = weights and t.weighted_size == pi.size
         out.append(
             CheckResult(
                 "hg",
                 f"inverse undoes the correspondence on {shape}",
                 roundtrip,
-                f"{len(fillings)} fillings",
+                f"{seen} fillings",
             )
         )
-        weights = all(t.weighted_size == pi.size for pi, t in zip(fillings, images))
         out.append(
             CheckResult(
                 "hg",
@@ -431,9 +496,9 @@ def suite_hg(config: VerifyConfig) -> list[CheckResult]:
                 weights,
             )
         )
-        refined = gansner_product(shape, config.trace_degree)
-        acc = MultiTraceSeries(refined.var_lo, refined.var_hi, config.trace_degree, {})
-        for pi in enumerate_rpps(shape, config.trace_degree):
+        refined = gansner_product(shape, degree)
+        acc = MultiTraceSeries(refined.var_lo, refined.var_hi, degree, {})
+        for pi in traced:
             exps = [0] * len(shape.contents)
             for u, count in classical.hg(pi).entries():
                 if count:
@@ -452,10 +517,12 @@ def suite_hg(config: VerifyConfig) -> list[CheckResult]:
 
 def suite_diag(config: VerifyConfig) -> list[CheckResult]:
     out = []
-    for shape in config.partitions():
-        tableaux = config.pick(list(enumerate_tableaux(shape, config.weight_bound)))
-        failed = 0
-        for t in tableaux:
+    weight = config.weight_bound
+    streams = [(shape, enumerate_tableaux(shape, weight)) for shape in config.partitions()]
+    for shape, tableaux in streams:
+        seen, failed = 0, 0
+        for t in config.pick(tableaux, projected_rpp_count(shape, weight)):
+            seen += 1
             pi = build(t)
             for k in shape.contents:
                 expected = sum(v for _, v in classical._rectangle_entries(t, k))
@@ -466,7 +533,7 @@ def suite_diag(config: VerifyConfig) -> list[CheckResult]:
                 "diag",
                 f"traces are rectangle sums of the tableau on {shape}",
                 failed == 0,
-                f"{len(tableaux)} tableaux, every diagonal",
+                f"{seen} tableaux, every diagonal",
             )
         )
     return out
@@ -474,9 +541,11 @@ def suite_diag(config: VerifyConfig) -> list[CheckResult]:
 
 def suite_gk(config: VerifyConfig) -> list[CheckResult]:
     shape = Partition(GK_SHAPE)
-    tableaux = config.pick([Tableau(shape, rows) for rows in _grids(shape, GK_TOTAL)])
+    # the grids of at most GK_TOTAL on the shape's cells, in stars and bars
+    count = math.comb(GK_TOTAL + shape.size, shape.size)
     checked, failed = 0, 0
-    for t in tableaux:
+    for rows in config.pick(_grids(shape, GK_TOTAL), count):
+        t = Tableau(shape, rows)
         pi = build(t)
         for k in shape.contents:
             mu = classical.diag_partition(pi, k).parts
@@ -502,18 +571,17 @@ def suite_syt(config: VerifyConfig) -> list[CheckResult]:
     for n in range(1, SYT_N + 1):
         shape = Partition((n,) * n)
         total = n * n
-        qualifying = [
-            pi
-            for pi in enumerate_rpps(shape, total)
-            if all(pi.trace(k) == n - k and pi.trace(-k) == n - k for k in range(n))
-        ]
-        ok = all(classical.check_syt_diagonals(pi) for pi in qualifying)
+        qualifying, ok = 0, True
+        for pi in enumerate_rpps(shape, total):
+            if all(pi.trace(k) == n - k and pi.trace(-k) == n - k for k in range(n)):
+                qualifying += 1
+                ok = ok and classical.check_syt_diagonals(pi)
         out.append(
             CheckResult(
                 "syt",
                 f"diagonal transpose law for staircase traces, n={n}",
-                ok and bool(qualifying),
-                f"{len(qualifying)} qualifying fillings",
+                ok and qualifying > 0,
+                f"{qualifying} qualifying fillings",
             )
         )
     return out

@@ -110,6 +110,15 @@ class TestRsk:
         with pytest.raises(ValueError, match="column-strict"):
             SsytPair(grid, grid)
 
+    def test_reverse_bump_without_a_smaller_entry_is_a_value_error(self):
+        # bypasses SsytPair's check: P = [[1], [1]] is not column-strict, so
+        # row 1 holds no entry less than the 1 bumped back from row 2
+        pair = object.__new__(SsytPair)
+        object.__setattr__(pair, "p", Rpp(Partition((1, 1)), ((1,), (1,))))
+        object.__setattr__(pair, "q", Rpp(Partition((1, 1)), ((1,), (2,))))
+        with pytest.raises(ValueError, match="row 1 has no entry less than 1"):
+            rsk_inv(pair)
+
     def test_permutation_matrices_give_standard_tableaux(self):
         for word in permutations((1, 2, 3)):
             pair = rsk(permutation_matrix(word))

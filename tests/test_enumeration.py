@@ -1,5 +1,6 @@
 import pytest
 
+from rimhooks import enumeration
 from rimhooks import (
     BudgetExceededError,
     Partition,
@@ -109,3 +110,31 @@ class TestSwPaths:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             list(enumerate_sw_paths(Partition((9, 9)), (1, 9), 9, ceiling=10))
+
+
+class TestExactLength:
+    @pytest.fixture
+    def one_grid_dropped(self, monkeypatch):
+        grids = enumeration._grids
+
+        def drop_the_first(*args, **kwargs):
+            stream = grids(*args, **kwargs)
+            next(stream)
+            return stream
+
+        monkeypatch.setattr(enumeration, "_grids", drop_the_first)
+
+    @pytest.mark.parametrize(
+        "enumerate_, what", [(enumerate_rpps, "fillings"), (enumerate_tableaux, "hook tableaux")]
+    )
+    def test_a_short_stream_raises(self, one_grid_dropped, enumerate_, what):
+        stream = enumerate_(Partition((3, 2)), 5)
+        expected = f"{what} of 3,2 up to 5 gave 43 items, but the hook-product count is 44"
+        with pytest.raises(RuntimeError, match=expected):
+            list(stream)
+
+    def test_the_budget_is_checked_when_the_stream_is_opened(self):
+        with pytest.raises(BudgetExceededError, match="fillings of 3,3,3 would yield"):
+            enumerate_rpps(Partition((3, 3, 3)), 50, ceiling=10)
+        with pytest.raises(BudgetExceededError, match="paths of 9 cells"):
+            enumerate_sw_paths(Partition((9, 9)), (1, 9), 9, ceiling=10)

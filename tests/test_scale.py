@@ -105,6 +105,17 @@ def test_rsk_round_trip(built):
     assert rsk_inv(rsk(t), t.shape) == t
 
 
+def test_rsk_round_trip_with_long_rows():
+    # 110 000 hooks on a 10x10 count matrix: P has at most 10 rows, each up to
+    # about 10^5 entries long, so a linear scan per bump would take minutes
+    shape = Partition((10,) * 10)
+    t = Tableau(shape, [[100 * (i + j) for j in range(1, 11)] for i in range(1, 11)])
+    assert t.size == 110_000
+    pair = rsk(t)
+    assert pair.p.shape.size == t.size
+    assert rsk_inv(pair, shape) == t
+
+
 def test_single_steps(built):
     t, pi = built
     shape = t.shape

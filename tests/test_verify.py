@@ -1,0 +1,85 @@
+"""The verify suites as streams: sampling by index, the budget checked before
+any enumeration, and memory that does not grow with the number of fillings."""
+
+import gc
+import random
+import tracemalloc
+
+import pytest
+
+from rimhooks import BudgetExceededError, Partition, enumeration
+from rimhooks.enumeration import projected_rpp_count
+from rimhooks.verify import SUITES, VerifyConfig, suite_bijection
+
+
+def _list_pick(config: VerifyConfig, items: list) -> list:
+    # the list-based subsample that `pick` replaces, kept as its oracle
+    if config.sample is None or len(items) <= config.sample:
+        return items
+    rng = random.Random(config.seed)
+    keep = sorted(rng.sample(range(len(items)), config.sample))
+    return [items[i] for i in keep]
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 6, 7, 8, 40, 41, 199, 1000])
+def test_pick_keeps_what_the_list_pick_kept(count):
+    items = [f"item {i}" for i in range(count)]
+    for sample in (None, 1, 2, 7, 40, 500):
+        for seed in (0, 1, 3, 11, 2**40):
+            config = VerifyConfig(sample=sample, seed=seed)
+            assert list(config.pick(iter(items), count)) == _list_pick(config, items)
+
+
+def test_pick_reads_the_stream_to_its_end():
+    ended = []
+
+    def stream():
+        yield from range(100)
+        ended.append(True)
+
+    assert len(list(VerifyConfig(sample=3, seed=5).pick(stream(), 100))) == 3
+    assert ended == [True]
+
+
+ENUMERATING = ["bijection", "pak", "commute", "insertion-uniqueness", "crossing", "hg", "diag"]
+
+
+@pytest.mark.parametrize("suite", ENUMERATING)
+def test_the_budget_is_checked_before_the_first_shape_is_enumerated(suite, monkeypatch):
+    grids = []
+    monkeypatch.setattr(enumeration, "_grids", lambda *args, **kwargs: grids.append(args))
+    config = VerifyConfig(
+        shapes=((1,), (5, 2, 1, 1)),
+        size_bound=50,
+        weight_bound=50,
+        path_size_bound=50,
+        trace_degree=50,
+    )
+    with pytest.raises(BudgetExceededError, match="of 5,2,1,1 would yield 23541240 items"):
+        SUITES[suite](config)
+    assert grids == []
+
+
+def _peak_growth(config: VerifyConfig) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        # CPython keeps up to 2000 freed tuples of each small size for reuse. A
+        # tuple built from a generator is resized, so it is freed into another
+        # size's cache than the one it came from, and those caches fill as a run
+        # goes on. Filling them first keeps that bounded cache out of the peak.
+        held = [tuple(range(n)) for n in range(1, 21) for _ in range(2000)]
+        del held
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        suite_bijection(config)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_bijection_memory_does_not_grow_with_the_fillings():
+    shape = (3, 3, 3)
+    low, high = (VerifyConfig(shapes=(shape,), size_bound=b, weight_bound=b) for b in (8, 14))
+    assert projected_rpp_count(Partition(shape), 14) > 3 * projected_rpp_count(Partition(shape), 8)
+    assert _peak_growth(high) < 1.5 * _peak_growth(low)
