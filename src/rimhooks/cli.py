@@ -183,7 +183,7 @@ def cmd_trace(args) -> int:
     if args.k is not None:
         _emit_obj(args, {"k": args.k, "trace": pi.trace(args.k)}, str(pi.trace(args.k)))
         return 0
-    traces = {str(k): pi.trace(k) for k in pi.shape.contents}
+    traces = {str(k): t for k, t in zip(pi.shape.contents, pi.traces())}
     text = "\n".join(f"{k}: {v}" for k, v in traces.items())
     _emit_obj(args, traces, text)
     return 0

@@ -473,7 +473,7 @@ def factorize(pi: Rpp) -> Factorization:
     one cell per east step of the path, and raises, naming the filling, if
     a candidate turned up behind v. Costs O(cells + hooks x hook length).
     """
-    return Factorization(pi.shape, tuple(anchor for anchor, _, _ in _extractions(pi)))
+    return Factorization(pi.shape, tuple([anchor for anchor, _, _ in _extractions(pi)]))
 
 
 def build(tableau: Tableau) -> Rpp:

@@ -25,7 +25,7 @@ def ascii_grid(grid: ShapedGrid, highlight: Iterable[Cell] = ()) -> str:
 def ascii_rpp(pi: Rpp, highlight: Iterable[Cell] = ()) -> str:
     """Grid plus one annotation line per diagonal with its trace."""
     body = ascii_grid(pi, highlight)
-    traces = "  ".join(f"k={k}:{pi.trace(k)}" for k in pi.shape.contents)
+    traces = "  ".join(f"k={k}:{t}" for k, t in zip(pi.shape.contents, pi.traces()))
     if not traces:
         return body
     return f"{body}\ndiagonal traces: {traces}"

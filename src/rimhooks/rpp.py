@@ -174,13 +174,32 @@ class Rpp(ShapedGrid):
                 )
 
     def trace(self, k: int) -> int:
-        """Sum of the entries on diagonal k (0 when the diagonal is empty)."""
+        """Sum of the entries on diagonal k (0 when the diagonal is empty).
+
+        It keeps its own loop, one addition per row and no list, rather than
+        indexing `traces()`: its callers (`verify diag`, `verify syt`,
+        `check_syt_diagonals`) ask for one diagonal at a time, and building
+        every sum for each of them measured a higher peak memory.
+        """
         total = 0
         for i, row in enumerate(self.rows, start=1):
             j = i + k
             if 1 <= j <= len(row):
                 total += row[j - 1]
         return total
+
+    def traces(self) -> list[int]:
+        """Every diagonal sum in one pass over the rows, lowest content first.
+
+        Entry p is `trace(shape.contents.start + p)`. Row i starts on diagonal
+        1 - i, which sits at index (rows - i); the empty partition has none.
+        """
+        rows = self.rows
+        out = [0] * len(self.shape.contents)
+        for start, row in zip(range(len(rows) - 1, -1, -1), rows):
+            for p, v in enumerate(row, start):
+                out[p] += v
+        return out
 
     def candidates(self) -> frozenset[Cell]:
         """Cells where an extraction path may start.

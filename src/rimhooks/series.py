@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from operator import add
 
 from .enumeration import _counts_by_size, enumerate_rpps
 from .geometry import Partition
-from .rpp import Rpp
 
 _TERM_RE = re.compile(r"^\s*(-?\d+)(?:\s*\*\s*q(?:\^(\d+))?)?\s*$")
 _VAR_RE = re.compile(r"q_\{?(-?\d+)\}?(?:\^(\d+))?")
@@ -155,7 +155,7 @@ class MultiTraceSeries:
             while total <= self.degree:
                 out[shifted] = out.get(shifted, 0) + coeff
                 total += step
-                shifted = tuple(a + b for a, b in zip(shifted, monomial))
+                shifted = tuple(map(add, shifted, monomial))
         return MultiTraceSeries(self.var_lo, self.var_hi, self.degree, out)
 
     def specialize(self) -> TruncatedSeries:
@@ -247,14 +247,14 @@ def gansner_product(shape: Partition, degree: int) -> MultiTraceSeries:
     return acc
 
 
-def trace_monomial(pi: Rpp) -> Monomial:
-    return tuple(pi.trace(k) for k in pi.shape.contents)
-
-
 def trace_series(shape: Partition, degree: int) -> MultiTraceSeries:
-    """Sum over all fillings of size at most `degree` of their trace monomial."""
+    """Sum over all fillings of size at most `degree` of their trace monomial.
+
+    A filling's monomial is its list of diagonal sums, `Rpp.traces()`, which
+    reads each filling in one pass over its rows.
+    """
     ks = shape.contents
     acc = MultiTraceSeries(ks.start, ks.start + len(ks) - 1, degree, {})
     for pi in enumerate_rpps(shape, degree):
-        acc.add_term(trace_monomial(pi), 1)
+        acc.add_term(tuple(pi.traces()), 1)
     return acc

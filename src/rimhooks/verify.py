@@ -498,12 +498,18 @@ def suite_hg(config: VerifyConfig) -> list[CheckResult]:
         )
         refined = gansner_product(shape, degree)
         acc = MultiTraceSeries(refined.var_lo, refined.var_hi, degree, {})
+        # each cell's hook monomial once per shape, laid out like the rows, so
+        # the per-filling loop reads the tableau's rows and builds no pairs
+        hooks = [
+            [hook_monomial(shape, (i, j)) for j in range(1, p + 1)]
+            for i, p in enumerate(shape.parts, start=1)
+        ]
         for pi in traced:
             exps = [0] * len(shape.contents)
-            for u, count in classical.hg(pi).entries():
-                if count:
-                    mono = hook_monomial(shape, u)
-                    exps = [a + count * b for a, b in zip(exps, mono)]
+            for counts, monos in zip(classical.hg(pi).rows, hooks):
+                for count, mono in zip(counts, monos):
+                    if count:
+                        exps = [a + count * b for a, b in zip(exps, mono)]
             acc.add_term(tuple(exps), 1)
         out.append(
             CheckResult(

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rimhooks import Partition, Region, Rpp, Tableau, content
 from rimhooks.enumeration import enumerate_rpps
-from conftest import all_partitions, partitions
+from conftest import all_partitions, partitions, rpps
 
 
 class TestValidate:
@@ -64,6 +64,19 @@ class TestTrace:
         for shape in all_partitions(7):
             for pi in enumerate_rpps(shape, 5):
                 assert sum(pi.trace(k) for k in shape.contents) == pi.size
+                assert sum(pi.traces()) == pi.size
+
+    def test_traces_steep_example(self, steep_example):
+        # diagonals -2 .. 2
+        assert steep_example.traces() == [4, 6, 8, 5, 4]
+
+    def test_traces_of_empty_partition(self):
+        assert Rpp(Partition(())).traces() == []
+
+    @given(rpps())
+    @settings(max_examples=200, deadline=None)
+    def test_traces_match_trace(self, pi):
+        assert pi.traces() == [pi.trace(k) for k in pi.shape.contents]
 
 
 class TestCandidates:
