@@ -86,7 +86,8 @@ def hg(pi: Rpp) -> Tableau:
         path = _hg_step(shape, grid, start_col)
         counts[path[-1] // width - 1][start_col - 1] += 1
         remaining -= len(path)
-    return Tableau(shape, counts)
+    # rows laid out by the shape, counts that only grow from 0
+    return Tableau._trusted(shape, tuple([tuple(row) for row in counts]))
 
 
 def _hg_inv_step(shape: Partition, grid: list, f: int, s: int) -> None:
@@ -140,7 +141,8 @@ def hg_inv(tableau: Tableau) -> Rpp:
         for f in range(1, conj[s - 1] + 1):
             for _ in range(rows[f - 1][s - 1]):
                 _hg_inv_step(shape, grid, f, s)
-    return Rpp(shape, _from_frame(grid, shape.frame.width, shape.parts))
+    # each inverse walk keeps the filling ordered from any start (`_hg_inv_step`)
+    return Rpp._trusted(shape, _from_frame(grid, shape.frame.width, shape.parts))
 
 
 def _transpose_rows(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -389,8 +391,32 @@ def _chain_flow(entries: Entries, kind: ChainKind) -> tuple[list[tuple[int, int,
     return [(0, 0, 0)], _augmentations(entries, kind)
 
 
-#: held while a memoised flow is resumed and read; a generator runs in one thread at a time
+#: held while a memoised flow is resumed; a generator runs in one thread at a time
 _chain_flow_lock = Lock()
+
+
+def _augmented(tableau: Tableau, k: int, r: int, kind: ChainKind) -> list[tuple[int, int, int]]:
+    """The chain flow's breakpoints (units, gain, gain per unit), found at least up to r units.
+
+    The flow of the content-k rectangle and `kind` is resumed only until it
+    carries r units or ends. Later resumes only append, so the list read
+    outside the lock holds the same breakpoints up to r.
+    """
+    with _chain_flow_lock:
+        found, rest = _chain_flow(_rectangle_entries(tableau, k), kind)
+        try:
+            while found[-1][0] < r and (augmentation := next(rest, None)):
+                found.append(augmentation)
+        except BaseException:  # a run cut short cannot resume, so start every run afresh
+            _chain_flow.cache_clear()
+            raise
+    return found
+
+
+def _gain(found: list[tuple[int, int, int]], r: int) -> int:
+    """The gain of r units: linear between the breakpoints, flat after the last."""
+    units, gain, per_unit = found[bisect_left(found, (r,), 0, len(found) - 1)]
+    return gain - (units - r) * per_unit if units > r else gain
 
 
 def gk_chain_max(tableau: Tableau, k: int, r: int, kind: ChainKind) -> int:
@@ -409,16 +435,13 @@ def gk_chain_max(tableau: Tableau, k: int, r: int, kind: ChainKind) -> int:
         raise ValueError("the family needs at least one chain")
     if kind not in ("weak", "strict"):
         raise ValueError(f"unknown chain kind {kind!r}")
-    with _chain_flow_lock:
-        found, rest = _chain_flow(_rectangle_entries(tableau, k), kind)
-        try:
-            while found[-1][0] < r and (augmentation := next(rest, None)):
-                found.append(augmentation)
-        except BaseException:  # a run cut short cannot resume, so start every run afresh
-            _chain_flow.cache_clear()
-            raise
-        units, gain, per_unit = found[bisect_left(found, (r,), 0, len(found) - 1)]
-    return gain - (units - r) * per_unit if units > r else gain
+    return _gain(_augmented(tableau, k, r, kind), r)
+
+
+def _chain_maxima(tableau: Tableau, k: int, rmax: int, kind: ChainKind) -> list[int]:
+    """`gk_chain_max` for r = 1..rmax, from one resume of the flow."""
+    found = _augmented(tableau, k, rmax, kind)
+    return [_gain(found, r) for r in range(1, rmax + 1)]
 
 
 def permutation_matrix(word: Sequence[int] | str) -> Tableau:

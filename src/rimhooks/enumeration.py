@@ -103,7 +103,7 @@ def _budget(what: str, projected: int, ceiling: int) -> int:
 
 
 def _exact_stream(
-    make: Callable[[Partition, list[list[int]]], T],
+    make: Callable[[Partition, tuple[tuple[int, ...], ...]], T],
     shape: Partition,
     bound: int,
     expected: int,
@@ -113,7 +113,9 @@ def _exact_stream(
 ) -> Iterator[T]:
     made = 0
     for rows in _grids(shape, bound, weights, monotone):
-        yield make(shape, rows)
+        # `make` is `_trusted`: `_grids` lays the rows out by the shape with
+        # non-negative entries, weakly increasing both ways when `monotone`
+        yield make(shape, tuple([tuple(row) for row in rows]))
         made += 1
     if made != expected:
         raise RuntimeError(
@@ -137,7 +139,7 @@ def enumerate_rpps(
     """
     what = f"fillings of {shape}"
     expected = _budget(what, projected_rpp_count(shape, bound), ceiling)
-    return _exact_stream(Rpp, shape, bound, expected, what, monotone=True)
+    return _exact_stream(Rpp._trusted, shape, bound, expected, what, monotone=True)
 
 
 def enumerate_tableaux(
@@ -152,7 +154,7 @@ def enumerate_tableaux(
     what = f"hook tableaux of {shape}"
     expected = _budget(what, projected_rpp_count(shape, bound), ceiling)
     weights = [shape.hook_length(u) for u in shape.cells()]
-    return _exact_stream(Tableau, shape, bound, expected, what, weights)
+    return _exact_stream(Tableau._trusted, shape, bound, expected, what, weights)
 
 
 def enumerate_sw_paths(

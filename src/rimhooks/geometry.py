@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from operator import ge
+from operator import ge, index
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -66,6 +66,14 @@ def _parse_ints(tokens: Iterable[str], where: str) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _require_int(value, what: str) -> int:
+    """`value` as an int, without truncating or parsing; the ValueError names `what`."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} is not an integer") from None
+
+
 def revlex_key(u: Cell):
     """Sort key realizing the reverse lexicographic order on cells.
 
@@ -101,7 +109,13 @@ class Partition:
     """A weakly decreasing sequence of positive integers and its cell diagram."""
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(map(int, parts))
+        parts = tuple(parts)
+        try:
+            parts = tuple(map(index, parts))
+        except TypeError:
+            for p in parts:
+                _require_int(p, f"part {p!r}")
+            raise
         if not all(map(ge, parts, parts[1:])):
             raise ValueError(f"parts must be weakly decreasing, got {parts}")
         if parts and parts[-1] <= 0:

@@ -96,6 +96,10 @@ class Factorization:
     anchors: tuple[Cell, ...]
 
     def __post_init__(self):
+        shape = self.shape
+        if not all(map(shape.__contains__, self.anchors)):
+            u = next(u for u in self.anchors if u not in shape)
+            raise ValueError(f"anchor {format_cell(u)} lies outside the shape {shape}")
         keys = [revlex_key(u) for u in self.anchors]
         if not all(map(le, keys, keys[1:])):
             raise ValueError("anchors must be weakly increasing in rim-hook order")
@@ -107,7 +111,8 @@ class Factorization:
         grid = [[0] * p for p in self.shape.parts]
         for i, j in self.anchors:
             grid[i - 1][j - 1] += 1
-        return Tableau(self.shape, grid)
+        # rows laid out by the shape, counts that only grow from 0
+        return Tableau._trusted(self.shape, tuple([tuple(row) for row in grid]))
 
     def to_text(self) -> str:
         return "\n".join(format_cell(u) for u in self.anchors)
@@ -282,24 +287,28 @@ def is_compatible(path: LatticePath, pi: Rpp) -> bool:
     return True
 
 
-def _insert_into_copy(hook: RimHook, pi: Rpp) -> tuple[LatticePath, bool, list]:
+def _insert_into_copy(hook: RimHook, pi: Rpp) -> tuple[list[int], bool, list]:
     """Insert `hook` into a copy of `pi` laid out on the frame.
 
-    Returns the insertion path, whether the insertion succeeded, and the copy,
-    which holds the result when it did and `pi` otherwise.
+    Returns the walk's positions, whether the insertion succeeded, and the
+    copy, which holds the result when it did and `pi` otherwise.
     """
     shape = pi.shape
     if hook.shape != shape:
         raise ValueError(f"hook shape {hook.shape} does not match {shape}")
-    width = shape.frame.width
     grid = _to_frame(shape, pi.rows)
-    (i, j), length = hook.tail, len(hook)
-    walk, ok = _insertion_walk(shape, grid, i * width + j, length)
+    i, j = hook.tail
+    walk, ok = _insertion_walk(shape, grid, i * shape.frame.width + j, len(hook))
+    return walk, ok, grid
+
+
+def _sw_path(walk: list[int], length: int, width: int) -> LatticePath:
+    """The insertion path of `length` cells whose walk took the positions `walk`."""
     cells = [divmod(p, width) for p in walk]
     # a walk that stopped in column 0 goes on west
     i, j = cells[-1]
     cells += [(i, j - k) for k in range(1, length - len(cells) + 1)]
-    return LatticePath(tuple(cells), Orientation.SW), ok, grid
+    return LatticePath(tuple(cells), Orientation.SW)
 
 
 def insertion_path(hook: RimHook, pi: Rpp) -> LatticePath:
@@ -312,7 +321,8 @@ def insertion_path(hook: RimHook, pi: Rpp) -> LatticePath:
     insertion it may leave the diagram through the west edge (off-shape cells
     belong to no region, so the west branch applies there).
     """
-    return _insert_into_copy(hook, pi)[0]
+    walk = _insert_into_copy(hook, pi)[0]
+    return _sw_path(walk, len(hook), pi.shape.frame.width)
 
 
 def try_insert(hook: RimHook, pi: Rpp) -> Rpp | InsertionFailure:
@@ -322,10 +332,13 @@ def try_insert(hook: RimHook, pi: Rpp) -> Rpp | InsertionFailure:
     failure an InsertionFailure value is returned (failure is an expected
     outcome, not a fault); a shape mismatch is a fault.
     """
-    path, ok, grid = _insert_into_copy(hook, pi)
+    walk, ok, grid = _insert_into_copy(hook, pi)
     shape = pi.shape
+    width = shape.frame.width
     if ok:
-        return Rpp(shape, _from_frame(grid, shape.frame.width, shape.parts))
+        # the walk's edge tests held (`_insertion_walk`): the result is ordered
+        return Rpp._trusted(shape, _from_frame(grid, width, shape.parts))
+    path = _sw_path(walk, len(hook), width)
     # the minimal candidate precedes the head exactly when some candidate does
     witness = pi.min_candidate()
     if witness is None or content_key(witness) >= content_key(path.head):
@@ -403,7 +416,10 @@ def extract_min(pi: Rpp) -> tuple[RimHook, Rpp] | None:
         return None
     anchor, _, grid = step
     shape = pi.shape
-    return shape.rim_hook(anchor), Rpp(shape, _from_frame(grid, shape.frame.width, shape.parts))
+    # `_extractions` raised unless the walk's north test held and no earlier
+    # cell became a candidate: the extraction theorem's ordered result
+    rows = _from_frame(grid, shape.frame.width, shape.parts)
+    return shape.rim_hook(anchor), Rpp._trusted(shape, rows)
 
 
 def _extractions(pi: Rpp) -> Iterator[tuple[Cell, list[int], list]]:
@@ -512,4 +528,5 @@ def build(tableau: Tableau) -> Rpp:
                     f"well-definedness theorem: shape {tableau.shape}, multiset "
                     f"{anchors}, step {step} at anchor {format_cell((i, j))}: {result}"
                 )
-    return Rpp(shape, _from_frame(grid, width, parts))
+    # every insertion passed the walk's edge tests (`_insertion_walk`)
+    return Rpp._trusted(shape, _from_frame(grid, width, parts))

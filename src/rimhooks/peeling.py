@@ -82,7 +82,8 @@ def corner_toggle(pi: Rpp, x: Cell) -> Rpp:
     grid = _to_frame(shape, pi.rows)
     parts = list(shape.parts)
     _peel(grid, width, parts, (x,))
-    return Rpp(shape.remove_corner(x), _from_frame(grid, width, parts))
+    # the toggle maps each diagonal entry's range onto itself (`_peel`)
+    return Rpp._trusted(shape.remove_corner(x), _from_frame(grid, width, parts))
 
 
 def corner_is_tight(pi: Rpp, x: Cell) -> bool:
@@ -119,4 +120,5 @@ def peel_tableau(pi: Rpp, order: Iterable[Cell] | None = None) -> Tableau:
             f"order ends before {format_cell((len(parts), parts[-1]))}, "
             f"leaving {Partition(parts)} unpeeled"
         )
-    return Tableau(shape, _from_frame(counts, width, shape.parts))
+    # a corner of an ordered filling is at least its north and west (`_peel`)
+    return Tableau._trusted(shape, _from_frame(counts, width, shape.parts))

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 from functools import cached_property
-from operator import le
+from operator import index, le
 from typing import Iterable, Iterator, Sequence
 
 from .geometry import (
@@ -14,6 +14,7 @@ from .geometry import (
     Partition,
     Region,
     _parse_ints,
+    _require_int,
     format_cell,
 )
 
@@ -30,7 +31,16 @@ class ShapedGrid:
     """
 
     def __init__(self, shape: Partition, rows: Iterable[Iterable[int]] = ()):
-        rows = tuple([tuple(map(int, row)) for row in rows])
+        ints = []
+        for i, row in enumerate(rows, start=1):
+            try:
+                ints.append(tuple(map(index, row)))
+            except TypeError:
+                # only on failure: name the first entry of the row that is not an integer
+                for j, v in enumerate(row, start=1):
+                    _require_int(v, f"entry {v!r} at {format_cell((i, j))}")
+                raise
+        rows = tuple(ints)
         if tuple(map(len, rows)) != shape.parts or (rows and min(map(min, rows)) < 0):
             # only on failure: find the first offending row or cell
             if len(rows) != shape.length:
@@ -45,6 +55,20 @@ class ShapedGrid:
                         raise ValueError(f"negative entry {v} at {format_cell((i, j))}")
         self.shape = shape
         self.rows = rows
+
+    @classmethod
+    def _trusted(cls, shape: Partition, rows: tuple[tuple[int, ...], ...]):
+        """A grid of `shape` holding `rows`, stored as given and checked for nothing.
+
+        Only for code that certifies the grid itself: `rows` is a tuple of int
+        tuples, one per part of `shape` and of its length, and for an Rpp
+        weakly increasing along rows and columns. Each call site names what
+        certifies it; user input goes through the constructor.
+        """
+        grid = object.__new__(cls)
+        grid.shape = shape
+        grid.rows = rows
+        return grid
 
     @classmethod
     def zero(cls, shape: Partition):
@@ -270,7 +294,7 @@ def _to_frame(shape: Partition, rows: Iterable[Sequence[int]]) -> list:
 def _from_frame(grid: Sequence, width: int, parts: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The rows of the diagram `parts` read back from a frame of this width."""
     return tuple(
-        tuple(grid[i * width + 1 : i * width + p + 1]) for i, p in enumerate(parts, start=1)
+        [tuple(grid[i * width + 1 : i * width + p + 1]) for i, p in enumerate(parts, start=1)]
     )
 
 

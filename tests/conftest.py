@@ -8,6 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from rimhooks import Partition, Rpp
+from rimhooks.rpp import ShapedGrid
 
 ACCEPTANCE_SHAPES = ((2, 2), (3, 2), (3, 3, 3), (4, 3, 1), (5, 2, 1, 1))
 
@@ -49,6 +50,16 @@ def rpps(draw):
             row.append(lo + draw(st.integers(0, 3)))
         grid.append(row)
     return Rpp(shape, grid)
+
+
+#: the real trusted constructor, for the tests that check it against the validating one
+TRUSTED = ShapedGrid.__dict__["_trusted"]
+
+
+@pytest.fixture(autouse=True)
+def validate_kernel_results(monkeypatch):
+    """Every test re-validates each kernel and stream result: `_trusted` runs the full check."""
+    monkeypatch.setattr(ShapedGrid, "_trusted", classmethod(lambda cls, shape, rows: cls(shape, rows)))
 
 
 @pytest.fixture

@@ -115,6 +115,15 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((2, 0))
 
+    @pytest.mark.parametrize("part", [2.5, 2.0, "2", None])
+    def test_rejects_parts_that_are_not_integers(self, part):
+        # not truncated or parsed, as int() would
+        with pytest.raises(ValueError, match=f"^part {re.escape(repr(part))} is not an integer$"):
+            Partition([part, 1])
+
+    def test_accepts_integer_types(self):
+        assert Partition(iter([3, True])).parts == (3, 1)
+
     def test_membership(self):
         shape = Partition((4, 3, 1))
         assert (1, 4) in shape

@@ -261,6 +261,12 @@ class TestFactorize:
         with pytest.raises(ValueError):
             Factorization(Partition((2, 2)), ((1, 1), (1, 4)))
 
+    @pytest.mark.parametrize("anchor", [(0, 1), (1, 3), (3, 1), (2, 0)])
+    def test_factorization_type_rejects_anchors_outside_the_shape(self, anchor):
+        # (0,1) and (2,0) once wrapped round to another row in to_tableau
+        with pytest.raises(ValueError, match=r"^anchor \(.*\) lies outside the shape 2,1$"):
+            Factorization.from_text(f"({anchor[0]},{anchor[1]})", Partition((2, 1)))
+
 
 def build_oracle(tableau: Tableau) -> Rpp:
     # the multiset expanded into its anchors and inserted largest first, one

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -32,6 +33,25 @@ class TestValidate:
     def test_negative_entry(self):
         with pytest.raises(ValueError, match="negative"):
             Rpp(Partition((2,)), [[-1, 0]])
+
+    @pytest.mark.parametrize("cls", [Rpp, Tableau])
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0.5, 1.9]], "entry 0.5 at (1,1) is not an integer"),
+            ([[0, 1.0]], "entry 1.0 at (1,2) is not an integer"),
+            ([["3", True]], "entry '3' at (1,1) is not an integer"),
+            ([[0, 1], [None]], "entry None at (2,1) is not an integer"),
+        ],
+    )
+    def test_entries_that_are_not_integers(self, cls, rows, message):
+        # not truncated or parsed, as int() would
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cls(Partition(map(len, rows)), rows)
+
+    def test_integer_entries_are_stored_as_ints(self):
+        t = Tableau(Partition((2,)), ([3, True],))
+        assert t.rows == ((3, 1),) and type(t.rows[0][1]) is int
 
 
 class TestExtendedValues:
