@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from math import inf
-from threading import Lock
 from typing import Iterator, Literal, Sequence
 
 from .geometry import Cell, Partition, _parse_ints, format_cell
@@ -296,8 +295,7 @@ def rectangle_cells(shape: Partition, k: int) -> tuple[Cell, ...]:
     )
 
 
-@lru_cache(maxsize=64)
-def _rectangle_entries(tableau: Tableau, k: int) -> tuple[tuple[Cell, int], ...]:
+def _rectangle_entries(tableau: Tableau, k: int) -> Entries:
     """The nonzero entries of the content-k rectangle, row-major, as (cell, value)."""
     corner = _rectangle_corner(tableau.shape, k)
     if corner is None:
@@ -386,37 +384,14 @@ def _augmentations(entries: Entries, kind: ChainKind) -> Iterator[tuple[int, int
 
 
 @lru_cache(maxsize=256)
-def _chain_flow(entries: Entries, kind: ChainKind) -> tuple[list[tuple[int, int, int]], Iterator]:
-    """One flow: the augmentations found so far, and the generator of the rest."""
-    return [(0, 0, 0)], _augmentations(entries, kind)
-
-
-#: held while a memoised flow is resumed; a generator runs in one thread at a time
-_chain_flow_lock = Lock()
-
-
-def _augmented(tableau: Tableau, k: int, r: int, kind: ChainKind) -> list[tuple[int, int, int]]:
-    """The chain flow's breakpoints (units, gain, gain per unit), found at least up to r units.
-
-    The flow of the content-k rectangle and `kind` is resumed only until it
-    carries r units or ends. Later resumes only append, so the list read
-    outside the lock holds the same breakpoints up to r.
-    """
-    with _chain_flow_lock:
-        found, rest = _chain_flow(_rectangle_entries(tableau, k), kind)
-        try:
-            while found[-1][0] < r and (augmentation := next(rest, None)):
-                found.append(augmentation)
-        except BaseException:  # a run cut short cannot resume, so start every run afresh
-            _chain_flow.cache_clear()
-            raise
-    return found
-
-
-def _gain(found: list[tuple[int, int, int]], r: int) -> int:
-    """The gain of r units: linear between the breakpoints, flat after the last."""
-    units, gain, per_unit = found[bisect_left(found, (r,), 0, len(found) - 1)]
-    return gain - (units - r) * per_unit if units > r else gain
+def _breakpoints(entries: Entries, kind: ChainKind, units: int) -> tuple[tuple[int, int, int], ...]:
+    """The chain flow's breakpoints (units, gain, gain per unit), run until it carries `units`."""
+    found = [(0, 0, 0)]
+    for augmentation in _augmentations(entries, kind):
+        found.append(augmentation)
+        if augmentation[0] >= units:
+            break
+    return tuple(found)
 
 
 def gk_chain_max(tableau: Tableau, k: int, r: int, kind: ChainKind) -> int:
@@ -428,20 +403,29 @@ def gk_chain_max(tableau: Tableau, k: int, r: int, kind: ChainKind) -> int:
     times. That is the gain of r units of min-cost flow through a grid DAG
     of the rectangle, one unit per chain: weak, a cell takes one unit and
     gains t(u); strict, t(u) units that gain 1 each. Successive shortest
-    paths give the gain for every r, linear between augmentations; a
-    rectangle and kind share one run, resumed only as far as r units.
+    paths give the gain for every r (`_chain_maxima`).
     """
     if r < 1:
         raise ValueError("the family needs at least one chain")
     if kind not in ("weak", "strict"):
         raise ValueError(f"unknown chain kind {kind!r}")
-    return _gain(_augmented(tableau, k, r, kind), r)
+    return _chain_maxima(_rectangle_entries(tableau, k), (r,), kind)[0]
 
 
-def _chain_maxima(tableau: Tableau, k: int, rmax: int, kind: ChainKind) -> list[int]:
-    """`gk_chain_max` for r = 1..rmax, from one resume of the flow."""
-    found = _augmented(tableau, k, rmax, kind)
-    return [_gain(found, r) for r in range(1, rmax + 1)]
+def _chain_maxima(entries: Entries, family_sizes: Sequence[int], kind: ChainKind) -> list[int]:
+    """`gk_chain_max` for each family size on a rectangle's `_rectangle_entries`, from one run.
+
+    The run goes to the largest size rounded up to a power of two and is
+    memoised per (entries, kind, units), so a loop over r = 1..n makes
+    fewer than 4n augmentations in all. The gain of r units is linear
+    between the breakpoints and flat after the last.
+    """
+    found = _breakpoints(entries, kind, 1 << (max(family_sizes) - 1).bit_length())
+    gains = []
+    for r in family_sizes:
+        units, gain, per_unit = found[bisect_left(found, (r,), 0, len(found) - 1)]
+        gains.append(gain - (units - r) * per_unit if units > r else gain)
+    return gains
 
 
 def permutation_matrix(word: Sequence[int] | str) -> Tableau:

@@ -20,7 +20,7 @@ from .enumeration import (
     enumerate_rpps,
     enumerate_tableaux,
 )
-from .geometry import Partition, content_key, format_cell, parse_cell
+from .geometry import Partition, _json_fields, content_key, format_cell, parse_cell
 from .insertion import (
     Factorization,
     InsertionFailure,
@@ -38,13 +38,19 @@ class DomainError(Exception):
     pass
 
 
-def _read_input(args) -> str:
+def _read_input(args):
+    """The input text, or under --format json the JSON value it holds."""
     if getattr(args, "infile", None):
         with open(args.infile, encoding="utf-8") as fh:
             text = fh.read()
     else:
         text = sys.stdin.read()
-    if args.format == "text" and text.lstrip().startswith("{"):
+    if args.format == "json":
+        try:
+            return json.loads(text)
+        except RecursionError:  # the parser's nesting limit; `run` lets any other one propagate
+            raise DomainError("the JSON input is nested too deeply to read") from None
+    if text.lstrip().startswith("{"):
         raise DomainError("the input looks like JSON; pass --format json to read it")
     return text
 
@@ -58,11 +64,8 @@ def _write_output(args, text: str) -> None:
 
 
 def _read_grid(args, cls):
-    text = _read_input(args)
-    if args.format == "json":
-        value = cls.from_json(text)
-    else:
-        value = cls.from_text(text)
+    data = _read_input(args)
+    value = cls.from_json_obj(data) if args.format == "json" else cls.from_text(data)
     shape = _shape_arg(args, required=False)
     if shape is not None and value.shape != shape:
         raise DomainError(f"input has shape {value.shape}, expected {shape}")
@@ -298,14 +301,12 @@ def cmd_rsk(args) -> int:
 
 
 def cmd_rsk_inv(args) -> int:
-    text = _read_input(args)
+    data = _read_input(args)
     if args.format == "json":
-        obj = json.loads(text)
-        if not (isinstance(obj, dict) and "p" in obj and "q" in obj):
-            raise DomainError("expected a JSON object with the keys 'p' and 'q'")
-        pair = classical.SsytPair(Rpp.from_json_obj(obj["p"]), Rpp.from_json_obj(obj["q"]))
+        p, q = _json_fields(data, "pair", "p", "q")
+        pair = classical.SsytPair(Rpp.from_json_obj(p), Rpp.from_json_obj(q))
     else:
-        first, _, second = text.partition("\n\n")
+        first, _, second = data.partition("\n\n")
         if not second.strip():
             raise DomainError("expected two grids separated by a blank line")
         pair = classical.SsytPair(Rpp.from_text(first), Rpp.from_text(second))

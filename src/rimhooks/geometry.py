@@ -74,6 +74,23 @@ def _require_int(value, what: str) -> int:
         raise ValueError(f"{what} is not an integer") from None
 
 
+def _json_fields(obj, what: str, *keys: str) -> list:
+    """The values of `keys` in a JSON object; the ValueError names a missing key."""
+    if not isinstance(obj, dict):
+        *rest, last = map(repr, keys)
+        listed = f"keys {', '.join(rest)} and {last}" if rest else f"key {last}"
+        raise ValueError(f"expected a JSON object with the {listed}")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"JSON {what} has no {key!r} key")
+    return [obj[key] for key in keys]
+
+
+def _is_json_ints(value) -> bool:
+    """A JSON list of integers: true, 1.0 and "1" are not integers."""
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
 def revlex_key(u: Cell):
     """Sort key realizing the reverse lexicographic order on cells.
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
 from operator import index, le
 from typing import Iterable, Iterator, Sequence
 
@@ -13,6 +12,8 @@ from .geometry import (
     Cell,
     Partition,
     Region,
+    _is_json_ints,
+    _json_fields,
     _parse_ints,
     _require_int,
     format_cell,
@@ -122,11 +123,6 @@ class ShapedGrid:
         )
 
     def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # grids are immutable, and memo tables hash the same grid many times
         return hash((type(self).__name__, self.shape.parts, self.rows))
 
     def __repr__(self) -> str:
@@ -155,19 +151,10 @@ class ShapedGrid:
 
     @classmethod
     def from_json_obj(cls, obj: dict):
-        if not isinstance(obj, dict):
-            raise ValueError("expected a JSON object with the keys 'shape' and 'rows'")
-        for key in ("shape", "rows"):
-            if key not in obj:
-                raise ValueError(f"JSON grid has no {key!r} key")
-        shape, rows = obj["shape"], obj["rows"]
-        if not (isinstance(shape, list) and all(isinstance(p, int) for p in shape)):
+        shape, rows = _json_fields(obj, "grid", "shape", "rows")
+        if not _is_json_ints(shape):
             raise ValueError("JSON key 'shape' must be a list of integers")
-        if not (
-            isinstance(rows, list)
-            and all(isinstance(row, list) for row in rows)
-            and all(isinstance(v, int) for row in rows for v in row)
-        ):
+        if not (isinstance(rows, list) and all(map(_is_json_ints, rows))):
             raise ValueError("JSON key 'rows' must be a list of lists of integers")
         return cls(Partition(shape), rows)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .enumeration import _counts_by_size, enumerate_rpps
-from .geometry import Partition
+from .geometry import Partition, _is_json_ints, _json_fields
 
 _TERM_RE = re.compile(r"^\s*(-?\d+)(?:\s*\*\s*q(?:\^(\d+))?)?\s*$")
 _VAR_RE = re.compile(r"q_\{?(-?\d+)\}?(?:\^(\d+))?")
@@ -68,8 +68,12 @@ class TruncatedSeries:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TruncatedSeries":
-        series = cls(tuple(int(c) for c in obj["coefficients"]))
-        if series.truncation != obj.get("truncation", series.truncation):
+        (coefficients,) = _json_fields(obj, "series", "coefficients")
+        if not _is_json_ints(coefficients):
+            raise ValueError("JSON key 'coefficients' must be a list of integers")
+        series = cls(tuple(coefficients))
+        truncation = obj.get("truncation", series.truncation)
+        if type(truncation) is not int or truncation != series.truncation:
             raise ValueError("truncation does not match the coefficient count")
         return series
 
@@ -211,15 +215,19 @@ class MultiTraceSeries:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "MultiTraceSeries":
-        variables = obj["variables"]
+        variables, degree, terms = _json_fields(obj, "series", "variables", "degree", "terms")
+        if not _is_json_ints(variables):
+            raise ValueError("JSON key 'variables' must be a list of integers")
+        if type(degree) is not int:
+            raise ValueError("JSON key 'degree' must be an integer")
+        if not isinstance(terms, list) or not all(
+            isinstance(t, list) and len(t) == 2 and _is_json_ints(t[0]) and type(t[1]) is int
+            for t in terms
+        ):
+            raise ValueError("JSON key 'terms' must be a list of [list of integers, integer] pairs")
         var_lo = variables[0] if variables else 1
         var_hi = variables[-1] if variables else 0
-        return cls(
-            var_lo,
-            var_hi,
-            obj["degree"],
-            {tuple(m): int(c) for m, c in obj["terms"]},
-        )
+        return cls(var_lo, var_hi, degree, {tuple(m): c for m, c in terms})
 
     @classmethod
     def from_json(cls, text: str) -> "MultiTraceSeries":

@@ -550,15 +550,17 @@ def suite_gk(config: VerifyConfig) -> list[CheckResult]:
     # the grids of at most GK_TOTAL on the shape's cells, in stars and bars
     count = math.comb(GK_TOTAL + shape.size, shape.size)
     checked, failed = 0, 0
+    family_sizes = range(1, GK_RMAX + 1)
     for rows in config.pick(_grids(shape, GK_TOTAL), count):
         # `_grids` lays the rows out by the shape with non-negative entries
         t = Tableau._trusted(shape, tuple([tuple(row) for row in rows]))
         pi = build(t)
         for k in shape.contents:
             mu = classical.diag_partition(pi, k).parts
-            weak = classical._chain_maxima(t, k, GK_RMAX, "weak")
-            strict = classical._chain_maxima(t, k, GK_RMAX, "strict")
-            for r, most_weak, most_strict in zip(range(1, GK_RMAX + 1), weak, strict):
+            entries = classical._rectangle_entries(t, k)
+            weak = classical._chain_maxima(entries, family_sizes, "weak")
+            strict = classical._chain_maxima(entries, family_sizes, "strict")
+            for r, most_weak, most_strict in zip(family_sizes, weak, strict):
                 checked += 2
                 if sum(mu[:r]) != most_weak:
                     failed += 1

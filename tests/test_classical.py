@@ -260,8 +260,8 @@ class TestGreeneKleitman:
         assert [gk_chain_max(t, 0, r, "strict") for r in range(1, 5)] == [60, 120, 180, 240]
 
     def test_interrupted_flow_starts_afresh(self, monkeypatch):
-        # each r > 1 resumes the run that r = 1 started; a run cut short in
-        # its Dijkstra must not read as one that has taken every entry
+        # nothing resumes: r = 2 runs its own flow, and a run cut short in
+        # its Dijkstra caches nothing, so the next call starts afresh
         import rimhooks.classical as classical
 
         t = Tableau(Partition((3, 3, 3)), ((1, 1, 2), (0, 1, 0), (3, 0, 0)))
@@ -276,45 +276,32 @@ class TestGreeneKleitman:
         monkeypatch.undo()
         assert [gk_chain_max(t, 0, r, "weak") for r in (1, 2, 3)] == [4, 7, 8]
 
-    def test_threads_share_one_flow(self, monkeypatch):
-        # a second thread asking while the first resumes the shared run
-        # waits for it instead of resuming the same generator
-        import threading
+    def test_a_loop_over_family_sizes_stays_linear(self, monkeypatch):
+        # each r runs the flow to r rounded up to a power of two, so r = 1..40
+        # makes fewer than 4 * 40 augmentations; a memo keyed on r makes 742
+        import random
 
         import rimhooks.classical as classical
 
-        t = Tableau(Partition((3, 3, 3)), ((1, 1, 2), (0, 1, 0), (3, 0, 0)))
-        real = classical._augmentations
-        started, release = threading.Event(), threading.Event()
+        rng = random.Random(30)
+        grid = [[rng.randint(0, 3) for _ in range(30)] for _ in range(30)]
+        t = Tableau(Partition((30,) * 30), grid)
+        real, count = classical._augmentations, 0
 
-        def paused(entries, kind):
-            started.set()
-            release.wait(10)
-            yield from real(entries, kind)
+        def counted(entries, kind):
+            nonlocal count
+            for augmentation in real(entries, kind):
+                count += 1
+                yield augmentation
 
-        classical._chain_flow.cache_clear()
-        monkeypatch.setattr(classical, "_augmentations", paused)
-        results, errors = {}, []
-
-        def ask(name, r):
-            try:
-                results[name] = gk_chain_max(t, 0, r, "weak")
-            except BaseException as exc:
-                errors.append(exc)
-
-        first = threading.Thread(target=ask, args=("first", 2))
-        second = threading.Thread(target=ask, args=("second", 3))
-        first.start()
-        assert started.wait(10)
-        second.start()
-        second.join(0.2)
-        release.set()
-        first.join(10)
-        second.join(10)
-        classical._chain_flow.cache_clear()
-        assert not first.is_alive() and not second.is_alive()
-        assert errors == []
-        assert results == {"first": 7, "second": 8}
+        classical._breakpoints.cache_clear()
+        monkeypatch.setattr(classical, "_augmentations", counted)
+        try:
+            for r in range(1, 41):
+                gk_chain_max(t, 0, r, "weak")
+        finally:
+            classical._breakpoints.cache_clear()
+        assert 0 < count < 4 * 40
 
     def test_threads_asking_at_once_agree_with_a_serial_run(self):
         import random
@@ -328,7 +315,7 @@ class TestGreeneKleitman:
         t = Tableau(Partition((10,) * 10), grid)
         family_sizes = range(1, 16)
         expected = [gk_chain_max(t, 0, r, "weak") for r in family_sizes]
-        classical._chain_flow.cache_clear()
+        classical._breakpoints.cache_clear()
         results, errors = [], []
 
         def ask():
@@ -347,7 +334,7 @@ class TestGreeneKleitman:
                 thread.join(60)
         finally:
             sys.setswitchinterval(interval)
-            classical._chain_flow.cache_clear()
+            classical._breakpoints.cache_clear()
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert results == [expected] * 4

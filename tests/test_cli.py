@@ -439,6 +439,11 @@ class TestUsageErrors:
             ('{"shape": [2, 1], "rows": 5}', "'rows'"),
             ('{"shape": [2, 1], "rows": [[0, 1], 5]}', "'rows'"),
             ('{"shape": "2,1", "rows": [[0, 1], [1]]}', "'shape'"),
+            ('{"shape": [true, true], "rows": [[0], [1]]}', "'shape'"),
+            ('{"shape": [2.0], "rows": [[0, 1]]}', "'shape'"),
+            ('{"shape": [2], "rows": [[false, true]]}', "'rows'"),
+            ('{"shape": [2], "rows": [[0, "1"]]}', "'rows'"),
+            ('{"shape": [2], "rows": [[0, 1.0]]}', "'rows'"),
             ("[[0, 1], [1]]", "'shape' and 'rows'"),
         ],
     )
@@ -469,12 +474,33 @@ class TestUsageErrors:
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "command, stdin",
+        [
+            ("validate", "[" * 100000 + "]" * 100000),
+            ("hg", '{"shape": [1], "rows": ' + "[" * 100000 + "]" * 100000 + "}"),
+            ("rsk-inv", '{"p": ' + "[" * 100000 + "]" * 100000 + "}"),
+        ],
+    )
+    def test_deeply_nested_json(self, capsys, monkeypatch, command, stdin):
+        # too deep for the JSON parser: a diagnostic, not a RecursionError traceback
+        code, out, err = invoke(capsys, monkeypatch, [command, "--format", "json"], stdin=stdin)
+        assert code == 1 and err == ""
+        assert json.loads(out) == {"error": "the JSON input is nested too deeply to read"}
+
     def test_bad_json_pair(self, capsys, monkeypatch):
         code, out, _ = invoke(
             capsys, monkeypatch, ["rsk-inv", "--format", "json"], stdin='{"p": {}}'
         )
         assert code == 1
-        assert "'p' and 'q'" in json.loads(out)["error"]
+        assert json.loads(out) == {"error": "JSON pair has no 'q' key"}
+
+    def test_json_pair_that_is_no_object(self, capsys, monkeypatch):
+        code, out, _ = invoke(
+            capsys, monkeypatch, ["rsk-inv", "--format", "json"], stdin="[{}, {}]"
+        )
+        assert code == 1
+        assert json.loads(out) == {"error": "expected a JSON object with the keys 'p' and 'q'"}
 
 
 class TestIoErrors:
@@ -666,7 +692,14 @@ _ROWS = _mostly(
 _BROKEN = st.one_of(
     st.text(max_size=20),
     st.sampled_from(
-        ['{"shape": [1]', "[1, 2]", "null", '{"p": 1, "q": 2}', '{"shape": [1], "rows": [[-1]]}']
+        [
+            '{"shape": [1]',
+            "[1, 2]",
+            "null",
+            '{"p": 1, "q": 2}',
+            '{"shape": [1], "rows": [[-1]]}',
+            "[" * 100000 + "]" * 100000,
+        ]
     ),
 )
 _TEXT_STDIN = _mostly(

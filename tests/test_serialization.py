@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from hypothesis import given, strategies as st
 
 from rimhooks import (
@@ -59,6 +60,23 @@ class TestGridForms:
         empty = Rpp.zero(Partition(()))
         assert Rpp.from_text(empty.to_text()) == empty
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"shape": [True, True], "rows": [[0], [1]]}, "JSON key 'shape' must be a list of integers"),
+            ({"shape": [2.0], "rows": [[0, 1]]}, "JSON key 'shape' must be a list of integers"),
+            ({"shape": [2], "rows": [[False, True]]}, "JSON key 'rows' must be a list of lists"),
+            ({"shape": [2], "rows": [[0, "1"]]}, "JSON key 'rows' must be a list of lists"),
+            ({"shape": [2], "rows": [[0, 1.5]]}, "JSON key 'rows' must be a list of lists"),
+            ({"rows": [[0, 1]]}, "JSON grid has no 'shape' key"),
+            ([[0, 1]], "expected a JSON object with the keys 'shape' and 'rows'"),
+        ],
+    )
+    @pytest.mark.parametrize("cls", [Rpp, Tableau])
+    def test_json_rejects_non_integers(self, cls, obj, message):
+        with pytest.raises(ValueError, match=message):
+            cls.from_json(json.dumps(obj))
+
     def test_json_is_plain_data(self):
         pi = Rpp(Partition((2, 1)), ((0, 1), (2,)))
         assert json.loads(pi.to_json()) == {"shape": [2, 1], "rows": [[0, 1], [2]]}
@@ -87,6 +105,42 @@ class TestSeriesForms:
         series = MultiTraceSeries(-2, 1, 4, {(0, 0, 0, 0): 1, (1, 0, 2, 1): 7})
         parsed = MultiTraceSeries.from_text(series.to_text(), -2, 1, 4)
         assert parsed == series
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"coefficients": [1.9, "2", True]}, "JSON key 'coefficients' must be a list of integers"),
+            ({"coefficients": [1, True]}, "JSON key 'coefficients' must be a list of integers"),
+            ({"coefficients": "12"}, "JSON key 'coefficients' must be a list of integers"),
+            ({"coefficients": [1, 2], "truncation": 1.0}, "truncation does not match"),
+            ({"coefficients": [1, 2], "truncation": True}, "truncation does not match"),
+            ({"coefficients": [1, 2], "truncation": 2}, "truncation does not match"),
+            ({"truncation": 2}, "JSON series has no 'coefficients' key"),
+            ([1, 2], "expected a JSON object with the key 'coefficients'"),
+        ],
+    )
+    def test_univariate_json_rejects(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            TruncatedSeries.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"variables": [0], "degree": 2}, "JSON series has no 'terms' key"),
+            ({"degree": 2, "terms": []}, "JSON series has no 'variables' key"),
+            ({"variables": [0.0], "degree": 2, "terms": []}, "JSON key 'variables'"),
+            ({"variables": [0], "degree": True, "terms": []}, "JSON key 'degree'"),
+            ({"variables": [0], "degree": 2, "terms": [[[1], 1.9]]}, "JSON key 'terms'"),
+            ({"variables": [0], "degree": 2, "terms": [[[1], "2"]]}, "JSON key 'terms'"),
+            ({"variables": [0], "degree": 2, "terms": [[[True], 2]]}, "JSON key 'terms'"),
+            ({"variables": [0], "degree": 2, "terms": [[[1]]]}, "JSON key 'terms'"),
+            ({"variables": [0], "degree": 2, "terms": 5}, "JSON key 'terms'"),
+            (None, "expected a JSON object with the keys 'variables', 'degree' and 'terms'"),
+        ],
+    )
+    def test_multivariate_json_rejects(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            MultiTraceSeries.from_json(json.dumps(obj))
 
     def test_multivariate_json(self):
         series = MultiTraceSeries(-1, 1, 3, {(0, 0, 0): 2, (1, 1, 1): 5})
