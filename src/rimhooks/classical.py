@@ -21,7 +21,8 @@ from .geometry import Cell, Partition, _parse_ints, format_cell
 from .rpp import Rpp, Tableau, _from_frame, _to_frame
 
 ChainKind = Literal["weak", "strict"]
-Entries = tuple[tuple[Cell, int], ...]
+#: a rectangle of counts as `_order_type` reduces it
+OrderType = tuple[tuple[int, ...], ...]
 
 
 def _hg_step(shape: Partition, grid: list, start_col: int) -> list[int]:
@@ -295,18 +296,29 @@ def rectangle_cells(shape: Partition, k: int) -> tuple[Cell, ...]:
     )
 
 
-def _rectangle_entries(tableau: Tableau, k: int) -> Entries:
-    """The nonzero entries of the content-k rectangle, row-major, as (cell, value)."""
+def _rectangle_rows(tableau: Tableau, k: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of the content-k rectangle of the tableau, () when diagonal k is empty."""
     corner = _rectangle_corner(tableau.shape, k)
     if corner is None:
         return ()
     a, b = corner
-    return tuple(
-        ((i, j), v)
-        for i, row in enumerate(tableau.rows[:a], start=1)
-        for j, v in enumerate(row[:b], start=1)
-        if v
-    )
+    return tuple([row[:b] for row in tableau.rows[:a]])
+
+
+def _order_type(rows: Sequence[Sequence[int]]) -> OrderType:
+    """The rectangle `rows` without its zero rows and columns, up to symmetry.
+
+    Chain orders compare coordinates only, so deleting the zero rows and
+    columns keeps every chain maximum. So do transposing and turning by 180
+    degrees: each maps weak chains to weak chains and strict chains to
+    strict ones, some read backwards. The least of the four images is all
+    the chain maxima read: two rectangles that agree on it have the same.
+    """
+    kept = [row for row in rows if any(row)]
+    grid = tuple(zip(*[column for column in zip(*kept) if any(column)]))
+    transposed = tuple(zip(*grid))
+    turned = [tuple([row[::-1] for row in image[::-1]]) for image in (grid, transposed)]
+    return min(grid, transposed, *turned)
 
 
 @lru_cache(maxsize=16)
@@ -337,22 +349,22 @@ def _lattice(
     return tuple(map(tuple, adj)), head, free
 
 
-def _augmentations(entries: Entries, kind: ChainKind) -> Iterator[tuple[int, int, int]]:
+def _augmentations(grid: OrderType, kind: ChainKind) -> Iterator[tuple[int, int, int]]:
     """The chain flow's augmenting paths in order: units and gain so far, gain per unit.
 
-    Chain orders depend only on coordinate order, so the grid keeps the rows
-    and columns holding an entry; strict reflects the rows to run south-east.
+    Strict reflects the rows, so its chains run south-east like the weak ones.
     A DAG pass gives the first path, Dijkstra on reduced costs each next one.
     """
     weak = kind == "weak"
-    rows = {i: x for x, i in enumerate(sorted({i for (i, _), _ in entries}, reverse=not weak))}
-    cols = {j: y for y, j in enumerate(sorted({j for (_, j), _ in entries}))}
-    adj, head, free = _lattice(len(rows), len(cols), weak)
+    height, width = len(grid), len(grid[0]) if grid else 0
+    adj, head, free = _lattice(height, width, weak)
     cap, cost, sink, total = list(free), [0] * len(head), len(adj) - 1, 0
-    for (i, j), v in entries:
-        e = 2 * (rows[i] * len(cols) + cols[j])
-        cap[e], cost[e], cost[e + 1] = (1, -v, v) if weak else (v, -1, 1)
-        total += v
+    for x, row in enumerate(grid if weak else grid[::-1]):
+        for y, v in enumerate(row):
+            if v:
+                e = 2 * (x * width + y)
+                cap[e], cost[e], cost[e + 1] = (1, -v, v) if weak else (v, -1, 1)
+                total += v
     dist, pred = [0] + [inf] * sink, [0] * len(adj)
     for u, arcs in enumerate(adj):
         for e in arcs:
@@ -384,10 +396,10 @@ def _augmentations(entries: Entries, kind: ChainKind) -> Iterator[tuple[int, int
 
 
 @lru_cache(maxsize=256)
-def _breakpoints(entries: Entries, kind: ChainKind, units: int) -> tuple[tuple[int, int, int], ...]:
+def _breakpoints(grid: OrderType, kind: ChainKind, units: int) -> tuple[tuple[int, int, int], ...]:
     """The chain flow's breakpoints (units, gain, gain per unit), run until it carries `units`."""
     found = [(0, 0, 0)]
-    for augmentation in _augmentations(entries, kind):
+    for augmentation in _augmentations(grid, kind):
         found.append(augmentation)
         if augmentation[0] >= units:
             break
@@ -409,18 +421,19 @@ def gk_chain_max(tableau: Tableau, k: int, r: int, kind: ChainKind) -> int:
         raise ValueError("the family needs at least one chain")
     if kind not in ("weak", "strict"):
         raise ValueError(f"unknown chain kind {kind!r}")
-    return _chain_maxima(_rectangle_entries(tableau, k), (r,), kind)[0]
+    return _chain_maxima(_rectangle_rows(tableau, k), (r,), kind)[0]
 
 
-def _chain_maxima(entries: Entries, family_sizes: Sequence[int], kind: ChainKind) -> list[int]:
-    """`gk_chain_max` for each family size on a rectangle's `_rectangle_entries`, from one run.
+def _chain_maxima(rows: Sequence[Sequence[int]], family_sizes: Sequence[int], kind: ChainKind) -> list[int]:
+    """`gk_chain_max` for each family size on a rectangle's `_rectangle_rows`, from one run.
 
     The run goes to the largest size rounded up to a power of two and is
-    memoised per (entries, kind, units), so a loop over r = 1..n makes
-    fewer than 4n augmentations in all. The gain of r units is linear
+    memoised per (order type, kind, units), so a loop over r = 1..n makes
+    fewer than 4n augmentations in all, and rectangles of one order type
+    share one run. The gain of r units is linear
     between the breakpoints and flat after the last.
     """
-    found = _breakpoints(entries, kind, 1 << (max(family_sizes) - 1).bit_length())
+    found = _breakpoints(_order_type(rows), kind, 1 << (max(family_sizes) - 1).bit_length())
     gains = []
     for r in family_sizes:
         units, gain, per_unit = found[bisect_left(found, (r,), 0, len(found) - 1)]

@@ -422,84 +422,103 @@ def _add_io(p, needs_shape=False, shape_required=False):
         )
 
 
-def make_parser() -> argparse.ArgumentParser:
+class _Unbuilt:
+    """Stands in for a subcommand parser that `make_parser` leaves out: takes its arguments."""
+
+    def add_argument(self, *args, **kwargs) -> None:
+        pass
+
+    set_defaults = add_argument
+
+
+def make_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser, or one that builds only the parser of the subcommand `command`.
+
+    Both print the same usage, help and errors on a command line that starts
+    with `command`. A name that is no subcommand's gets the full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="rimhooks",
         description="Rim-hook insertion, factorization, peeling, classical "
         "correspondences and exact series checks for reverse plane partitions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    names = []
 
-    p = sub.add_parser("info", help="hooks, corners, regions and both cell orders")
+    def add_parser(name: str, **kwargs):
+        names.append(name)
+        return sub.add_parser(name, **kwargs) if command in (None, name) else _Unbuilt()
+
+    p = add_parser("info", help="hooks, corners, regions and both cell orders")
     _add_io(p, needs_shape=True, shape_required=True)
     p.set_defaults(fn=cmd_info)
 
-    p = sub.add_parser("rimhooks", help="list the rim-hooks in increasing order")
+    p = add_parser("rimhooks", help="list the rim-hooks in increasing order")
     _add_io(p, needs_shape=True, shape_required=True)
     p.add_argument("--svg", metavar="PATH", help="also write an SVG rendering")
     p.set_defaults(fn=cmd_rimhooks)
 
-    p = sub.add_parser("validate", help="check a grid and report shape and size")
+    p = add_parser("validate", help="check a grid and report shape and size")
     _add_io(p, needs_shape=True)
     p.set_defaults(fn=cmd_validate)
 
-    p = sub.add_parser("trace", help="diagonal sums of a filling")
+    p = add_parser("trace", help="diagonal sums of a filling")
     _add_io(p, needs_shape=True)
     p.add_argument("--k", type=int, help="a single diagonal (default: all)")
     p.set_defaults(fn=cmd_trace)
 
-    p = sub.add_parser("candidates", help="extraction starting cells, minimal first")
+    p = add_parser("candidates", help="extraction starting cells, minimal first")
     _add_io(p, needs_shape=True)
     p.set_defaults(fn=cmd_candidates)
 
-    p = sub.add_parser("insert", help="insert one rim-hook into a filling")
+    p = add_parser("insert", help="insert one rim-hook into a filling")
     _add_io(p, needs_shape=True)
     p.add_argument("--hook", required=True, metavar="(i,j)", help="anchor of the rim-hook")
     p.set_defaults(fn=cmd_insert)
 
-    p = sub.add_parser("factorize", help="lexicographic factorization of a filling")
+    p = add_parser("factorize", help="lexicographic factorization of a filling")
     _add_io(p, needs_shape=True)
     p.add_argument("--paths", action="store_true", help="also emit the extraction paths")
     p.set_defaults(fn=cmd_factorize)
 
-    p = sub.add_parser("build", help="insert a whole multiset of rim-hooks into zero")
+    p = add_parser("build", help="insert a whole multiset of rim-hooks into zero")
     _add_io(p, needs_shape=True)
     p.add_argument("--perm", metavar="WORD", help="permutation in one-line notation, e.g. 3,1,2")
     p.set_defaults(fn=cmd_build)
 
-    p = sub.add_parser("xi", help="corner-peeling tableau of a filling")
+    p = add_parser("xi", help="corner-peeling tableau of a filling")
     _add_io(p, needs_shape=True)
     p.set_defaults(fn=cmd_xi)
 
-    p = sub.add_parser("zeta", help="toggle one outer corner away")
+    p = add_parser("zeta", help="toggle one outer corner away")
     _add_io(p, needs_shape=True)
     p.add_argument("--corner", required=True, metavar="(i,j)")
     p.set_defaults(fn=cmd_zeta)
 
-    p = sub.add_parser("hg", help="Hillman-Grassl image of a filling")
+    p = add_parser("hg", help="Hillman-Grassl image of a filling")
     _add_io(p, needs_shape=True)
     p.set_defaults(fn=cmd_hg)
 
-    p = sub.add_parser("hg-inv", help="inverse Hillman-Grassl of a tableau")
+    p = add_parser("hg-inv", help="inverse Hillman-Grassl of a tableau")
     _add_io(p, needs_shape=True)
     p.add_argument("--perm", metavar="WORD", help="permutation in one-line notation, e.g. 3,1,2")
     p.set_defaults(fn=cmd_hg_inv)
 
-    p = sub.add_parser("rsk", help="row insertion of a count matrix")
+    p = add_parser("rsk", help="row insertion of a count matrix")
     _add_io(p, needs_shape=True)
     p.add_argument("--perm", metavar="WORD", help="permutation in one-line notation, e.g. 3,1,2")
     p.set_defaults(fn=cmd_rsk)
 
-    p = sub.add_parser("rsk-inv", help="inverse row insertion of a tableau pair")
+    p = add_parser("rsk-inv", help="inverse row insertion of a tableau pair")
     _add_io(p, needs_shape=True)
     p.set_defaults(fn=cmd_rsk_inv)
 
-    p = sub.add_parser("diag", help="partition formed by one diagonal of a filling")
+    p = add_parser("diag", help="partition formed by one diagonal of a filling")
     _add_io(p, needs_shape=True)
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(fn=cmd_diag)
 
-    p = sub.add_parser("gk", help="maximal total length of r chains in a rectangle")
+    p = add_parser("gk", help="maximal total length of r chains in a rectangle")
     _add_io(p, needs_shape=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
@@ -507,7 +526,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--perm", metavar="WORD", help="permutation in one-line notation, e.g. 3,1,2")
     p.set_defaults(fn=cmd_gk)
 
-    p = sub.add_parser("series", help="truncated size or trace series of a shape")
+    p = add_parser("series", help="truncated size or trace series of a shape")
     _add_io(p, needs_shape=True, shape_required=True)
     p.add_argument(
         "which",
@@ -517,7 +536,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=_non_negative_int, default=10)
     p.set_defaults(fn=cmd_series)
 
-    p = sub.add_parser("verify", help="run a property suite")
+    p = add_parser("verify", help="run a property suite")
     _add_io(p)
     p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument(
@@ -543,24 +562,32 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("enumerate", help="stream fillings or tableaux as JSON lines")
+    p = add_parser("enumerate", help="stream fillings or tableaux as JSON lines")
     _add_io(p, needs_shape=True, shape_required=True)
     p.add_argument("what", choices=("rpps", "tableaux"))
     p.add_argument("--bound", type=_non_negative_int, required=True)
     p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
     p.set_defaults(fn=cmd_enumerate)
 
-    p = sub.add_parser("render", help="ASCII (and optional SVG) picture of a filling")
+    p = add_parser("render", help="ASCII (and optional SVG) picture of a filling")
     _add_io(p, needs_shape=True)
     p.add_argument("--svg", metavar="PATH")
     p.add_argument("--highlight", nargs="*", metavar="(i,j)")
     p.set_defaults(fn=cmd_render)
 
+    if command is None:
+        return parser
+    if command not in names:
+        return make_parser()
+    # the full parser's usage names every subcommand through their choices
+    sub.metavar = "{%s}" % ",".join(names)
     return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = make_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the first argument names the subcommand unless it is an option such as -h
+    parser = make_parser(argv[0] if argv and not argv[0].startswith("-") else None)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

@@ -61,6 +61,18 @@ class LatticePath:
                     f"{format_cell(a)} -> {format_cell(b)}"
                 )
 
+    @classmethod
+    def _trusted(cls, cells: tuple[Cell, ...], orientation: Orientation) -> "LatticePath":
+        """A path of `cells`, stored as given and checked for nothing.
+
+        Only for walks whose every step is one of `orientation`'s; each call
+        site names what certifies it.
+        """
+        path = object.__new__(cls)
+        object.__setattr__(path, "cells", cells)
+        object.__setattr__(path, "orientation", orientation)
+        return path
+
     @property
     def head(self) -> Cell:
         """The south-west end of the path."""
@@ -103,6 +115,18 @@ class Factorization:
         keys = [revlex_key(u) for u in self.anchors]
         if not all(map(le, keys, keys[1:])):
             raise ValueError("anchors must be weakly increasing in rim-hook order")
+
+    @classmethod
+    def _trusted(cls, shape: Partition, anchors: tuple[Cell, ...]) -> "Factorization":
+        """A factorization of `anchors`, stored as given and checked for nothing.
+
+        Only for anchors already known to lie in `shape` and to increase
+        weakly; each call site names what certifies them.
+        """
+        fact = object.__new__(cls)
+        object.__setattr__(fact, "shape", shape)
+        object.__setattr__(fact, "anchors", anchors)
+        return fact
 
     def hooks(self) -> list[RimHook]:
         return [self.shape.rim_hook(u) for u in self.anchors]
@@ -270,19 +294,19 @@ def is_compatible(path: LatticePath, pi: Rpp) -> bool:
     inline on its own path.
     """
     shape = pi.shape
-    for u in path:
-        if u not in shape:
-            raise ValueError(f"path leaves the shape at {format_cell(u)}")
     frame = shape.frame
-    width, east_forced = frame.width, frame.east_forced
-    grid = _to_frame(shape, pi.rows)
-    # a test on the set of cells, so either orientation passes or fails alike
-    on_path = {i * width + j for i, j in path}
-    for p in on_path:
-        v = grid[p]
-        if east_forced[p] and (p + 1 not in on_path or v != grid[p + 1]):
+    width, east_forced, rows = frame.width, frame.east_forced, pi.rows
+    # the value at each path position: a test on the set of cells, so either
+    # orientation passes or fails alike, and it reads path cells only
+    on_path = {}
+    for i, j in path:
+        if (i, j) not in shape:
+            raise ValueError(f"path leaves the shape at {format_cell((i, j))}")
+        on_path[i * width + j] = rows[i - 1][j - 1]
+    for p, v in on_path.items():
+        if east_forced[p] and on_path.get(p + 1) != v:
             return False
-        if p + width in on_path and v != grid[p + width]:
+        if p + width in on_path and v != on_path[p + width]:
             return False
     return True
 
@@ -308,7 +332,8 @@ def _sw_path(walk: list[int], length: int, width: int) -> LatticePath:
     # a walk that stopped in column 0 goes on west
     i, j = cells[-1]
     cells += [(i, j - k) for k in range(1, length - len(cells) + 1)]
-    return LatticePath(tuple(cells), Orientation.SW)
+    # the walk steps south or west on the frame, and the rest goes west
+    return LatticePath._trusted(tuple(cells), Orientation.SW)
 
 
 def insertion_path(hook: RimHook, pi: Rpp) -> LatticePath:
@@ -367,7 +392,8 @@ def extraction_path(v: Cell, pi: Rpp) -> LatticePath:
     if v not in shape or next(_candidates_among(shape, grid, (start,)), None) is None:
         raise ValueError(f"{format_cell(v)} is not a candidate of the filling")
     walk = _extraction_walk(shape, grid, start)[0]
-    return LatticePath(tuple(divmod(p, width) for p in walk), Orientation.NE)
+    # the walk steps north or east on the frame
+    return LatticePath._trusted(tuple([divmod(p, width) for p in walk]), Orientation.NE)
 
 
 def rim_hook_of_path(path: LatticePath, shape: Partition) -> RimHook:
@@ -489,7 +515,8 @@ def factorize(pi: Rpp) -> Factorization:
     one cell per east step of the path, and raises, naming the filling, if
     a candidate turned up behind v. Costs O(cells + hooks x hook length).
     """
-    return Factorization(pi.shape, tuple([anchor for anchor, _, _ in _extractions(pi)]))
+    # each anchor is a cell of the shape, and `_extractions` raises on a decreasing one
+    return Factorization._trusted(pi.shape, tuple([anchor for anchor, _, _ in _extractions(pi)]))
 
 
 def build(tableau: Tableau) -> Rpp:

@@ -188,9 +188,10 @@ class Rpp(ShapedGrid):
         """Sum of the entries on diagonal k (0 when the diagonal is empty).
 
         It keeps its own loop, one addition per row and no list, rather than
-        indexing `traces()`: its callers (`verify diag`, `verify syt`,
-        `check_syt_diagonals`) ask for one diagonal at a time, and building
-        every sum for each of them measured a higher peak memory.
+        indexing `traces()`: its callers (`verify syt`, `check_syt_diagonals`,
+        `rimhooks trace --k`) ask for one diagonal at a time, and building
+        every sum for each of them measured a higher peak memory. A caller
+        that reads every diagonal, such as `verify diag`, uses `traces()`.
         """
         total = 0
         for i, row in enumerate(self.rows, start=1):

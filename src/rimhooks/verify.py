@@ -8,11 +8,11 @@ with the number of fillings or tableaux. It opens all its streams before it
 reads any, and opening checks the enumeration budget, so a shape over it
 raises BudgetExceededError before the first item is made. Sampling picks
 items by their index in a stream, whose exact length the hook-product
-formula gives in advance. `run_suites(..., jobs=N)` runs whole suites in N
-processes, so a single suite always runs in one process. The process pool is
-imported only when N > 1 and two or more suites run, so a serial run never
-loads it. Results are aggregated in a fixed order so runs are deterministic
-for a given configuration (seed included).
+formula gives in advance. `run_suites(..., jobs=N)` runs whole suites in
+min(N, number of suites) processes, so a single suite always runs in one
+process. The process pool is imported only when N > 1 and two or more suites
+run, so a serial run never loads it. Results are aggregated in a fixed order
+so runs are deterministic for a given configuration (seed included).
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache
+from itertools import accumulate, permutations, repeat
+from operator import add, ne
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import classical, peeling
@@ -32,7 +34,7 @@ from .enumeration import (
     enumerate_tableaux,
     projected_rpp_count,
 )
-from .geometry import Partition, content_key, revlex_key, rim_hook_key
+from .geometry import Partition, content_key, rim_hook_key
 from .insertion import (
     InsertionFailure,
     build,
@@ -166,9 +168,8 @@ def suite_bijection(config: VerifyConfig) -> list[CheckResult]:
             seen += 1
             if broken:
                 continue
-            fact = factorize(pi)
-            keys = [revlex_key(u) for u in fact.anchors]
-            broken = keys != sorted(keys) or build(fact.to_tableau()) != pi
+            # `factorize` raises on a decreasing anchor sequence
+            broken = build(factorize(pi).to_tableau()) != pi
             ok += not broken
         out.append(
             CheckResult(
@@ -375,25 +376,27 @@ def suite_insertion_uniqueness(config: VerifyConfig) -> list[CheckResult]:
         checked, failed = 0, 0
         for pi in config.pick(fillings, projected_rpp_count(shape, size)):
             for hook, paths in zip(hooks, sw_paths):
-                attempted = insertion_path(hook, pi)
+                # the fillings the compatible brute-force paths make. South-west
+                # paths with one tail and length differ exactly when their cell
+                # sets do, so `valid == [result]` says that one path is valid
+                # and that it is the one the insertion walked
                 valid = []
                 for path in paths:
                     if not is_compatible(path, pi):
                         continue
                     try:
-                        pi.with_path(path, +1)
+                        valid.append(pi.with_path(path, +1))
                     except ValueError:
                         continue
-                    valid.append(path)
                 result = try_insert(hook, pi)
                 checked += 1
                 if isinstance(result, Rpp):
-                    if len(valid) != 1 or valid[0].cells != attempted.cells:
+                    if valid != [result]:
                         failed += 1
                 else:
                     witness_ok = (
                         result.witness in pi.candidates()
-                        and content_key(result.witness) < content_key(attempted.head)
+                        and content_key(result.witness) < content_key(result.path.head)
                     )
                     if valid or not witness_ok:
                         failed += 1
@@ -413,23 +416,26 @@ def suite_crossing(config: VerifyConfig) -> list[CheckResult]:
     size = config.path_size_bound
     streams = [(shape, enumerate_rpps(shape, size)) for shape in config.partitions()]
     for shape, fillings in streams:
-        hooks = shape.rim_hooks()
+        hooks = [(hook, rim_hook_key(hook)) for hook in shape.rim_hooks()]
+        cell_keys = {u: content_key(u) for u in shape.cells()}
         cross_checked, cross_failed = 0, 0
         stab_checked, stab_failed = 0, 0
         for pi in config.pick(fillings, projected_rpp_count(shape, size)):
             candidates = pi.candidates()
             paths = {u: extraction_path(u, pi) for u in candidates}
-            hooks_at = {u: rim_hook_of_path(path, shape) for u, path in paths.items()}
-            for hook in hooks:
+            # (content key of u, key of the hook extracted at u) per candidate u
+            keyed = [
+                (cell_keys[u], rim_hook_key(rim_hook_of_path(path, shape)))
+                for u, path in paths.items()
+            ]
+            for hook, hook_key in hooks:
                 head_key = content_key(insertion_path(hook, pi).head)
-                for u in candidates:
-                    cross_checked += 1
-                    if content_key(u) < head_key:
-                        if rim_hook_key(hooks_at[u]) >= rim_hook_key(hook):
-                            cross_failed += 1
-                    if head_key <= content_key(u):
-                        if rim_hook_key(hook) > rim_hook_key(hooks_at[u]):
-                            cross_failed += 1
+                cross_checked += len(keyed)
+                for key, extracted in keyed:
+                    if key < head_key:
+                        cross_failed += extracted >= hook_key
+                    else:
+                        cross_failed += hook_key > extracted
             for v, path in paths.items():
                 if not is_compatible(path, pi):
                     continue
@@ -443,8 +449,8 @@ def suite_crossing(config: VerifyConfig) -> list[CheckResult]:
                         stab_checked += 1
                         if u not in after:
                             stab_failed += 1
-                for u in shape.cells():
-                    if u not in candidates and content_key(u) < content_key(v):
+                for u, key in cell_keys.items():
+                    if u not in candidates and key < cell_keys[v]:
                         stab_checked += 1
                         if u in after:
                             stab_failed += 1
@@ -526,14 +532,17 @@ def suite_diag(config: VerifyConfig) -> list[CheckResult]:
     weight = config.weight_bound
     streams = [(shape, enumerate_tableaux(shape, weight)) for shape in config.partitions()]
     for shape, tableaux in streams:
+        corners = [classical._rectangle_corner(shape, k) for k in shape.contents]
         seen, failed = 0, 0
         for t in config.pick(tableaux, projected_rpp_count(shape, weight)):
             seen += 1
-            pi = build(t)
-            for k in shape.contents:
-                expected = sum(v for _, v in classical._rectangle_entries(t, k))
-                if pi.trace(k) != expected:
-                    failed += 1
+            # sums[a - 1][b - 1] is the sum of t over rows 1..a and columns 1..b
+            sums, above = [], repeat(0)
+            for row in t.rows:
+                above = list(map(add, above, accumulate(row)))
+                sums.append(above)
+            expected = [sums[a - 1][b - 1] for a, b in corners]
+            failed += sum(map(ne, build(t).traces(), expected))
         out.append(
             CheckResult(
                 "diag",
@@ -545,28 +554,45 @@ def suite_diag(config: VerifyConfig) -> list[CheckResult]:
     return out
 
 
+def _gk_failures(rectangle: tuple[tuple[int, ...], ...], mu: tuple[int, ...]) -> int:
+    """How many chain maxima of a content-k rectangle miss the diagonal-k partition mu.
+
+    For r chains the weak maximum must be the sum of the first r parts of
+    mu, and the strict one that of its conjugate, which counts the cells in
+    the first r columns.
+    """
+    family_sizes = range(1, GK_RMAX + 1)
+    weak = classical._chain_maxima(rectangle, family_sizes, "weak")
+    strict = classical._chain_maxima(rectangle, family_sizes, "strict")
+    failed = 0
+    for r, most_weak, most_strict in zip(family_sizes, weak, strict):
+        failed += sum(mu[:r]) != most_weak
+        failed += sum(p if p < r else r for p in mu) != most_strict
+    return failed
+
+
 def suite_gk(config: VerifyConfig) -> list[CheckResult]:
     shape = Partition(GK_SHAPE)
     # the grids of at most GK_TOTAL on the shape's cells, in stars and bars
     count = math.comb(GK_TOTAL + shape.size, shape.size)
+    # per diagonal k: the corner (a, b) of its rectangle, and its cells, 0-based,
+    # which run from the first row it meets down to the corner
+    plan = []
+    for k in shape.contents:
+        a, b = classical._rectangle_corner(shape, k)
+        plan.append((a, b, [(i - 1, i + k - 1) for i in range(max(1, 1 - k), a + 1)]))
+    # many (rectangle, diagonal partition) pairs repeat across tableaux; the
+    # memo lives for this run only and stays at 256 entries
+    failures = lru_cache(maxsize=256)(_gk_failures)
     checked, failed = 0, 0
-    family_sizes = range(1, GK_RMAX + 1)
     for rows in config.pick(_grids(shape, GK_TOTAL), count):
         # `_grids` lays the rows out by the shape with non-negative entries
-        t = Tableau._trusted(shape, tuple([tuple(row) for row in rows]))
-        pi = build(t)
-        for k in shape.contents:
-            mu = classical.diag_partition(pi, k).parts
-            entries = classical._rectangle_entries(t, k)
-            weak = classical._chain_maxima(entries, family_sizes, "weak")
-            strict = classical._chain_maxima(entries, family_sizes, "strict")
-            for r, most_weak, most_strict in zip(family_sizes, weak, strict):
-                checked += 2
-                if sum(mu[:r]) != most_weak:
-                    failed += 1
-                # the first r parts of the conjugate count the cells in the first r columns
-                if sum(p if p < r else r for p in mu) != most_strict:
-                    failed += 1
+        rows = tuple([tuple(row) for row in rows])
+        built = build(Tableau._trusted(shape, rows)).rows
+        for a, b, diagonal in plan:
+            mu = sorted(filter(None, [built[i][j] for i, j in diagonal]), reverse=True)
+            failed += failures(tuple([row[:b] for row in rows[:a]]), tuple(mu))
+            checked += 2 * GK_RMAX
     return [
         CheckResult(
             "gk",
@@ -696,11 +722,13 @@ def run_suites(
         else:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     units = [(name, config) for name in expanded]
-    if jobs > 1 and len(units) > 1:
+    # one worker per unit at most: a pool starts all its workers at once
+    workers = min(jobs, len(units))
+    if workers > 1:
         # imported here: the serial path, the CLI default, must not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             grouped = list(pool.map(_run_one, units))
     else:
         grouped = [_run_one(unit) for unit in units]

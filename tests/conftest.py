@@ -8,6 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from rimhooks import Partition, Rpp
+from rimhooks.insertion import Factorization, LatticePath
 from rimhooks.rpp import ShapedGrid
 
 ACCEPTANCE_SHAPES = ((2, 2), (3, 2), (3, 3, 3), (4, 3, 1), (5, 2, 1, 1))
@@ -52,14 +53,15 @@ def rpps(draw):
     return Rpp(shape, grid)
 
 
-#: the real trusted constructor, for the tests that check it against the validating one
-TRUSTED = ShapedGrid.__dict__["_trusted"]
+#: the real trusted constructors, for the tests that check them against the validating ones
+TRUSTED = {cls: cls.__dict__["_trusted"] for cls in (ShapedGrid, LatticePath, Factorization)}
 
 
 @pytest.fixture(autouse=True)
 def validate_kernel_results(monkeypatch):
-    """Every test re-validates each kernel and stream result: `_trusted` runs the full check."""
-    monkeypatch.setattr(ShapedGrid, "_trusted", classmethod(lambda cls, shape, rows: cls(shape, rows)))
+    """Every test re-validates each kernel and stream result: each `_trusted` runs the full check."""
+    for cls in TRUSTED:
+        monkeypatch.setattr(cls, "_trusted", classmethod(lambda cls, *fields: cls(*fields)))
 
 
 @pytest.fixture

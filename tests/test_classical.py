@@ -1,6 +1,7 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rimhooks import (
     Partition,
@@ -19,7 +20,7 @@ from rimhooks import (
     rsk,
     rsk_inv,
 )
-from rimhooks.classical import _hg_inv_step, biword, rectangle_cells
+from rimhooks.classical import _chain_maxima, _hg_inv_step, biword, rectangle_cells
 from rimhooks.rpp import _from_frame
 from rimhooks.enumeration import _grids, enumerate_rpps, enumerate_tableaux
 from conftest import all_partitions
@@ -182,12 +183,12 @@ class TestGreeneKleitman:
         assert count > 100
 
     def test_rectangles_of_every_small_shape(self):
-        # capacities against the rectangle_cells definition, and chain maxima
+        # rectangles against the rectangle_cells definition, and chain maxima
         # against Greene's theorem on the rectangle-restricted matrix, on
         # shapes that are not rectangles too
         import random
 
-        from rimhooks.classical import _rectangle_entries
+        from rimhooks.classical import _rectangle_rows
 
         rng = random.Random(11)
         for shape in all_partitions(8):
@@ -196,8 +197,9 @@ class TestGreeneKleitman:
                 t = Tableau(shape, grid)
                 for k in range(-shape.length - 1, shape.parts[0] + 2):
                     cells = rectangle_cells(shape, k)
-                    caps = tuple((u, t.value(u)) for u in cells if t.value(u))
-                    assert _rectangle_entries(t, k) == caps
+                    rows = _rectangle_rows(t, k)
+                    laid = {(i, j): v for i, row in enumerate(rows, 1) for j, v in enumerate(row, 1)}
+                    assert laid == {u: t.value(u) for u in cells}
                     if cells:
                         rows, cols = cells[-1]
                         block = [row[:cols] for row in t.rows[:rows]]
@@ -338,6 +340,33 @@ class TestGreeneKleitman:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert results == [expected] * 4
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_chain_maxima_see_only_the_order_type(self, data):
+        # an order-preserving relabelling spreads the rows and columns apart
+        # with zero rows and columns between them; transposing and turning by
+        # 180 degrees keep every chain maximum too. Greene's theorem on the
+        # row insertion shape of each image is the oracle.
+        height, width = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        cell = st.integers(0, 3)
+        grid = data.draw(st.lists(st.lists(cell, min_size=width, max_size=width),
+                                  min_size=height, max_size=height))
+        to_row = sorted(data.draw(st.sets(st.integers(0, 6), min_size=height, max_size=height)))
+        to_col = sorted(data.draw(st.sets(st.integers(0, 6), min_size=width, max_size=width)))
+        spread_width = to_col[-1] + 1 + data.draw(st.integers(0, 2))
+        spread = [[0] * spread_width for _ in range(to_row[-1] + 2)]
+        for x, row in zip(to_row, grid):
+            for y, v in zip(to_col, row):
+                spread[x][y] = v
+        transposed = [list(column) for column in zip(*spread)]
+        turned = [row[::-1] for row in spread[::-1]]
+        family_sizes = range(1, 6)
+        for image in (grid, spread, transposed, turned):
+            mu = rsk(Tableau(Partition((len(image[0]),) * len(image)), image)).shape
+            for kind, lam in (("weak", mu), ("strict", mu.conjugate())):
+                expected = [sum(lam.parts[:r]) for r in family_sizes]
+                assert _chain_maxima(image, family_sizes, kind) == expected
 
     def test_bad_arguments(self):
         t = Tableau.zero(Partition((2, 2)))

@@ -404,6 +404,23 @@ class TestUsageErrors:
             run(["info", "--no-such-flag"])
         assert err.value.code == 2
 
+    def test_the_one_subcommand_parser_prints_what_the_full_one_does(self, capsys):
+        import argparse
+
+        from rimhooks.cli import make_parser
+
+        full = make_parser()
+        (commands,) = (a for a in full._actions if isinstance(a, argparse._SubParsersAction))
+        for name in commands.choices:
+            printed = []
+            for parser in (full, make_parser(name)):
+                for argv in ([name, "-h"], [name, "--no-such-flag"], [name, "stray", "words"]):
+                    with pytest.raises(SystemExit) as err:
+                        parser.parse_args(argv)
+                    printed.append((err.value.code, *capsys.readouterr()))
+            assert printed[:3] == printed[3:]
+        assert make_parser("no-such-command").format_help() == full.format_help()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,8 +1,9 @@
-"""The trusted constructor at every call site, against the validating one.
+"""The trusted constructors at every call site, against the validating ones.
 
-The autouse fixture in conftest makes `_trusted` validate for every other
-test; here the real one runs, and each result must be what the validating
-constructor makes of the same rows, stored as a tuple of int tuples.
+The autouse fixture in conftest makes each `_trusted` validate for every
+other test; here the real ones run. Each grid must be what the validating
+constructor makes of the same rows, stored as a tuple of int tuples, and
+each path and factorization what its validating constructor accepts.
 """
 
 import pytest
@@ -10,15 +11,29 @@ from hypothesis import given, settings
 
 from rimhooks import Partition, Rpp, Tableau, build, classical, factorize, peeling, verify
 from rimhooks.enumeration import enumerate_rpps, enumerate_tableaux
-from rimhooks.insertion import InsertionFailure, extract_min, try_insert
+from rimhooks.insertion import (
+    Factorization,
+    InsertionFailure,
+    LatticePath,
+    Orientation,
+    extract_min,
+    extraction_path,
+    insertion_path,
+    try_insert,
+)
 from rimhooks.rpp import ShapedGrid
 from conftest import TRUSTED, all_partitions, rpps
+
+
+def _restore(mp):
+    for cls, trusted in TRUSTED.items():
+        mp.setattr(cls, "_trusted", trusted)
 
 
 @pytest.fixture
 def real_trusted():
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ShapedGrid, "_trusted", TRUSTED)
+        _restore(mp)
         yield
 
 
@@ -27,6 +42,11 @@ def _assert_certified(grid, cls):
     assert type(grid.rows) is tuple
     assert all(type(row) is tuple and all(type(v) is int for v in row) for row in grid.rows)
     assert grid == cls(grid.shape, grid.rows)
+
+
+def _assert_path(path):
+    assert type(path.cells) is tuple
+    assert path == LatticePath(path.cells, path.orientation)
 
 
 def _check_tableau_sites(t):
@@ -39,7 +59,9 @@ def _check_filling_sites(pi):
     shape = pi.shape
     _assert_certified(classical.hg(pi), Tableau)
     _assert_certified(peeling.peel_tableau(pi), Tableau)
-    tableau = factorize(pi).to_tableau()
+    fact = factorize(pi)
+    assert type(fact.anchors) is tuple and fact == Factorization(shape, fact.anchors)
+    tableau = fact.to_tableau()
     _assert_certified(tableau, Tableau)
     _check_tableau_sites(tableau)
     step = extract_min(pi)
@@ -47,9 +69,14 @@ def _check_filling_sites(pi):
         _assert_certified(step[1], Rpp)
     for x in shape.corners()[1]:
         _assert_certified(peeling.corner_toggle(pi, x), Rpp)
+    for u in pi.candidates():
+        _assert_path(extraction_path(u, pi))
     for hook in shape.rim_hooks():
+        _assert_path(insertion_path(hook, pi))
         result = try_insert(hook, pi)
-        if not isinstance(result, InsertionFailure):
+        if isinstance(result, InsertionFailure):
+            _assert_path(result.path)
+        else:
             _assert_certified(result, Rpp)
 
 
@@ -57,7 +84,7 @@ def _check_filling_sites(pi):
 @given(rpps())
 def test_kernel_results_on_random_fillings(pi):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ShapedGrid, "_trusted", TRUSTED)
+        _restore(mp)
         _check_filling_sites(pi)
 
 
@@ -86,10 +113,16 @@ def test_gk_suite_tableaux(real_trusted, monkeypatch):
 
 
 def test_fixtures_swap_the_constructor(real_trusted):
-    # here the real one stores what it is given; everywhere else it validates
+    # here the real ones store what they are given; everywhere else they validate
     assert Rpp._trusted(Partition((2,)), ((1, 0),)).rows == ((1, 0),)
+    assert LatticePath._trusted(((1, 1), (1, 3)), Orientation.NE).cells == ((1, 1), (1, 3))
+    assert Factorization._trusted(Partition((2,)), ((1, 1), (1, 2))).anchors == ((1, 1), (1, 2))
 
 
 def test_trusted_validates_under_the_autouse_fixture():
     with pytest.raises(ValueError, match=r"\(1,2\)"):
         Rpp._trusted(Partition((2,)), ((1, 0),))
+    with pytest.raises(ValueError, match="illegal NE step"):
+        LatticePath._trusted(((1, 1), (1, 3)), Orientation.NE)
+    with pytest.raises(ValueError, match="weakly increasing"):
+        Factorization._trusted(Partition((2,)), ((1, 1), (1, 2)))

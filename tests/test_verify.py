@@ -7,9 +7,9 @@ import tracemalloc
 
 import pytest
 
-from rimhooks import BudgetExceededError, Partition, enumeration
+from rimhooks import BudgetExceededError, Partition, classical, enumeration
 from rimhooks.enumeration import projected_rpp_count
-from rimhooks.verify import SUITES, VerifyConfig, suite_bijection
+from rimhooks.verify import SUITES, VerifyConfig, run_suites, suite_bijection, suite_gk
 
 
 def _list_pick(config: VerifyConfig, items: list) -> list:
@@ -83,3 +83,46 @@ def test_bijection_memory_does_not_grow_with_the_fillings():
     low, high = (VerifyConfig(shapes=(shape,), size_bound=b, weight_bound=b) for b in (8, 14))
     assert projected_rpp_count(Partition(shape), 14) > 3 * projected_rpp_count(Partition(shape), 8)
     assert _peak_growth(high) < 1.5 * _peak_growth(low)
+
+
+def test_a_wrong_chain_maximum_fails_gk_with_the_memo_warm(monkeypatch):
+    # the first run fills the flow memo; a fault on one rectangle must still show
+    assert suite_gk(VerifyConfig())[0].passed
+    real = classical._chain_maxima
+    # the content-0 rectangle of the tableau with a single hook at (2,2)
+    faulty = ((0, 0, 0), (0, 1, 0), (0, 0, 0))
+
+    def wrong_on_one(rows, family_sizes, kind):
+        gains = real(rows, family_sizes, kind)
+        return [gains[0] + 1, *gains[1:]] if rows == faulty and kind == "strict" else gains
+
+    monkeypatch.setattr(classical, "_chain_maxima", wrong_on_one)
+    (result,) = suite_gk(VerifyConfig())
+    assert not result.passed
+
+
+def test_jobs_are_capped_at_one_worker_per_suite(monkeypatch):
+    # a stand-in pool records what it is asked for and starts no process
+    import concurrent.futures
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, units):
+            return map(fn, units)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    results = run_suites(["golden", "stanley"], jobs=5000)
+    assert asked == [2]
+    assert results == run_suites(["golden", "stanley"])
+    run_suites(["golden"], jobs=5000)
+    assert asked == [2]
