@@ -64,18 +64,20 @@ def _write_output(args, text: str) -> None:
 
 
 def _read_grid(args, cls):
-    data = _read_input(args)
-    value = cls.from_json_obj(data) if args.format == "json" else cls.from_text(data)
+    """The input grid as a `cls`, checked against --shape when it is given.
+
+    A --perm, which only the tableau-reading subcommands take, replaces the
+    input with its permutation matrix.
+    """
+    if getattr(args, "perm", None):
+        value = classical.permutation_matrix(args.perm)
+    else:
+        data = _read_input(args)
+        value = cls.from_json_obj(data) if args.format == "json" else cls.from_text(data)
     shape = _shape_arg(args, required=False)
     if shape is not None and value.shape != shape:
         raise DomainError(f"input has shape {value.shape}, expected {shape}")
     return value
-
-
-def _read_tableau(args) -> Tableau:
-    if getattr(args, "perm", None):
-        return classical.permutation_matrix(args.perm)
-    return _read_grid(args, Tableau)
 
 
 def _shape_arg(args, required: bool = True) -> Partition | None:
@@ -257,7 +259,7 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_build(args) -> int:
-    t = _read_tableau(args)
+    t = _read_grid(args, Tableau)
     pi = build(t)
     _emit_obj(args, pi.to_json_obj(), pi.to_text())
     return 0
@@ -286,14 +288,14 @@ def cmd_hg(args) -> int:
 
 
 def cmd_hg_inv(args) -> int:
-    t = _read_tableau(args)
+    t = _read_grid(args, Tableau)
     pi = classical.hg_inv(t)
     _emit_obj(args, pi.to_json_obj(), pi.to_text())
     return 0
 
 
 def cmd_rsk(args) -> int:
-    t = _read_tableau(args)
+    t = _read_grid(args, Tableau)
     pair = classical.rsk(t)
     obj = {"p": pair.p.to_json_obj(), "q": pair.q.to_json_obj()}
     _emit_obj(args, obj, f"{pair.p.to_text()}\n\n{pair.q.to_text()}")
@@ -324,7 +326,7 @@ def cmd_diag(args) -> int:
 
 
 def cmd_gk(args) -> int:
-    t = _read_tableau(args)
+    t = _read_grid(args, Tableau)
     value = classical.gk_chain_max(t, args.k, args.r, args.kind)
     _emit_obj(args, {"max": value}, str(value))
     return 0

@@ -22,9 +22,13 @@ T = TypeVar("T")
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised instead of silently truncating an enumeration."""
+    """Raised instead of silently truncating an enumeration.
 
-    def __init__(self, what: str, projected: int, ceiling: int):
+    `projected` is the exact item count, or a lower bound in words when the
+    count was not worth computing.
+    """
+
+    def __init__(self, what: str, projected: int | str, ceiling: int):
         super().__init__(
             f"enumerating {what} would yield {projected} items, over the ceiling {ceiling}"
         )
@@ -102,6 +106,18 @@ def _budget(what: str, projected: int, ceiling: int) -> int:
     return projected
 
 
+def _grid_budget(what: str, shape: Partition, bound: int, ceiling: int) -> int:
+    """The item count of the fillings or hook tableaux of `shape` up to `bound`, if within budget.
+
+    A nonempty shape has more than `bound` of each (n at an outer corner,
+    whose hook length is 1, and 0 elsewhere), so a bound at the ceiling is
+    refused before the count table, of bound + 1 entries, is built.
+    """
+    if shape.size and bound >= ceiling:
+        raise BudgetExceededError(what, f"more than {bound}", ceiling)
+    return _budget(what, projected_rpp_count(shape, bound), ceiling)
+
+
 def _exact_stream(
     make: Callable[[Partition, tuple[tuple[int, ...], ...]], T],
     shape: Partition,
@@ -132,13 +148,14 @@ def enumerate_rpps(
     Emitted exactly once each, in row-major lexicographic order of the entry
     grids. The stream has exactly `projected_rpp_count(shape, bound)` items,
     Stanley's hook-product count: the call raises BudgetExceededError, before
-    any item is made, when that count is over the ceiling, and a stream read
+    any item is made, when that count is over the ceiling (at once, without
+    counting, when `bound` is at the ceiling or above), and a stream read
     to its end raises RuntimeError if its length differs from it. Nothing is
     held between items, so a reader that keeps nothing runs in constant
     memory.
     """
     what = f"fillings of {shape}"
-    expected = _budget(what, projected_rpp_count(shape, bound), ceiling)
+    expected = _grid_budget(what, shape, bound, ceiling)
     return _exact_stream(Rpp._trusted, shape, bound, expected, what, monotone=True)
 
 
@@ -152,7 +169,7 @@ def enumerate_tableaux(
     enumerate_rpps; the two streams always have equal cardinality.
     """
     what = f"hook tableaux of {shape}"
-    expected = _budget(what, projected_rpp_count(shape, bound), ceiling)
+    expected = _grid_budget(what, shape, bound, ceiling)
     weights = [shape.hook_length(u) for u in shape.cells()]
     return _exact_stream(Tableau._trusted, shape, bound, expected, what, weights)
 

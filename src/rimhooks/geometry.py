@@ -67,11 +67,16 @@ def _parse_ints(tokens: Iterable[str], where: str) -> tuple[int, ...]:
 
 
 def _require_int(value, what: str) -> int:
-    """`value` as an int, without truncating or parsing; the ValueError names `what`."""
+    """`value` as an int, without truncating, parsing or taking a bool for 0 or 1.
+
+    The ValueError names `what`.
+    """
     try:
-        return index(value)
+        if type(value) is not bool:
+            return index(value)
     except TypeError:
-        raise ValueError(f"{what} is not an integer") from None
+        pass
+    raise ValueError(f"{what} is not an integer")
 
 
 def _json_fields(obj, what: str, *keys: str) -> list:
@@ -127,12 +132,9 @@ class Partition:
 
     def __init__(self, parts: Iterable[int] = ()):
         parts = tuple(parts)
-        try:
-            parts = tuple(map(index, parts))
-        except TypeError:
-            for p in parts:
-                _require_int(p, f"part {p!r}")
-            raise
+        if not set(map(type, parts)) <= {int}:
+            # other integer types convert through __index__; bools and the rest are refused
+            parts = tuple([_require_int(p, f"part {p!r}") for p in parts])
         if not all(map(ge, parts, parts[1:])):
             raise ValueError(f"parts must be weakly decreasing, got {parts}")
         if parts and parts[-1] <= 0:
@@ -250,8 +252,9 @@ class Partition:
     def regions_by_content(self) -> Mapping[int, Region]:
         """The region of every diagonal of the diagram, keyed by content (read-only).
 
-        Every cell (i, j) of the diagram lies in region `regions_by_content[j - i]`;
-        the bijection kernels read this table directly in their inner loops.
+        Every cell (i, j) of the diagram lies in region `regions_by_content[j - i]`.
+        `region` reads this map, and `frame` lays it out by position once; the
+        bijection kernels read the `Frame` tables, not this map.
         """
         # One sweep up the contents: each diagonal up to the next corner is
         # band B after an outer corner, and band A after an inner one or

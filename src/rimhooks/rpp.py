@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from operator import index, le
+from operator import le
 from typing import Iterable, Iterator, Sequence
 
 from .geometry import (
@@ -34,13 +34,14 @@ class ShapedGrid:
     def __init__(self, shape: Partition, rows: Iterable[Iterable[int]] = ()):
         ints = []
         for i, row in enumerate(rows, start=1):
-            try:
-                ints.append(tuple(map(index, row)))
-            except TypeError:
-                # only on failure: name the first entry of the row that is not an integer
-                for j, v in enumerate(row, start=1):
+            row = tuple(row)
+            if not set(map(type, row)) <= {int}:
+                # other integer types convert through __index__; bools and the rest are refused
+                row = tuple(
                     _require_int(v, f"entry {v!r} at {format_cell((i, j))}")
-                raise
+                    for j, v in enumerate(row, start=1)
+                )
+            ints.append(row)
         rows = tuple(ints)
         if tuple(map(len, rows)) != shape.parts or (rows and min(map(min, rows)) < 0):
             # only on failure: find the first offending row or cell

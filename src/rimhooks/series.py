@@ -89,8 +89,10 @@ def hook_product(shape: Partition, truncation: int) -> TruncatedSeries:
 
 def rpp_series(shape: Partition, truncation: int) -> TruncatedSeries:
     """Coefficient of q^n counts the fillings of the shape with size n."""
+    # opened first: the stream checks the budget before the list is allocated
+    fillings = enumerate_rpps(shape, truncation)
     coeffs = [0] * (truncation + 1)
-    for pi in enumerate_rpps(shape, truncation):
+    for pi in fillings:
         coeffs[pi.size] += 1
     return TruncatedSeries(tuple(coeffs))
 
@@ -226,7 +228,15 @@ class MultiTraceSeries:
         ):
             raise ValueError("JSON key 'terms' must be a list of [list of integers, integer] pairs")
         var_lo = variables[0] if variables else 1
-        var_hi = variables[-1] if variables else 0
+        var_hi = var_lo + len(variables) - 1
+        if variables != list(range(var_lo, var_hi + 1)):
+            raise ValueError("JSON key 'variables' must be ascending consecutive integers")
+        for m, _ in terms:
+            if len(m) != len(variables) or min(m, default=0) < 0 or sum(m) > degree:
+                raise ValueError(
+                    f"JSON monomial {m} must hold {len(variables)} non-negative exponents "
+                    f"summing to at most {degree}"
+                )
         return cls(var_lo, var_hi, degree, {tuple(m): c for m, c in terms})
 
     @classmethod

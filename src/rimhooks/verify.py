@@ -1,26 +1,28 @@
 """Exhaustive property suites over configurable shapes and bounds.
 
-Each suite returns one CheckResult per unit of work; the CLI `verify`
-subcommand and the acceptance tests both run through this module, so the two
-always agree. A suite reads each enumeration as a stream, in one pass, and
-keeps running counters rather than the items, so its memory does not grow
-with the number of fillings or tableaux. It opens all its streams before it
-reads any, and opening checks the enumeration budget, so a shape over it
-raises BudgetExceededError before the first item is made. Sampling picks
-items by their index in a stream, whose exact length the hook-product
-formula gives in advance. `run_suites(..., jobs=N)` runs whole suites in
-min(N, number of suites) processes, so a single suite always runs in one
-process. The process pool is imported only when N > 1 and two or more suites
-run, so a serial run never loads it. Results are aggregated in a fixed order
-so runs are deterministic for a given configuration (seed included).
+Each suite is registered in `SUITES` under its name, in definition order, and
+returns one CheckResult per unit of work; the CLI `verify` subcommand and the
+acceptance tests both run through `run_suites`, so the two always agree. A
+suite reads each enumeration as a stream, in one pass, and keeps running
+counters rather than the items, so its memory does not grow with the number
+of fillings or tableaux. Opening a stream checks the enumeration budget, and
+the suites that enumerate open all their streams before they read any (see
+`_suite`). `VerifyConfig.fillings` and `VerifyConfig.tableaux` open the
+sampled streams: sampling picks items by their index in a stream, whose exact
+length the hook-product formula gives in advance. `run_suites(..., jobs=N)`
+runs whole suites in min(N, number of suites) processes, so a single suite
+always runs in one process. The process pool is imported only when N > 1 and
+two or more suites run, so a serial run never loads it. Results are
+aggregated in a fixed order so runs are deterministic for a given
+configuration (seed included).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, permutations, repeat
 from operator import add, ne
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -62,6 +64,9 @@ SYT_N = 3
 PERM_N = 4
 
 T = TypeVar("T")
+#: what a suite body yields per check: its name, whether it passed, and an
+#: optional detail
+Check = tuple[str, bool] | tuple[str, bool, str]
 
 
 @dataclass(frozen=True)
@@ -96,6 +101,14 @@ class VerifyConfig:
         kept = self.kept(count)
         return (item for index, item in enumerate(items) if index in kept)
 
+    def fillings(self, shape: Partition, bound: int) -> Iterator[Rpp]:
+        """The picked fillings of `shape` up to size `bound`; the call checks the budget."""
+        return self.pick(enumerate_rpps(shape, bound), projected_rpp_count(shape, bound))
+
+    def tableaux(self, shape: Partition, bound: int) -> Iterator[Tableau]:
+        """The picked hook tableaux of `shape` up to weight `bound`; the call checks the budget."""
+        return self.pick(enumerate_tableaux(shape, bound), projected_rpp_count(shape, bound))
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -110,165 +123,128 @@ class CheckResult:
         return f"{status} {self.suite}: {self.name}{tail}"
 
 
+SUITES: dict[str, Callable[[VerifyConfig], list[CheckResult]]] = {}
+
+
+def _suite(name: str):
+    """Register a suite body under `name` in `SUITES`, in definition order.
+
+    The body is a generator of `Check` tuples; the registered function, which
+    the decorator also returns, runs it to its end and stamps `name` on each
+    result. A body that enumerates opens all its streams before its first
+    `yield`, and opening a stream checks its budget, so the first `next()`
+    checks every budget before any stream is read.
+    """
+
+    def register(body: Callable[[VerifyConfig], Iterator[Check]]):
+        @functools.wraps(body)
+        def suite(config: VerifyConfig) -> list[CheckResult]:
+            return [CheckResult(name, *check) for check in body(config)]
+
+        SUITES[name] = suite
+        return suite
+
+    return register
+
+
 # ---------------------------------------------------------------- suites
 
 
-def suite_stanley(config: VerifyConfig) -> list[CheckResult]:
-    out = []
+@_suite("stanley")
+def suite_stanley(config: VerifyConfig) -> Iterator[Check]:
     for shape in config.partitions():
         lhs = rpp_series(shape, config.stanley_degree)
         rhs = hook_product(shape, config.stanley_degree)
-        out.append(
-            CheckResult(
-                "stanley",
-                f"size series equals hook product for {shape}",
-                lhs == rhs,
-                f"coefficients {list(lhs.coefficients)}",
-            )
-        )
-    return out
+        coefficients = f"coefficients {list(lhs.coefficients)}"
+        yield f"size series equals hook product for {shape}", lhs == rhs, coefficients
 
 
-def suite_gansner(config: VerifyConfig) -> list[CheckResult]:
-    out = []
+@_suite("gansner")
+def suite_gansner(config: VerifyConfig) -> Iterator[Check]:
     for shape in config.partitions():
         lhs = trace_series(shape, config.trace_degree)
         rhs = gansner_product(shape, config.trace_degree)
-        out.append(
-            CheckResult(
-                "gansner",
-                f"trace series equals refined hook product for {shape}",
-                lhs == rhs,
-                f"{len(rhs.terms)} monomials",
-            )
-        )
+        name = f"trace series equals refined hook product for {shape}"
+        yield name, lhs == rhs, f"{len(rhs.terms)} monomials"
         specialized = rhs.specialize()
         expected = hook_product(shape, config.trace_degree)
-        out.append(
-            CheckResult(
-                "gansner",
-                f"all-variables-to-q specialization matches for {shape}",
-                specialized == expected,
-            )
-        )
-    return out
+        yield f"all-variables-to-q specialization matches for {shape}", specialized == expected
 
 
-def suite_bijection(config: VerifyConfig) -> list[CheckResult]:
-    out = []
+@_suite("bijection")
+def suite_bijection(config: VerifyConfig) -> Iterator[Check]:
     size, weight = config.size_bound, config.weight_bound
-    # opened up front, so every budget is checked before any stream is read
     streams = [
-        (shape, enumerate_rpps(shape, size), enumerate_tableaux(shape, weight))
+        (shape, config.fillings(shape, size), config.tableaux(shape, weight))
         for shape in config.partitions()
     ]
     for shape, fillings, tableaux in streams:
         seen, ok, broken = 0, 0, False
-        for pi in config.pick(fillings, projected_rpp_count(shape, size)):
+        for pi in fillings:
             seen += 1
             if broken:
                 continue
             # `factorize` raises on a decreasing anchor sequence
             broken = build(factorize(pi).to_tableau()) != pi
             ok += not broken
-        out.append(
-            CheckResult(
-                "bijection",
-                f"factorize then build is the identity on {shape}",
-                ok == seen,
-                f"{ok}/{seen} fillings",
-            )
-        )
+        name = f"factorize then build is the identity on {shape}"
+        yield name, ok == seen, f"{ok}/{seen} fillings"
         seen, ok = 0, 0
-        for t in config.pick(tableaux, projected_rpp_count(shape, weight)):
+        for t in tableaux:
             seen += 1
             ok += factorize(build(t)).to_tableau() == t
-        out.append(
-            CheckResult(
-                "bijection",
-                f"build then factorize is the identity on {shape}",
-                ok == seen,
-                f"{ok}/{seen} tableaux",
-            )
-        )
-    return out
+        name = f"build then factorize is the identity on {shape}"
+        yield name, ok == seen, f"{ok}/{seen} tableaux"
 
 
-def suite_golden(config: VerifyConfig) -> list[CheckResult]:
-    out = []
+@_suite("golden")
+def suite_golden(config: VerifyConfig) -> Iterator[Check]:
     shape = Partition((4, 3, 1))
     pi = Rpp(shape, ((0, 1, 2, 3), (1, 2, 2), (1,)))
-    out.append(
-        CheckResult(
-            "golden",
-            "candidate set of the running example",
-            pi.candidates() == frozenset({(1, 2), (1, 4), (2, 2), (3, 1)}),
-        )
-    )
-    out.append(
-        CheckResult(
-            "golden",
-            "lexicographic factorization of the running example",
-            factorize(pi).anchors == ((1, 4), (1, 3), (2, 2), (1, 1)),
-        )
-    )
+    candidates = frozenset({(1, 2), (1, 4), (2, 2), (3, 1)})
+    yield "candidate set of the running example", pi.candidates() == candidates
+    anchors = ((1, 4), (1, 3), (2, 2), (1, 1))
+    yield "lexicographic factorization of the running example", factorize(pi).anchors == anchors
     square = Partition((3, 3, 3))
     flat = Rpp(square, ((0, 0, 0), (0, 0, 0), (1, 1, 1)))
     p1 = insertion_path(square.rim_hook((1, 3)), flat)
     p2 = insertion_path(square.rim_hook((2, 2)), flat)
-    out.append(
-        CheckResult(
-            "golden",
-            "two insertion paths into the staircase filling",
-            p1.cells == ((1, 3), (2, 3), (2, 2)) and p2.cells == ((2, 3), (2, 2), (2, 1)),
-        )
+    yield (
+        "two insertion paths into the staircase filling",
+        p1.cells == ((1, 3), (2, 3), (2, 2)) and p2.cells == ((2, 3), (2, 2), (2, 1)),
     )
     r1 = try_insert(square.rim_hook((1, 3)), flat)
     r2 = try_insert(square.rim_hook((2, 2)), flat)
-    out.append(
-        CheckResult(
-            "golden",
-            "the corresponding insertion results",
-            isinstance(r1, Rpp)
-            and isinstance(r2, Rpp)
-            and r1.rows == ((0, 0, 1), (0, 1, 1), (1, 1, 1))
-            and r2.rows == ((0, 0, 0), (1, 1, 1), (1, 1, 1)),
-        )
+    yield (
+        "the corresponding insertion results",
+        isinstance(r1, Rpp)
+        and isinstance(r2, Rpp)
+        and r1.rows == ((0, 0, 1), (0, 1, 1), (1, 1, 1))
+        and r2.rows == ((0, 0, 0), (1, 1, 1), (1, 1, 1)),
     )
     steep = Rpp(square, ((1, 1, 4), (2, 3, 4), (4, 4, 4)))
     toggled = peeling.corner_toggle(steep, (3, 3))
-    out.append(
-        CheckResult(
-            "golden",
-            "first corner toggle of the peeling chain",
-            toggled.shape == Partition((3, 3, 2))
-            and toggled.rows == ((0, 1, 4), (2, 3, 4), (4, 4)),
-        )
+    yield (
+        "first corner toggle of the peeling chain",
+        toggled.shape == Partition((3, 3, 2)) and toggled.rows == ((0, 1, 4), (2, 3, 4), (4, 4)),
     )
     peeled = peeling.peel_tableau(steep)
-    out.append(
-        CheckResult(
-            "golden",
-            "full peeling chain ends at the recorded tableau",
-            peeled.rows == ((1, 1, 2), (0, 1, 0), (3, 0, 0)),
-        )
+    yield (
+        "full peeling chain ends at the recorded tableau",
+        peeled.rows == ((1, 1, 2), (0, 1, 0), (3, 0, 0)),
     )
     pair = classical.rsk(Tableau(square, ((1, 1, 2), (0, 1, 0), (3, 0, 0))))
-    out.append(
-        CheckResult(
-            "golden",
-            "row insertion of the recorded tableau",
-            pair.p.rows == ((1, 1, 1, 1), (2, 2, 3), (3,))
-            and pair.q.rows == ((1, 1, 1, 1), (2, 3, 3), (3,)),
-        )
+    yield (
+        "row insertion of the recorded tableau",
+        pair.p.rows == ((1, 1, 1, 1), (2, 2, 3), (3,))
+        and pair.q.rows == ((1, 1, 1, 1), (2, 3, 3), (3,)),
     )
-    return out
 
 
-def suite_pak(config: VerifyConfig) -> list[CheckResult]:
-    out = []
+@_suite("pak")
+def suite_pak(config: VerifyConfig) -> Iterator[Check]:
     size = config.size_bound
-    streams = [(shape, enumerate_rpps(shape, size)) for shape in config.partitions()]
+    streams = [(shape, config.fillings(shape, size)) for shape in config.partitions()]
     for shape, fillings in streams:
         _, outer = shape.corners()
         # Two corner policies, spelled as orders: each outer corner x first,
@@ -280,34 +256,27 @@ def suite_pak(config: VerifyConfig) -> list[CheckResult]:
             [(i, j) for i in range(shape.length, 0, -1) for j in range(shape.parts[i - 1], 0, -1)]
         )
         seen, agree, independent = 0, True, True
-        for pi in config.pick(fillings, projected_rpp_count(shape, size)):
+        for pi in fillings:
             seen += 1
             reference = peeling.peel_tableau(pi)
             agree = agree and reference == factorize(pi).to_tableau()
             independent = independent and all(
                 peeling.peel_tableau(pi, order) == reference for order in orders
             )
-        out.append(
-            CheckResult(
-                "pak",
-                f"peeling equals factorization on {shape}",
-                agree,
-                f"{seen} fillings, two independent code paths",
-            )
+        yield (
+            f"peeling equals factorization on {shape}",
+            agree,
+            f"{seen} fillings, two independent code paths",
         )
-        out.append(
-            CheckResult(
-                "pak",
-                f"corner choice does not matter on {shape}",
-                independent,
-                f"forced each of {len(outer)} corners first, plus a reversed policy",
-            )
+        yield (
+            f"corner choice does not matter on {shape}",
+            independent,
+            f"forced each of {len(outer)} corners first, plus a reversed policy",
         )
-    return out
 
 
-def suite_commute(config: VerifyConfig) -> list[CheckResult]:
-    out = []
+@_suite("commute")
+def suite_commute(config: VerifyConfig) -> Iterator[Check]:
     weight = config.weight_bound
     streams = [(shape, enumerate_tableaux(shape, weight)) for shape in config.partitions()]
     for shape, tableaux in streams:
@@ -347,25 +316,18 @@ def suite_commute(config: VerifyConfig) -> list[CheckResult]:
                 f"tableaux of {shape} vanishing at a corner: counted {seen}, "
                 f"but the hook-product count is {vanishing}"
             )
-        out.append(
-            CheckResult(
-                "commute",
-                f"corner toggle commutes with insertion on {shape}",
-                failed == 0,
-                f"{checked} (corner, multiset) pairs",
-            )
-        )
-    return out
+        name = f"corner toggle commutes with insertion on {shape}"
+        yield name, failed == 0, f"{checked} (corner, multiset) pairs"
 
 
-def suite_insertion_uniqueness(config: VerifyConfig) -> list[CheckResult]:
-    out = []
+@_suite("insertion-uniqueness")
+def suite_insertion_uniqueness(config: VerifyConfig) -> Iterator[Check]:
     size = config.path_size_bound
     streams = [
         (
             shape,
             [enumerate_sw_paths(shape, hook.tail, len(hook)) for hook in shape.rim_hooks()],
-            enumerate_rpps(shape, size),
+            config.fillings(shape, size),
         )
         for shape in config.partitions()
     ]
@@ -374,7 +336,7 @@ def suite_insertion_uniqueness(config: VerifyConfig) -> list[CheckResult]:
         # each hook's paths are kept, since every filling is tried against them
         sw_paths = [tuple(paths) for paths in sw_paths]
         checked, failed = 0, 0
-        for pi in config.pick(fillings, projected_rpp_count(shape, size)):
+        for pi in fillings:
             for hook, paths in zip(hooks, sw_paths):
                 # the fillings the compatible brute-force paths make. South-west
                 # paths with one tail and length differ exactly when their cell
@@ -400,27 +362,23 @@ def suite_insertion_uniqueness(config: VerifyConfig) -> list[CheckResult]:
                     )
                     if valid or not witness_ok:
                         failed += 1
-        out.append(
-            CheckResult(
-                "insertion-uniqueness",
-                f"unique valid path or certified failure on {shape}",
-                failed == 0,
-                f"{checked} (hook, filling) pairs against brute force",
-            )
+        yield (
+            f"unique valid path or certified failure on {shape}",
+            failed == 0,
+            f"{checked} (hook, filling) pairs against brute force",
         )
-    return out
 
 
-def suite_crossing(config: VerifyConfig) -> list[CheckResult]:
-    out = []
+@_suite("crossing")
+def suite_crossing(config: VerifyConfig) -> Iterator[Check]:
     size = config.path_size_bound
-    streams = [(shape, enumerate_rpps(shape, size)) for shape in config.partitions()]
+    streams = [(shape, config.fillings(shape, size)) for shape in config.partitions()]
     for shape, fillings in streams:
         hooks = [(hook, rim_hook_key(hook)) for hook in shape.rim_hooks()]
         cell_keys = {u: content_key(u) for u in shape.cells()}
         cross_checked, cross_failed = 0, 0
         stab_checked, stab_failed = 0, 0
-        for pi in config.pick(fillings, projected_rpp_count(shape, size)):
+        for pi in fillings:
             candidates = pi.candidates()
             paths = {u: extraction_path(u, pi) for u in candidates}
             # (content key of u, key of the hook extracted at u) per candidate u
@@ -454,54 +412,28 @@ def suite_crossing(config: VerifyConfig) -> list[CheckResult]:
                         stab_checked += 1
                         if u in after:
                             stab_failed += 1
-        out.append(
-            CheckResult(
-                "crossing",
-                f"paths cannot cross on {shape}",
-                cross_failed == 0,
-                f"{cross_checked} (hook, candidate) pairs",
-            )
-        )
-        out.append(
-            CheckResult(
-                "crossing",
-                f"candidates are stable under extraction on {shape}",
-                stab_failed == 0,
-                f"{stab_checked} cell checks",
-            )
-        )
-    return out
+        name = f"paths cannot cross on {shape}"
+        yield name, cross_failed == 0, f"{cross_checked} (hook, candidate) pairs"
+        name = f"candidates are stable under extraction on {shape}"
+        yield name, stab_failed == 0, f"{stab_checked} cell checks"
 
 
-def suite_hg(config: VerifyConfig) -> list[CheckResult]:
-    out = []
+@_suite("hg")
+def suite_hg(config: VerifyConfig) -> Iterator[Check]:
     size, degree = config.size_bound, config.trace_degree
     streams = [
-        (shape, enumerate_rpps(shape, size), enumerate_rpps(shape, degree))
+        (shape, config.fillings(shape, size), enumerate_rpps(shape, degree))
         for shape in config.partitions()
     ]
     for shape, fillings, traced in streams:
         seen, roundtrip, weights = 0, True, True
-        for pi in config.pick(fillings, projected_rpp_count(shape, size)):
+        for pi in fillings:
             seen += 1
             t = classical.hg(pi)
             roundtrip = roundtrip and classical.hg_inv(t) == pi
             weights = weights and t.weighted_size == pi.size
-        out.append(
-            CheckResult(
-                "hg",
-                f"inverse undoes the correspondence on {shape}",
-                roundtrip,
-                f"{seen} fillings",
-            )
-        )
-        out.append(
-            CheckResult(
-                "hg",
-                f"recorded hooks account for the full size on {shape}",
-                weights,
-            )
-        )
+        yield f"inverse undoes the correspondence on {shape}", roundtrip, f"{seen} fillings"
+        yield f"recorded hooks account for the full size on {shape}", weights
         refined = gansner_product(shape, degree)
         acc = MultiTraceSeries(refined.var_lo, refined.var_hi, degree, {})
         # each cell's hook monomial once per shape, laid out like the rows, so
@@ -517,24 +449,17 @@ def suite_hg(config: VerifyConfig) -> list[CheckResult]:
                     if count:
                         exps = [a + count * b for a, b in zip(exps, mono)]
             acc.add_term(tuple(exps), 1)
-        out.append(
-            CheckResult(
-                "hg",
-                f"trace series through the correspondence matches for {shape}",
-                acc == refined,
-            )
-        )
-    return out
+        yield f"trace series through the correspondence matches for {shape}", acc == refined
 
 
-def suite_diag(config: VerifyConfig) -> list[CheckResult]:
-    out = []
+@_suite("diag")
+def suite_diag(config: VerifyConfig) -> Iterator[Check]:
     weight = config.weight_bound
-    streams = [(shape, enumerate_tableaux(shape, weight)) for shape in config.partitions()]
+    streams = [(shape, config.tableaux(shape, weight)) for shape in config.partitions()]
     for shape, tableaux in streams:
         corners = [classical._rectangle_corner(shape, k) for k in shape.contents]
         seen, failed = 0, 0
-        for t in config.pick(tableaux, projected_rpp_count(shape, weight)):
+        for t in tableaux:
             seen += 1
             # sums[a - 1][b - 1] is the sum of t over rows 1..a and columns 1..b
             sums, above = [], repeat(0)
@@ -543,15 +468,8 @@ def suite_diag(config: VerifyConfig) -> list[CheckResult]:
                 sums.append(above)
             expected = [sums[a - 1][b - 1] for a, b in corners]
             failed += sum(map(ne, build(t).traces(), expected))
-        out.append(
-            CheckResult(
-                "diag",
-                f"traces are rectangle sums of the tableau on {shape}",
-                failed == 0,
-                f"{seen} tableaux, every diagonal",
-            )
-        )
-    return out
+        name = f"traces are rectangle sums of the tableau on {shape}"
+        yield name, failed == 0, f"{seen} tableaux, every diagonal"
 
 
 def _gk_failures(rectangle: tuple[tuple[int, ...], ...], mu: tuple[int, ...]) -> int:
@@ -571,7 +489,8 @@ def _gk_failures(rectangle: tuple[tuple[int, ...], ...], mu: tuple[int, ...]) ->
     return failed
 
 
-def suite_gk(config: VerifyConfig) -> list[CheckResult]:
+@_suite("gk")
+def suite_gk(config: VerifyConfig) -> Iterator[Check]:
     shape = Partition(GK_SHAPE)
     # the grids of at most GK_TOTAL on the shape's cells, in stars and bars
     count = math.comb(GK_TOTAL + shape.size, shape.size)
@@ -583,7 +502,7 @@ def suite_gk(config: VerifyConfig) -> list[CheckResult]:
         plan.append((a, b, [(i - 1, i + k - 1) for i in range(max(1, 1 - k), a + 1)]))
     # many (rectangle, diagonal partition) pairs repeat across tableaux; the
     # memo lives for this run only and stays at 256 entries
-    failures = lru_cache(maxsize=256)(_gk_failures)
+    failures = functools.lru_cache(maxsize=256)(_gk_failures)
     checked, failed = 0, 0
     for rows in config.pick(_grids(shape, GK_TOTAL), count):
         # `_grids` lays the rows out by the shape with non-negative entries
@@ -593,18 +512,12 @@ def suite_gk(config: VerifyConfig) -> list[CheckResult]:
             mu = sorted(filter(None, [built[i][j] for i, j in diagonal]), reverse=True)
             failed += failures(tuple([row[:b] for row in rows[:a]]), tuple(mu))
             checked += 2 * GK_RMAX
-    return [
-        CheckResult(
-            "gk",
-            f"chain maxima match diagonal partial sums on {shape}",
-            failed == 0,
-            f"{checked} (tableau, diagonal, family size) checks",
-        )
-    ]
+    name = f"chain maxima match diagonal partial sums on {shape}"
+    yield name, failed == 0, f"{checked} (tableau, diagonal, family size) checks"
 
 
-def suite_syt(config: VerifyConfig) -> list[CheckResult]:
-    out = []
+@_suite("syt")
+def suite_syt(config: VerifyConfig) -> Iterator[Check]:
     for n in range(1, SYT_N + 1):
         shape = Partition((n,) * n)
         total = n * n
@@ -613,37 +526,29 @@ def suite_syt(config: VerifyConfig) -> list[CheckResult]:
             if all(pi.trace(k) == n - k and pi.trace(-k) == n - k for k in range(n)):
                 qualifying += 1
                 ok = ok and classical.check_syt_diagonals(pi)
-        out.append(
-            CheckResult(
-                "syt",
-                f"diagonal transpose law for staircase traces, n={n}",
-                ok and qualifying > 0,
-                f"{qualifying} qualifying fillings",
-            )
+        yield (
+            f"diagonal transpose law for staircase traces, n={n}",
+            ok and qualifying > 0,
+            f"{qualifying} qualifying fillings",
         )
-    return out
 
 
-def suite_rsk_thm(config: VerifyConfig) -> list[CheckResult]:
-    out = []
+@_suite("rsk-thm")
+def suite_rsk_thm(config: VerifyConfig) -> Iterator[Check]:
     for n in range(1, PERM_N + 1):
         ok = all(
             classical.check_rsk_transpose(classical.permutation_matrix(word))
             for word in permutations(range(1, n + 1))
         )
-        out.append(
-            CheckResult(
-                "rsk-thm",
-                f"row insertion transposes through the composite map, n={n}",
-                ok,
-                f"all {math.factorial(n)} permutations",
-            )
+        yield (
+            f"row insertion transposes through the composite map, n={n}",
+            ok,
+            f"all {math.factorial(n)} permutations",
         )
-    return out
 
 
-def suite_involution(config: VerifyConfig) -> list[CheckResult]:
-    out = []
+@_suite("involution")
+def suite_involution(config: VerifyConfig) -> Iterator[Check]:
     for n in range(1, PERM_N + 1):
         ok = True
         for word in permutations(range(1, n + 1)):
@@ -651,13 +556,7 @@ def suite_involution(config: VerifyConfig) -> list[CheckResult]:
             tau = classical.hg(build(sigma))
             if not classical.is_permutation_matrix(tau) or classical.hg(build(tau)) != sigma:
                 ok = False
-        out.append(
-            CheckResult(
-                "involution",
-                f"composite map is an involution on permutation matrices, n={n}",
-                ok,
-            )
-        )
+        yield f"composite map is an involution on permutation matrices, n={n}", ok
     witness = None
     for parts in ((3, 3), (3, 3, 3)):
         shape = Partition(parts)
@@ -671,33 +570,12 @@ def suite_involution(config: VerifyConfig) -> list[CheckResult]:
                 break
         if witness:
             break
-    out.append(
-        CheckResult(
-            "involution",
-            "composite map is not an involution in general",
-            witness is not None,
-            f"counterexample on {witness[0]}: {witness[1].rows}" if witness else "",
-        )
+    yield (
+        "composite map is not an involution in general",
+        witness is not None,
+        f"counterexample on {witness[0]}: {witness[1].rows}" if witness else "",
     )
-    return out
 
-
-SUITES: dict[str, Callable[[VerifyConfig], list[CheckResult]]] = {
-    "stanley": suite_stanley,
-    "gansner": suite_gansner,
-    "bijection": suite_bijection,
-    "golden": suite_golden,
-    "pak": suite_pak,
-    "commute": suite_commute,
-    "insertion-uniqueness": suite_insertion_uniqueness,
-    "crossing": suite_crossing,
-    "hg": suite_hg,
-    "diag": suite_diag,
-    "gk": suite_gk,
-    "syt": suite_syt,
-    "rsk-thm": suite_rsk_thm,
-    "involution": suite_involution,
-}
 
 SUITE_NAMES = tuple(SUITES) + ("all",)
 

@@ -33,6 +33,16 @@ def all_partitions(max_size: int) -> list[Partition]:
     return out
 
 
+class IntLike:
+    """An integer type other than int and bool: it converts through `__index__` only."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
 partitions = st.lists(st.integers(1, 6), min_size=0, max_size=5).map(
     lambda parts: Partition(sorted(parts, reverse=True))
 )

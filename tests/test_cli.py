@@ -2,6 +2,7 @@ import io
 import json
 import os
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 from xml.etree import ElementTree
@@ -9,7 +10,7 @@ from xml.etree import ElementTree
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rimhooks import Partition, Rpp, Tableau
+from rimhooks import Partition, Rpp, Tableau, enumeration
 from rimhooks.cli import run
 
 RUNNING = "0 1 2 3\n1 2 2\n1\n"
@@ -247,6 +248,16 @@ class TestClassicalCommands:
         assert first.splitlines() == ["1 2", "3"]
         assert second.splitlines() == ["1 3", "2"]
 
+    @pytest.mark.parametrize(
+        "argv", [["build"], ["hg-inv"], ["rsk"], ["gk", "--k", "0", "--r", "1", "--kind", "weak"]]
+    )
+    def test_perm_is_checked_against_the_shape(self, capsys, monkeypatch, argv):
+        code, out, err = invoke(capsys, monkeypatch, [*argv, "--shape", "2,1", "--perm", "3,1,2"])
+        assert (code, out) == (1, "")
+        assert err.strip() == "error: input has shape 3,3,3, expected 2,1"
+        code, out, _ = invoke(capsys, monkeypatch, ["build", "--shape", "3,3,3", "--perm", "3,1,2"])
+        assert code == 0 and out.splitlines() == ["0 1 1", "0 1 1", "1 2 2"]
+
     @pytest.mark.parametrize("word", ["", " "])
     def test_blank_perm_is_the_empty_permutation(self, capsys, monkeypatch, word):
         # like --shape '', which is the empty partition
@@ -280,6 +291,31 @@ class TestSeriesCommand:
             ["series", "hook-product", "--shape", "2,2", "--degree", "4"],
         )
         assert out.strip() == "1 + 1*q + 3*q^2 + 4*q^3 + 7*q^4"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["series", "rpp", "--shape", "3,2", "--degree"],
+            ["enumerate", "tableaux", "--shape", "3,2", "--bound"],
+            ["verify", "stanley", "--degree"],
+        ],
+    )
+    def test_a_bound_at_the_ceiling_is_refused_before_any_table(self, capsys, monkeypatch, argv):
+        # a nonempty shape has more fillings than the bound, so neither the count
+        # table nor a coefficient list of bound + 1 entries (80 MB here) is made
+        def no_table(shape, bound):
+            raise AssertionError(f"a count table of {bound + 1} entries")
+
+        monkeypatch.setattr(enumeration, "_counts_by_size", no_table)
+        tracemalloc.start()
+        try:
+            code, out, err = invoke(capsys, monkeypatch, [*argv, "10000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert "would yield more than 10000000 items, over the ceiling 10000000" in err
+        assert peak < 1_000_000
 
 
 class TestVerifyCommand:

@@ -17,7 +17,7 @@ from rimhooks import (
     south,
 )
 from rimhooks.geometry import Frame
-from conftest import all_partitions
+from conftest import IntLike, all_partitions
 from perfbench.workloads import LARGE_SHAPES
 from test_scale import SQUARE, STAIRCASE
 
@@ -122,7 +122,13 @@ class TestPartition:
             Partition([part, 1])
 
     def test_accepts_integer_types(self):
-        assert Partition(iter([3, True])).parts == (3, 1)
+        assert Partition(iter([3, IntLike(1)])).parts == (3, 1)
+
+    @pytest.mark.parametrize("parts", [[True], [3, False], (2, True)])
+    def test_rejects_booleans(self, parts):
+        # a bool is an int to `operator.index`, but no part of a shape
+        with pytest.raises(ValueError, match=r"^part (True|False) is not an integer$"):
+            Partition(parts)
 
     def test_membership(self):
         shape = Partition((4, 3, 1))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from rimhooks import Partition, Region, Rpp, Tableau, content
 from rimhooks.enumeration import enumerate_rpps
-from conftest import all_partitions, partitions, rpps
+from conftest import IntLike, all_partitions, partitions, rpps
 
 
 class TestValidate:
@@ -42,6 +42,8 @@ class TestValidate:
             ([[0, 1.0]], "entry 1.0 at (1,2) is not an integer"),
             ([["3", True]], "entry '3' at (1,1) is not an integer"),
             ([[0, 1], [None]], "entry None at (2,1) is not an integer"),
+            ([[True, 1]], "entry True at (1,1) is not an integer"),
+            ([[0, 1], [False]], "entry False at (2,1) is not an integer"),
         ],
     )
     def test_entries_that_are_not_integers(self, cls, rows, message):
@@ -50,7 +52,7 @@ class TestValidate:
             cls(Partition(map(len, rows)), rows)
 
     def test_integer_entries_are_stored_as_ints(self):
-        t = Tableau(Partition((2,)), ([3, True],))
+        t = Tableau(Partition((2,)), ([3, IntLike(1)],))
         assert t.rows == ((3, 1),) and type(t.rows[0][1]) is int
 
 

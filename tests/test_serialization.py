@@ -135,6 +135,12 @@ class TestSeriesForms:
             ({"variables": [0], "degree": 2, "terms": [[[True], 2]]}, "JSON key 'terms'"),
             ({"variables": [0], "degree": 2, "terms": [[[1]]]}, "JSON key 'terms'"),
             ({"variables": [0], "degree": 2, "terms": 5}, "JSON key 'terms'"),
+            # the keys must agree with each other
+            ({"variables": [0], "degree": 2, "terms": [[[1, 1], 1]]}, r"\[1, 1\] must hold 1 "),
+            ({"variables": [0], "degree": 2, "terms": [[[7], 1]]}, "summing to at most 2"),
+            ({"variables": [0, 1], "degree": 2, "terms": [[[2, -1], 1]]}, "non-negative exponents"),
+            ({"variables": [0, 5], "degree": 2, "terms": []}, "ascending consecutive integers"),
+            ({"variables": [1, 0], "degree": 2, "terms": []}, "ascending consecutive integers"),
             (None, "expected a JSON object with the keys 'variables', 'degree' and 'terms'"),
         ],
     )
@@ -145,3 +151,5 @@ class TestSeriesForms:
     def test_multivariate_json(self):
         series = MultiTraceSeries(-1, 1, 3, {(0, 0, 0): 2, (1, 1, 1): 5})
         assert MultiTraceSeries.from_json(series.to_json()) == series
+        empty = MultiTraceSeries.one(1, 0, 0)
+        assert MultiTraceSeries.from_json(empty.to_json()) == empty

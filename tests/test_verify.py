@@ -4,12 +4,32 @@ any enumeration, and memory that does not grow with the number of fillings."""
 import gc
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from rimhooks import BudgetExceededError, Partition, classical, enumeration
+from rimhooks import BudgetExceededError, Partition, classical, cli, enumeration
 from rimhooks.enumeration import projected_rpp_count
 from rimhooks.verify import SUITES, VerifyConfig, run_suites, suite_bijection, suite_gk
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_verify_all_prints_the_pinned_lines():
+    lines = [result.line() for result in run_suites(["all"])]
+    assert lines == (DATA / "verify-all.txt").read_text().splitlines()
+
+
+def test_each_suite_is_registered_under_its_name():
+    assert SUITES["bijection"] is suite_bijection and SUITES["gk"] is suite_gk
+    assert all(SUITES[name].__name__ == "suite_" + name.replace("-", "_") for name in SUITES)
+
+
+def test_sampled_verify_all_prints_the_pinned_json(capsys):
+    code = cli.run(["verify", "all", "--sample", "40", "--seed", "3", "--format", "json"])
+    assert code == 0
+    assert capsys.readouterr().out == (DATA / "verify-all-sample40-seed3.json").read_text()
 
 
 def _list_pick(config: VerifyConfig, items: list) -> list:
