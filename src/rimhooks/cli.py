@@ -2,7 +2,9 @@
 
 Every subcommand reads grids from stdin (or --in) and writes to stdout (or
 --out). Exit status: 0 on success, 1 with a diagnostic on domain and I/O
-errors (JSON shaped under --format json), 2 on usage errors.
+errors (JSON shaped under --format json), 2 on usage errors. Each subcommand
+is declared once, in the `_SUBCOMMANDS` table, from which `make_parser` builds
+both the full parser and the parser of one subcommand.
 """
 
 from __future__ import annotations
@@ -146,7 +148,8 @@ def cmd_info(args) -> int:
 
 
 def _grid_of(shape: Partition, fn) -> Tableau:
-    return Tableau(shape, [[fn((i, j)) for j in range(1, p + 1)] for i, p in enumerate(shape.parts, start=1)])
+    rows = [[fn((i, j)) for j in range(1, p + 1)] for i, p in enumerate(shape.parts, start=1)]
+    return Tableau(shape, rows)
 
 
 def cmd_rimhooks(args) -> int:
@@ -258,18 +261,23 @@ def cmd_factorize(args) -> int:
     return 0
 
 
-def cmd_build(args) -> int:
-    t = _read_grid(args, Tableau)
-    pi = build(t)
-    _emit_obj(args, pi.to_json_obj(), pi.to_text())
-    return 0
+def _grid_map(reads, kernel):
+    """The subcommand that reads one `reads` grid and prints `kernel` of it."""
+
+    def cmd(args) -> int:
+        out = kernel(_read_grid(args, reads))
+        _emit_obj(args, out.to_json_obj(), out.to_text())
+        return 0
+
+    return cmd
 
 
-def cmd_xi(args) -> int:
-    pi = _read_grid(args, Rpp)
-    t = peeling.peel_tableau(pi)
-    _emit_obj(args, t.to_json_obj(), t.to_text())
-    return 0
+# each kernel is looked up when called, as in the other handlers, so a tracer
+# that rebinds it sees the call
+cmd_build = _grid_map(Tableau, lambda t: build(t))
+cmd_xi = _grid_map(Rpp, lambda pi: peeling.peel_tableau(pi))
+cmd_hg = _grid_map(Rpp, lambda pi: classical.hg(pi))
+cmd_hg_inv = _grid_map(Tableau, lambda t: classical.hg_inv(t))
 
 
 def cmd_zeta(args) -> int:
@@ -277,20 +285,6 @@ def cmd_zeta(args) -> int:
     corner = parse_cell(args.corner)
     toggled = peeling.corner_toggle(pi, corner)
     _emit_obj(args, toggled.to_json_obj(), toggled.to_text())
-    return 0
-
-
-def cmd_hg(args) -> int:
-    pi = _read_grid(args, Rpp)
-    t = classical.hg(pi)
-    _emit_obj(args, t.to_json_obj(), t.to_text())
-    return 0
-
-
-def cmd_hg_inv(args) -> int:
-    t = _read_grid(args, Tableau)
-    pi = classical.hg_inv(t)
-    _emit_obj(args, pi.to_json_obj(), pi.to_text())
     return 0
 
 
@@ -412,25 +406,74 @@ _positive_int = _int_at_least(1, "positive")
 _non_negative_int = _int_at_least(0, "non-negative")
 
 
-def _add_io(p, needs_shape=False, shape_required=False):
-    p.add_argument("--in", dest="infile", metavar="PATH", help="read input from a file")
-    p.add_argument("--out", dest="outfile", metavar="PATH", help="write output to a file")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    if needs_shape:
-        p.add_argument(
-            "--shape",
-            required=shape_required,
-            help="comma separated parts, e.g. 4,3,1",
-        )
+_PERM = ("--perm", {"metavar": "WORD", "help": "permutation in one-line notation, e.g. 3,1,2"})
 
-
-class _Unbuilt:
-    """Stands in for a subcommand parser that `make_parser` leaves out: takes its arguments."""
-
-    def add_argument(self, *args, **kwargs) -> None:
-        pass
-
-    set_defaults = add_argument
+# Every subcommand, in the order that usage lists them: name -> (help, handler,
+# shape, arguments). `shape` is None when the subcommand takes no --shape, else
+# whether it requires one. Each of `arguments` is the flags and then the keywords
+# of one `add_argument` call, made after those of --in, --out, --format and --shape.
+_SUBCOMMANDS = {
+    "info": ("hooks, corners, regions and both cell orders", cmd_info, True, []),
+    "rimhooks": ("list the rim-hooks in increasing order", cmd_rimhooks, True, [
+        ("--svg", {"metavar": "PATH", "help": "also write an SVG rendering"}),
+    ]),
+    "validate": ("check a grid and report shape and size", cmd_validate, False, []),
+    "trace": ("diagonal sums of a filling", cmd_trace, False, [
+        ("--k", {"type": int, "help": "a single diagonal (default: all)"}),
+    ]),
+    "candidates": ("extraction starting cells, minimal first", cmd_candidates, False, []),
+    "insert": ("insert one rim-hook into a filling", cmd_insert, False, [
+        ("--hook", {"required": True, "metavar": "(i,j)", "help": "anchor of the rim-hook"}),
+    ]),
+    "factorize": ("lexicographic factorization of a filling", cmd_factorize, False, [
+        ("--paths", {"action": "store_true", "help": "also emit the extraction paths"}),
+    ]),
+    "build": ("insert a whole multiset of rim-hooks into zero", cmd_build, False, [_PERM]),
+    "xi": ("corner-peeling tableau of a filling", cmd_xi, False, []),
+    "zeta": ("toggle one outer corner away", cmd_zeta, False, [
+        ("--corner", {"required": True, "metavar": "(i,j)"}),
+    ]),
+    "hg": ("Hillman-Grassl image of a filling", cmd_hg, False, []),
+    "hg-inv": ("inverse Hillman-Grassl of a tableau", cmd_hg_inv, False, [_PERM]),
+    "rsk": ("row insertion of a count matrix", cmd_rsk, False, [_PERM]),
+    "rsk-inv": ("inverse row insertion of a tableau pair", cmd_rsk_inv, False, []),
+    "diag": ("partition formed by one diagonal of a filling", cmd_diag, False, [
+        ("--k", {"type": int, "required": True}),
+    ]),
+    "gk": ("maximal total length of r chains in a rectangle", cmd_gk, False, [
+        ("--k", {"type": int, "required": True}),
+        ("--r", {"type": int, "required": True}),
+        ("--kind", {"choices": ("weak", "strict"), "required": True}),
+        _PERM,
+    ]),
+    "series": ("truncated size or trace series of a shape", cmd_series, True, [
+        ("which", {"choices": tuple(_SERIES), "help": "which series to print"}),
+        ("--degree", {"type": _non_negative_int, "default": 10}),
+    ]),
+    "verify": ("run a property suite", cmd_verify, None, [
+        ("suite", {"choices": SUITE_NAMES}),
+        ("--shape", {"action": "append", "dest": "shapes", "metavar": "SHAPE",
+                     "help": "override the verification shapes"}),
+        ("--size-bound", {"type": _non_negative_int, "dest": "size_bound"}),
+        ("--weight-bound", {"type": _non_negative_int, "dest": "weight_bound"}),
+        ("--path-size-bound", {"type": _non_negative_int, "dest": "path_size_bound"}),
+        ("--degree", {"type": _non_negative_int, "dest": "stanley_degree", "metavar": "DEGREE",
+                      "help": "univariate series truncation"}),
+        ("--trace-degree", {"type": _non_negative_int, "dest": "trace_degree"}),
+        ("--sample", {"type": _positive_int, "help": "randomly subsample heavy loops"}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--jobs", {"type": _positive_int, "default": 1}),
+    ]),
+    "enumerate": ("stream fillings or tableaux as JSON lines", cmd_enumerate, True, [
+        ("what", {"choices": ("rpps", "tableaux")}),
+        ("--bound", {"type": _non_negative_int, "required": True}),
+        ("--ceiling", {"type": int, "default": DEFAULT_CEILING}),
+    ]),
+    "render": ("ASCII (and optional SVG) picture of a filling", cmd_render, False, [
+        ("--svg", {"metavar": "PATH"}),
+        ("--highlight", {"nargs": "*", "metavar": "(i,j)"}),
+    ]),
+}
 
 
 def make_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -445,144 +488,23 @@ def make_parser(command: str | None = None) -> argparse.ArgumentParser:
         "correspondences and exact series checks for reverse plane partitions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    names = []
-
-    def add_parser(name: str, **kwargs):
-        names.append(name)
-        return sub.add_parser(name, **kwargs) if command in (None, name) else _Unbuilt()
-
-    p = add_parser("info", help="hooks, corners, regions and both cell orders")
-    _add_io(p, needs_shape=True, shape_required=True)
-    p.set_defaults(fn=cmd_info)
-
-    p = add_parser("rimhooks", help="list the rim-hooks in increasing order")
-    _add_io(p, needs_shape=True, shape_required=True)
-    p.add_argument("--svg", metavar="PATH", help="also write an SVG rendering")
-    p.set_defaults(fn=cmd_rimhooks)
-
-    p = add_parser("validate", help="check a grid and report shape and size")
-    _add_io(p, needs_shape=True)
-    p.set_defaults(fn=cmd_validate)
-
-    p = add_parser("trace", help="diagonal sums of a filling")
-    _add_io(p, needs_shape=True)
-    p.add_argument("--k", type=int, help="a single diagonal (default: all)")
-    p.set_defaults(fn=cmd_trace)
-
-    p = add_parser("candidates", help="extraction starting cells, minimal first")
-    _add_io(p, needs_shape=True)
-    p.set_defaults(fn=cmd_candidates)
-
-    p = add_parser("insert", help="insert one rim-hook into a filling")
-    _add_io(p, needs_shape=True)
-    p.add_argument("--hook", required=True, metavar="(i,j)", help="anchor of the rim-hook")
-    p.set_defaults(fn=cmd_insert)
-
-    p = add_parser("factorize", help="lexicographic factorization of a filling")
-    _add_io(p, needs_shape=True)
-    p.add_argument("--paths", action="store_true", help="also emit the extraction paths")
-    p.set_defaults(fn=cmd_factorize)
-
-    p = add_parser("build", help="insert a whole multiset of rim-hooks into zero")
-    _add_io(p, needs_shape=True)
-    p.add_argument("--perm", metavar="WORD", help="permutation in one-line notation, e.g. 3,1,2")
-    p.set_defaults(fn=cmd_build)
-
-    p = add_parser("xi", help="corner-peeling tableau of a filling")
-    _add_io(p, needs_shape=True)
-    p.set_defaults(fn=cmd_xi)
-
-    p = add_parser("zeta", help="toggle one outer corner away")
-    _add_io(p, needs_shape=True)
-    p.add_argument("--corner", required=True, metavar="(i,j)")
-    p.set_defaults(fn=cmd_zeta)
-
-    p = add_parser("hg", help="Hillman-Grassl image of a filling")
-    _add_io(p, needs_shape=True)
-    p.set_defaults(fn=cmd_hg)
-
-    p = add_parser("hg-inv", help="inverse Hillman-Grassl of a tableau")
-    _add_io(p, needs_shape=True)
-    p.add_argument("--perm", metavar="WORD", help="permutation in one-line notation, e.g. 3,1,2")
-    p.set_defaults(fn=cmd_hg_inv)
-
-    p = add_parser("rsk", help="row insertion of a count matrix")
-    _add_io(p, needs_shape=True)
-    p.add_argument("--perm", metavar="WORD", help="permutation in one-line notation, e.g. 3,1,2")
-    p.set_defaults(fn=cmd_rsk)
-
-    p = add_parser("rsk-inv", help="inverse row insertion of a tableau pair")
-    _add_io(p, needs_shape=True)
-    p.set_defaults(fn=cmd_rsk_inv)
-
-    p = add_parser("diag", help="partition formed by one diagonal of a filling")
-    _add_io(p, needs_shape=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(fn=cmd_diag)
-
-    p = add_parser("gk", help="maximal total length of r chains in a rectangle")
-    _add_io(p, needs_shape=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--kind", choices=("weak", "strict"), required=True)
-    p.add_argument("--perm", metavar="WORD", help="permutation in one-line notation, e.g. 3,1,2")
-    p.set_defaults(fn=cmd_gk)
-
-    p = add_parser("series", help="truncated size or trace series of a shape")
-    _add_io(p, needs_shape=True, shape_required=True)
-    p.add_argument(
-        "which",
-        choices=tuple(_SERIES),
-        help="which series to print",
-    )
-    p.add_argument("--degree", type=_non_negative_int, default=10)
-    p.set_defaults(fn=cmd_series)
-
-    p = add_parser("verify", help="run a property suite")
-    _add_io(p)
-    p.add_argument("suite", choices=SUITE_NAMES)
-    p.add_argument(
-        "--shape",
-        action="append",
-        dest="shapes",
-        metavar="SHAPE",
-        help="override the verification shapes",
-    )
-    p.add_argument("--size-bound", type=_non_negative_int, dest="size_bound")
-    p.add_argument("--weight-bound", type=_non_negative_int, dest="weight_bound")
-    p.add_argument("--path-size-bound", type=_non_negative_int, dest="path_size_bound")
-    p.add_argument(
-        "--degree",
-        type=_non_negative_int,
-        dest="stanley_degree",
-        metavar="DEGREE",
-        help="univariate series truncation",
-    )
-    p.add_argument("--trace-degree", type=_non_negative_int, dest="trace_degree")
-    p.add_argument("--sample", type=_positive_int, help="randomly subsample heavy loops")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=_positive_int, default=1)
-    p.set_defaults(fn=cmd_verify)
-
-    p = add_parser("enumerate", help="stream fillings or tableaux as JSON lines")
-    _add_io(p, needs_shape=True, shape_required=True)
-    p.add_argument("what", choices=("rpps", "tableaux"))
-    p.add_argument("--bound", type=_non_negative_int, required=True)
-    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
-    p.set_defaults(fn=cmd_enumerate)
-
-    p = add_parser("render", help="ASCII (and optional SVG) picture of a filling")
-    _add_io(p, needs_shape=True)
-    p.add_argument("--svg", metavar="PATH")
-    p.add_argument("--highlight", nargs="*", metavar="(i,j)")
-    p.set_defaults(fn=cmd_render)
-
-    if command is None:
-        return parser
-    if command not in names:
-        return make_parser()
-    # the full parser's usage names every subcommand through their choices
-    sub.metavar = "{%s}" % ",".join(names)
+    built = _SUBCOMMANDS
+    if command in _SUBCOMMANDS:
+        built = [command]
+        # the full parser's usage names every subcommand through their choices; on
+        # the full parser this metavar would also change the missing-command error
+        sub.metavar = "{%s}" % ",".join(_SUBCOMMANDS)
+    for name in built:
+        summary, fn, shape, arguments = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--in", dest="infile", metavar="PATH", help="read input from a file")
+        p.add_argument("--out", dest="outfile", metavar="PATH", help="write output to a file")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        if shape is not None:
+            p.add_argument("--shape", required=shape, help="comma separated parts, e.g. 4,3,1")
+        for *flags, keywords in arguments:
+            p.add_argument(*flags, **keywords)
+        p.set_defaults(fn=fn)
     return parser
 
 

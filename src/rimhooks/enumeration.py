@@ -24,14 +24,13 @@ T = TypeVar("T")
 class BudgetExceededError(RuntimeError):
     """Raised instead of silently truncating an enumeration.
 
-    `projected` is the exact item count, or a lower bound in words when the
-    count was not worth computing.
+    `projected` is the exact item count, or in words what the enumeration
+    would need when that count was not worth computing.
     """
 
     def __init__(self, what: str, projected: int | str, ceiling: int):
-        super().__init__(
-            f"enumerating {what} would yield {projected} items, over the ceiling {ceiling}"
-        )
+        need = f"yield {projected} items" if isinstance(projected, int) else projected
+        super().__init__(f"enumerating {what} would {need}, over the ceiling {ceiling}")
         self.projected = projected
         self.ceiling = ceiling
 
@@ -109,12 +108,16 @@ def _budget(what: str, projected: int, ceiling: int) -> int:
 def _grid_budget(what: str, shape: Partition, bound: int, ceiling: int) -> int:
     """The item count of the fillings or hook tableaux of `shape` up to `bound`, if within budget.
 
-    A nonempty shape has more than `bound` of each (n at an outer corner,
-    whose hook length is 1, and 0 elsewhere), so a bound at the ceiling is
-    refused before the count table, of bound + 1 entries, is built.
+    A bound at the ceiling is refused before the count table, of bound + 1
+    entries, is built. A nonempty shape has more than `bound` of each (n at
+    an outer corner, whose hook length is 1, and 0 elsewhere); the empty
+    shape has one of each, but its table would be as long.
     """
-    if shape.size and bound >= ceiling:
-        raise BudgetExceededError(what, f"more than {bound}", ceiling)
+    if bound >= ceiling:
+        need = f"yield more than {bound} items"
+        if not shape.size:
+            need = f"need a count table of {bound + 1} entries"
+        raise BudgetExceededError(what, need, ceiling)
     return _budget(what, projected_rpp_count(shape, bound), ceiling)
 
 

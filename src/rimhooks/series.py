@@ -14,7 +14,13 @@ import re
 from dataclasses import dataclass
 from operator import add
 
-from .enumeration import _counts_by_size, enumerate_rpps
+from .enumeration import (
+    DEFAULT_CEILING,
+    _budget,
+    _counts_by_size,
+    _grid_budget,
+    enumerate_rpps,
+)
 from .geometry import Partition, _is_json_ints, _json_fields
 
 _TERM_RE = re.compile(r"^\s*(-?\d+)(?:\s*\*\s*q(?:\^(\d+))?)?\s*$")
@@ -34,10 +40,6 @@ class TruncatedSeries:
     @property
     def truncation(self) -> int:
         return len(self.coefficients) - 1
-
-    @classmethod
-    def one(cls, truncation: int) -> "TruncatedSeries":
-        return cls((1,) + (0,) * truncation)
 
     def to_text(self) -> str:
         parts = [str(self.coefficients[0])]
@@ -83,7 +85,12 @@ class TruncatedSeries:
 
 
 def hook_product(shape: Partition, truncation: int) -> TruncatedSeries:
-    """Product over all cells of 1 / (1 - q^{hook length}), truncated."""
+    """Product over all cells of 1 / (1 - q^{hook length}), truncated.
+
+    Raises BudgetExceededError, before any coefficient is made, when its
+    truncation + 1 coefficients number more than the enumeration ceiling.
+    """
+    _budget(f"coefficients of the hook product of {shape}", truncation + 1, DEFAULT_CEILING)
     return TruncatedSeries(tuple(_counts_by_size(shape, truncation)))
 
 
@@ -257,7 +264,14 @@ def hook_monomial(shape: Partition, u: tuple[int, int]) -> Monomial:
 
 
 def gansner_product(shape: Partition, degree: int) -> MultiTraceSeries:
-    """Product over all cells of 1 / (1 - q^{hook content interval})."""
+    """Product over all cells of 1 / (1 - q^{hook content interval}).
+
+    Each term of the expansion is one hook tableau of weighted size at most
+    `degree`, so their count bounds the terms kept at every step: the call
+    raises BudgetExceededError, before any multiplication, when it is over
+    the enumeration ceiling.
+    """
+    _grid_budget(f"hook tableaux of {shape} for its trace product", shape, degree, DEFAULT_CEILING)
     ks = shape.contents
     acc = MultiTraceSeries.one(ks.start, ks.start + len(ks) - 1, degree)
     for u in shape.cells():

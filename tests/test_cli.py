@@ -10,7 +10,7 @@ from xml.etree import ElementTree
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rimhooks import Partition, Rpp, Tableau, enumeration
+from rimhooks import Partition, Rpp, Tableau, enumeration, series
 from rimhooks.cli import run
 
 RUNNING = "0 1 2 3\n1 2 2\n1\n"
@@ -317,6 +317,60 @@ class TestSeriesCommand:
         assert "would yield more than 10000000 items, over the ceiling 10000000" in err
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["series", "hook-product", "--shape", "3,2", "--degree"],
+                "coefficients of the hook product of 3,2 would yield 10000001 items",
+            ),
+            (
+                ["series", "trace-product", "--shape", "3,2", "--degree"],
+                "hook tableaux of 3,2 for its trace product would yield more than 10000000 items",
+            ),
+            (
+                ["series", "hook-product", "--shape", "", "--degree"],
+                "coefficients of the hook product of  would yield 10000001 items",
+            ),
+            (
+                ["series", "rpp", "--shape", "", "--degree"],
+                "fillings of  would need a count table of 10000001 entries",
+            ),
+            (
+                ["series", "trace", "--shape", "", "--degree"],
+                "fillings of  would need a count table of 10000001 entries",
+            ),
+            (
+                ["enumerate", "rpps", "--shape", "", "--bound"],
+                "fillings of  would need a count table of 10000001 entries",
+            ),
+        ],
+    )
+    def test_a_degree_at_the_ceiling_is_refused_before_any_coefficient(
+        self, capsys, monkeypatch, argv, message
+    ):
+        # the hook product has degree + 1 coefficients whatever the shape; the empty
+        # shape has one filling, but counting it by size takes a table as long; the
+        # trace product has a term per hook tableau of weighted size up to the degree
+        def no_table(shape, bound):
+            raise AssertionError(f"a count table of {bound + 1} entries")
+
+        def no_product(self, monomial):
+            raise AssertionError("a trace product multiplied out")
+
+        monkeypatch.setattr(enumeration, "_counts_by_size", no_table)
+        monkeypatch.setattr(series, "_counts_by_size", no_table)
+        monkeypatch.setattr(series.MultiTraceSeries, "times_geometric", no_product)
+        tracemalloc.start()
+        try:
+            code, out, err = invoke(capsys, monkeypatch, [*argv, "10000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert f"{message}, over the ceiling 10000000" in err
+        assert peak < 1_000_000
+
 
 class TestVerifyCommand:
     def test_stanley_single_shape(self, capsys, monkeypatch):
@@ -456,6 +510,25 @@ class TestUsageErrors:
                     printed.append((err.value.code, *capsys.readouterr()))
             assert printed[:3] == printed[3:]
         assert make_parser("no-such-command").format_help() == full.format_help()
+
+    def test_the_parser_declares_what_is_recorded(self):
+        # tests/data/cli-parser.json, written by tests/cli_surface.py; the help that
+        # argparse prints differs between Python versions, so it is not compared here
+        from cli_surface import load, surface
+
+        from rimhooks.cli import make_parser
+
+        recorded = load()["parser"]
+        assert surface(make_parser()) == recorded
+        for name, declared in recorded["commands"].items():
+            assert surface(make_parser(name))["commands"] == {name: declared}
+
+    def test_each_recorded_command_line_exits_as_recorded(self):
+        from cli_surface import invoke, load
+
+        lines = load()["command_lines"]
+        exits = [invoke(line["argv"], line["stdin"])[0] for line in lines]
+        assert exits == [line["exit"] for line in lines]
 
     @pytest.mark.parametrize(
         "argv",
