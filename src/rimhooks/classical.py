@@ -286,16 +286,6 @@ def _rectangle_corner(shape: Partition, k: int) -> Cell | None:
     return None
 
 
-def rectangle_cells(shape: Partition, k: int) -> tuple[Cell, ...]:
-    """Cells weakly north-west of the south-easternmost content-k cell."""
-    corner = _rectangle_corner(shape, k)
-    if corner is None:
-        return ()
-    return tuple(
-        (i, j) for i in range(1, corner[0] + 1) for j in range(1, corner[1] + 1)
-    )
-
-
 def _rectangle_rows(tableau: Tableau, k: int) -> tuple[tuple[int, ...], ...]:
     """The rows of the content-k rectangle of the tableau, () when diagonal k is empty."""
     corner = _rectangle_corner(tableau.shape, k)

@@ -326,11 +326,12 @@ def cmd_gk(args) -> int:
     return 0
 
 
+# looked up when called, like the grid-map kernels
 _SERIES = {
-    "hook-product": hook_product,
-    "rpp": rpp_series,
-    "trace-product": gansner_product,
-    "trace": trace_series,
+    "hook-product": lambda shape, degree: hook_product(shape, degree),
+    "rpp": lambda shape, degree: rpp_series(shape, degree),
+    "trace-product": lambda shape, degree: gansner_product(shape, degree),
+    "trace": lambda shape, degree: trace_series(shape, degree),
 }
 
 

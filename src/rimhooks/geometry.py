@@ -152,6 +152,11 @@ class Partition:
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
 
+    def __format__(self, spec: str) -> str:
+        # how messages name a shape: the empty one as it is typed, `--shape ""`,
+        # where `str` gives the empty text that `from_string` reads back
+        return format(str(self) or '""', spec)
+
     def __repr__(self) -> str:
         return f"Partition({self.parts!r})"
 

@@ -21,7 +21,6 @@ from .geometry import (
     RimHook,
     content_key,
     format_cell,
-    parse_cell,
     revlex_key,
 )
 from .rpp import Rpp, Tableau, _candidates_among, _from_frame, _to_frame
@@ -128,9 +127,6 @@ class Factorization:
         object.__setattr__(fact, "anchors", anchors)
         return fact
 
-    def hooks(self) -> list[RimHook]:
-        return [self.shape.rim_hook(u) for u in self.anchors]
-
     def to_tableau(self) -> Tableau:
         grid = [[0] * p for p in self.shape.parts]
         for i, j in self.anchors:
@@ -142,11 +138,6 @@ class Factorization:
         return "\n".join(format_cell(u) for u in self.anchors)
 
     __str__ = to_text
-
-    @classmethod
-    def from_text(cls, text: str, shape: Partition) -> "Factorization":
-        anchors = tuple(parse_cell(line) for line in text.splitlines() if line.strip())
-        return cls(shape, anchors)
 
 
 @dataclass(frozen=True)
@@ -412,40 +403,6 @@ def rim_hook_of_path(path: LatticePath, shape: Partition) -> RimHook:
             f"no rim-hook of {shape} has tail {format_cell((i, j))} and {length} cells"
         )
     return shape.rim_hook((i, col))
-
-
-def is_factor(hook: RimHook, pi: Rpp) -> bool:
-    """Whether some reverse plane partition maps to `pi` under inserting `hook`."""
-    if hook.shape != pi.shape:
-        raise ValueError(f"hook shape {hook.shape} does not match {pi.shape}")
-    for v in pi.candidates():
-        path = extraction_path(v, pi)
-        if rim_hook_of_path(path, pi.shape).anchor != hook.anchor:
-            continue
-        if not is_compatible(path, pi):
-            continue
-        try:
-            pi.with_path(path, -1)
-        except ValueError:
-            continue
-        return True
-    return False
-
-
-def extract_min(pi: Rpp) -> tuple[RimHook, Rpp] | None:
-    """Extract the rim-hook at the content-minimal candidate, or None at zero.
-
-    This is the first step of `_extractions`, with its candidate-stability guard.
-    """
-    step = next(_extractions(pi), None)
-    if step is None:
-        return None
-    anchor, _, grid = step
-    shape = pi.shape
-    # `_extractions` raised unless the walk's north test held and no earlier
-    # cell became a candidate: the extraction theorem's ordered result
-    rows = _from_frame(grid, shape.frame.width, shape.parts)
-    return shape.rim_hook(anchor), Rpp._trusted(shape, rows)
 
 
 def _extractions(pi: Rpp) -> Iterator[tuple[Cell, list[int], list]]:

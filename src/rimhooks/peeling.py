@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .geometry import Cell, Partition, _require_outer_corner, format_cell, north, west
+from .geometry import Cell, Partition, _require_outer_corner, format_cell
 from .rpp import Rpp, Tableau, _from_frame, _to_frame
 
 
@@ -72,7 +72,7 @@ def corner_toggle(pi: Rpp, x: Cell) -> Rpp:
 
     Entries off the diagonal of x are copied unchanged. An entry u on that
     diagonal becomes max(north, west) + min(east, south) - value(u), with
-    neighbours read through the extended lookup of the original filling. The
+    neighbours read through the extended values of the original filling. The
     min is always finite: u has a diagonal successor inside the original
     shape, so at least one of east/south exists. The result's shape is
     `pi.shape.remove_corner(x)`, the one object that call returns.
@@ -84,15 +84,6 @@ def corner_toggle(pi: Rpp, x: Cell) -> Rpp:
     _peel(grid, width, parts, (x,))
     # the toggle maps each diagonal entry's range onto itself (`_peel`)
     return Rpp._trusted(shape.remove_corner(x), _from_frame(grid, width, parts))
-
-
-def corner_is_tight(pi: Rpp, x: Cell) -> bool:
-    """Whether the entry at the outer corner x equals max(north, west).
-
-    Equivalently, whether the peeling map records a zero count at x.
-    """
-    _require_outer_corner(pi.shape.parts, *x)
-    return pi.value(x) == max(pi.value_ext(*north(x)), pi.value_ext(*west(x)))
 
 
 def peel_tableau(pi: Rpp, order: Iterable[Cell] | None = None) -> Tableau:

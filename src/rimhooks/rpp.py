@@ -1,10 +1,8 @@
-"""Reverse plane partitions and hook-count tableaux: extended-value lookup,
-sizes, traces, candidates, and the frame layout the bijection kernels share."""
+"""Reverse plane partitions and hook-count tableaux: sizes, traces,
+candidates, and the frame layout the bijection kernels share."""
 
 from __future__ import annotations
 
-import json
-import math
 from operator import le
 from typing import Iterable, Iterator, Sequence
 
@@ -19,16 +17,12 @@ from .geometry import (
     format_cell,
 )
 
-#: Extended values are plain ints inside the diagram, 0 north/west of it and
-#: math.inf east/south of it. They are only ever compared, never added.
-ExtendedValue = int | float
-
 
 class ShapedGrid:
     """A grid of non-negative integers filling the cells of a partition.
 
     Shared base for reverse plane partitions and for hook-count tableaux;
-    handles storage, equality, extended lookups and the text/JSON forms.
+    handles storage, equality and the text/JSON forms.
     """
 
     def __init__(self, shape: Partition, rows: Iterable[Iterable[int]] = ()):
@@ -80,18 +74,6 @@ class ShapedGrid:
         if u not in self.shape:
             raise ValueError(f"cell {format_cell(u)} lies outside the shape {self.shape}")
         return self.rows[u[0] - 1][u[1] - 1]
-
-    def value_ext(self, i: int, j: int) -> ExtendedValue:
-        """Entry at (i, j) with the boundary conventions.
-
-        0 when i <= 0 or j <= 0; infinite when (i, j) is east or south of the
-        diagram; the stored entry otherwise.
-        """
-        if i <= 0 or j <= 0:
-            return 0
-        if (i, j) not in self.shape:
-            return math.inf
-        return self.rows[i - 1][j - 1]
 
     @property
     def size(self) -> int:
@@ -147,9 +129,6 @@ class ShapedGrid:
     def to_json_obj(self) -> dict:
         return {"shape": list(self.shape.parts), "rows": [list(r) for r in self.rows]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
     @classmethod
     def from_json_obj(cls, obj: dict):
         shape, rows = _json_fields(obj, "grid", "shape", "rows")
@@ -158,10 +137,6 @@ class ShapedGrid:
         if not (isinstance(rows, list) and all(map(_is_json_ints, rows))):
             raise ValueError("JSON key 'rows' must be a list of lists of integers")
         return cls(Partition(shape), rows)
-
-    @classmethod
-    def from_json(cls, text: str):
-        return cls.from_json_obj(json.loads(text))
 
 
 class Rpp(ShapedGrid):
@@ -268,7 +243,7 @@ def _to_frame(shape: Partition, rows: Iterable[Sequence[int]]) -> list:
     """The filling `rows` of `shape` laid out on `shape.frame`, as a new list.
 
     Row 0 and column 0 hold 0, and every other position outside the diagram
-    holds math.inf: the extended values of `ShapedGrid.value_ext`.
+    holds math.inf: the extended values, which are only ever compared.
     """
     frame = shape.frame
     width = frame.width

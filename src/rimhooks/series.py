@@ -9,8 +9,6 @@ the cell's hook. No floating point is used anywhere.
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass
 from operator import add
 
@@ -21,10 +19,7 @@ from .enumeration import (
     _grid_budget,
     enumerate_rpps,
 )
-from .geometry import Partition, _is_json_ints, _json_fields
-
-_TERM_RE = re.compile(r"^\s*(-?\d+)(?:\s*\*\s*q(?:\^(\d+))?)?\s*$")
-_VAR_RE = re.compile(r"q_\{?(-?\d+)\}?(?:\^(\d+))?")
+from .geometry import Partition
 
 
 @dataclass(frozen=True)
@@ -49,39 +44,8 @@ class TruncatedSeries:
 
     __str__ = to_text
 
-    @classmethod
-    def from_text(cls, text: str) -> "TruncatedSeries":
-        coeffs = []
-        for n, term in enumerate(text.split("+")):
-            m = _TERM_RE.match(term)
-            if m is None:
-                raise ValueError(f"cannot parse series term {term!r}")
-            degree = 0 if m.group(2) is None and "*" not in term else int(m.group(2) or 1)
-            if degree != n:
-                raise ValueError(f"term {term!r} out of order; expected degree {n}")
-            coeffs.append(int(m.group(1)))
-        return cls(tuple(coeffs))
-
     def to_json_obj(self) -> dict:
         return {"truncation": self.truncation, "coefficients": list(self.coefficients)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "TruncatedSeries":
-        (coefficients,) = _json_fields(obj, "series", "coefficients")
-        if not _is_json_ints(coefficients):
-            raise ValueError("JSON key 'coefficients' must be a list of integers")
-        series = cls(tuple(coefficients))
-        truncation = obj.get("truncation", series.truncation)
-        if type(truncation) is not int or truncation != series.truncation:
-            raise ValueError("truncation does not match the coefficient count")
-        return series
-
-    @classmethod
-    def from_json(cls, text: str) -> "TruncatedSeries":
-        return cls.from_json_obj(json.loads(text))
 
 
 def hook_product(shape: Partition, truncation: int) -> TruncatedSeries:
@@ -196,59 +160,12 @@ class MultiTraceSeries:
 
     __str__ = to_text
 
-    @classmethod
-    def from_text(
-        cls, text: str, var_lo: int, var_hi: int, degree: int
-    ) -> "MultiTraceSeries":
-        width = max(var_hi - var_lo + 1, 0)
-        series = cls(var_lo, var_hi, degree, {})
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            coeff_text, _, mono_text = line.partition(":")
-            exps = [0] * width
-            for m in _VAR_RE.finditer(mono_text):
-                exps[int(m.group(1)) - var_lo] = int(m.group(2) or 1)
-            series.add_term(tuple(exps), int(coeff_text))
-        return series
-
     def to_json_obj(self) -> dict:
         return {
             "variables": list(self.variables),
             "degree": self.degree,
             "terms": [[list(m), c] for m, c in self._sorted_terms()],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "MultiTraceSeries":
-        variables, degree, terms = _json_fields(obj, "series", "variables", "degree", "terms")
-        if not _is_json_ints(variables):
-            raise ValueError("JSON key 'variables' must be a list of integers")
-        if type(degree) is not int:
-            raise ValueError("JSON key 'degree' must be an integer")
-        if not isinstance(terms, list) or not all(
-            isinstance(t, list) and len(t) == 2 and _is_json_ints(t[0]) and type(t[1]) is int
-            for t in terms
-        ):
-            raise ValueError("JSON key 'terms' must be a list of [list of integers, integer] pairs")
-        var_lo = variables[0] if variables else 1
-        var_hi = var_lo + len(variables) - 1
-        if variables != list(range(var_lo, var_hi + 1)):
-            raise ValueError("JSON key 'variables' must be ascending consecutive integers")
-        for m, _ in terms:
-            if len(m) != len(variables) or min(m, default=0) < 0 or sum(m) > degree:
-                raise ValueError(
-                    f"JSON monomial {m} must hold {len(variables)} non-negative exponents "
-                    f"summing to at most {degree}"
-                )
-        return cls(var_lo, var_hi, degree, {tuple(m): c for m, c in terms})
-
-    @classmethod
-    def from_json(cls, text: str) -> "MultiTraceSeries":
-        return cls.from_json_obj(json.loads(text))
 
 
 def hook_monomial(shape: Partition, u: tuple[int, int]) -> Monomial:

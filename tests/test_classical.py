@@ -20,10 +20,11 @@ from rimhooks import (
     rsk,
     rsk_inv,
 )
-from rimhooks.classical import _chain_maxima, _hg_inv_step, biword, rectangle_cells
+from rimhooks.classical import _chain_maxima, _hg_inv_step, biword
 from rimhooks.rpp import _from_frame
 from rimhooks.enumeration import _grids, enumerate_rpps, enumerate_tableaux
 from conftest import all_partitions
+from oracles import rectangle_cells
 
 
 def hg_inv_oracle(tableau: Tableau) -> Rpp:

@@ -10,7 +10,7 @@ from xml.etree import ElementTree
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rimhooks import Partition, Rpp, Tableau, enumeration, series
+from rimhooks import Partition, Rpp, Tableau, cli, enumeration, series
 from rimhooks.cli import run
 
 RUNNING = "0 1 2 3\n1 2 2\n1\n"
@@ -87,6 +87,11 @@ class TestValidate:
         )
         assert code == 1 and out == ""
         assert "looks like JSON" in err and "--format json" in err
+
+    def test_a_shape_mismatch_names_the_empty_shape(self, capsys, monkeypatch):
+        code, out, err = invoke(capsys, monkeypatch, ["validate", "--shape", "2,1"], stdin="\n")
+        assert (code, out) == (1, "")
+        assert 'input has shape "", expected 2,1' in err
 
     def test_invalid_json_format(self, capsys, monkeypatch):
         code, out, _ = invoke(
@@ -192,10 +197,10 @@ class TestPeelingCommands:
         rows = [[(i + j) * 5050 + (i * j) % 7 for j in range(n)] for i in range(n)]
         pi = Rpp(Partition((n,) * n), rows)
         code, out, _ = invoke(
-            capsys, monkeypatch, ["xi", "--format", "json"], stdin=pi.to_json()
+            capsys, monkeypatch, ["xi", "--format", "json"], stdin=json.dumps(pi.to_json_obj())
         )
         assert code == 0
-        assert Tableau.from_json(out).weighted_size == pi.size
+        assert Tableau.from_json_obj(json.loads(out)).weighted_size == pi.size
 
     def test_zeta_bad_corner(self, capsys, monkeypatch):
         code, _, err = invoke(
@@ -292,6 +297,20 @@ class TestSeriesCommand:
         )
         assert out.strip() == "1 + 1*q + 3*q^2 + 4*q^3 + 7*q^4"
 
+    def test_a_series_is_looked_up_when_called(self, capsys, monkeypatch):
+        # a tracer that rebinds the module's names sees the call
+        calls = []
+
+        def traced(shape, degree):
+            calls.append((shape, degree))
+            return series.TruncatedSeries((7,))
+
+        monkeypatch.setattr(cli, "hook_product", traced)
+        code, out, _ = invoke(
+            capsys, monkeypatch, ["series", "hook-product", "--shape", "2,2", "--degree", "4"]
+        )
+        assert (code, out, calls) == (0, "7\n", [(Partition((2, 2)), 4)])
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -330,19 +349,19 @@ class TestSeriesCommand:
             ),
             (
                 ["series", "hook-product", "--shape", "", "--degree"],
-                "coefficients of the hook product of  would yield 10000001 items",
+                'coefficients of the hook product of "" would yield 10000001 items',
             ),
             (
                 ["series", "rpp", "--shape", "", "--degree"],
-                "fillings of  would need a count table of 10000001 entries",
+                'fillings of "" would need a count table of 10000001 entries',
             ),
             (
                 ["series", "trace", "--shape", "", "--degree"],
-                "fillings of  would need a count table of 10000001 entries",
+                'fillings of "" would need a count table of 10000001 entries',
             ),
             (
                 ["enumerate", "rpps", "--shape", "", "--bound"],
-                "fillings of  would need a count table of 10000001 entries",
+                'fillings of "" would need a count table of 10000001 entries',
             ),
         ],
     )
@@ -393,7 +412,6 @@ class TestVerifyCommand:
         assert code == 0 and all(r["passed"] for r in results)
 
     def test_flags_set_their_config_fields(self, capsys, monkeypatch):
-        from rimhooks import cli
         from rimhooks.verify import VerifyConfig
 
         seen = []

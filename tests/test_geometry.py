@@ -147,6 +147,12 @@ class TestPartition:
         assert Partition.from_string("") == Partition(())
         assert str(Partition((4, 3, 1))) == "4,3,1"
 
+    def test_messages_name_the_empty_shape_as_it_is_typed(self):
+        # str is the text `from_string` reads back; an f-string names the shape in a message
+        assert str(Partition(())) == ""
+        assert f"{Partition(())}" == '""'
+        assert f"{Partition((4, 3, 1))}" == "4,3,1"
+
 
 class TestHooks:
     def test_paper_value(self):

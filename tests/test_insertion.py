@@ -18,9 +18,10 @@ from rimhooks import (
     try_insert,
 )
 from rimhooks.enumeration import enumerate_rpps, enumerate_sw_paths, enumerate_tableaux
-from rimhooks.insertion import LatticePath, Orientation, extract_min, is_factor
+from rimhooks.insertion import LatticePath, Orientation
 from rimhooks.rpp import _from_frame
 from conftest import all_partitions
+from oracles import extract_min, is_factor
 
 
 class TestLatticePath:
@@ -265,7 +266,7 @@ class TestFactorize:
     def test_factorization_type_rejects_anchors_outside_the_shape(self, anchor):
         # (0,1) and (2,0) once wrapped round to another row in to_tableau
         with pytest.raises(ValueError, match=r"^anchor \(.*\) lies outside the shape 2,1$"):
-            Factorization.from_text(f"({anchor[0]},{anchor[1]})", Partition((2, 1)))
+            Factorization(Partition((2, 1)), (anchor,))
 
 
 def build_oracle(tableau: Tableau) -> Rpp:

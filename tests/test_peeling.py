@@ -14,8 +14,8 @@ from rimhooks import (
     peel_tableau,
 )
 from rimhooks.enumeration import enumerate_rpps
-from rimhooks.peeling import corner_is_tight
 from conftest import all_partitions, rpps
+from oracles import corner_is_tight
 
 
 class TestCornerToggle:

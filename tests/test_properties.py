@@ -29,11 +29,11 @@ from rimhooks.insertion import (
     _extraction_walk,
     _insertion_walk,
     build,
-    is_factor,
 )
 from rimhooks.peeling import _peel
 from rimhooks.rpp import _candidates_among, _from_frame, _to_frame
 from conftest import all_partitions, rpps
+from oracles import extract_min, is_factor, value_ext
 
 
 class TestFactorPathsReverseToExtractions:
@@ -106,12 +106,9 @@ class TestMinimalCandidateExtractionAlwaysWorks:
 def _chain_by_definition(pi):
     """The lexicographic factorization step by step through the public single-step API."""
     anchors = []
-    cur = pi
-    while cur.candidates():
-        v = min(cur.candidates(), key=content_key)
-        path = extraction_path(v, cur)
-        anchors.append(rim_hook_of_path(path, cur.shape).anchor)
-        cur = cur.with_path(path, -1)
+    while (step := extract_min(pi)) is not None:
+        hook, pi = step
+        anchors.append(hook.anchor)
     return tuple(anchors)
 
 
@@ -395,7 +392,7 @@ def _hg_walk_per_cell(pi, start_col):
     i, j = pi.shape.col_length(start_col), start_col
     cells = [(i, j)]
     while True:
-        if pi.value_ext(i - 1, j) == pi.value_ext(i, j):
+        if value_ext(pi, i - 1, j) == value_ext(pi, i, j):
             i -= 1
         elif (i, j + 1) in pi.shape:
             j += 1
@@ -409,7 +406,7 @@ def _hg_inv_walk_per_cell(pi, f, s):
     i, j = f, pi.shape.row_length(f)
     cells = [(i, j)]
     while True:
-        if pi.value_ext(i + 1, j) == pi.value_ext(i, j):
+        if value_ext(pi, i + 1, j) == value_ext(pi, i, j):
             i += 1
         elif j > s:
             j -= 1
@@ -578,9 +575,9 @@ class TestFrame:
             if i == 0 or j == 0:
                 assert v == 0
             elif (i, j) in shape:
-                assert v == rows[i - 1][j - 1] == pi.value_ext(i, j)
+                assert v == rows[i - 1][j - 1] == value_ext(pi, i, j)
             else:
-                assert v == math.inf == pi.value_ext(i, j)
+                assert v == math.inf == value_ext(pi, i, j)
             region = shape.region((i, j)) if (i, j) in shape else None
             assert frame.zero[p] == (0 if i == 0 or j == 0 or region else math.inf)
             assert frame.inside[p] == (region is not None)
@@ -628,8 +625,8 @@ class TestToggleCheck:
             r, s = x
             toggled = [(i, i + s - r) for i in range(max(1, 1 - s + r), r)]
             expected = {
-                (i, j): max(pi.value_ext(i - 1, j), pi.value_ext(i, j - 1))
-                + min(pi.value_ext(i, j + 1), pi.value_ext(i + 1, j))
+                (i, j): max(value_ext(pi, i - 1, j), value_ext(pi, i, j - 1))
+                + min(value_ext(pi, i, j + 1), value_ext(pi, i + 1, j))
                 - rows[i - 1][j - 1]
                 for i, j in toggled
             }
@@ -638,7 +635,7 @@ class TestToggleCheck:
             counts = _peel(grid, width, parts, (x,))
             assert parts == list(shape.remove_corner(x).parts)
             assert counts[r * width + s] == rows[r - 1][s - 1] - max(
-                pi.value_ext(r - 1, s), pi.value_ext(r, s - 1)
+                value_ext(pi, r - 1, s), value_ext(pi, r, s - 1)
             )
             after = _from_frame(grid, width, parts)
             assert {u: after[u[0] - 1][u[1] - 1] for u in toggled} == expected

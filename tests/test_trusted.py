@@ -16,12 +16,10 @@ from rimhooks.insertion import (
     InsertionFailure,
     LatticePath,
     Orientation,
-    extract_min,
     extraction_path,
     insertion_path,
     try_insert,
 )
-from rimhooks.rpp import ShapedGrid
 from conftest import TRUSTED, all_partitions, rpps
 
 
@@ -64,9 +62,6 @@ def _check_filling_sites(pi):
     tableau = fact.to_tableau()
     _assert_certified(tableau, Tableau)
     _check_tableau_sites(tableau)
-    step = extract_min(pi)
-    if step is not None:
-        _assert_certified(step[1], Rpp)
     for x in shape.corners()[1]:
         _assert_certified(peeling.corner_toggle(pi, x), Rpp)
     for u in pi.candidates():

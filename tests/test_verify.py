@@ -80,6 +80,13 @@ def test_the_budget_is_checked_before_the_first_shape_is_enumerated(suite, monke
     assert grids == []
 
 
+@pytest.mark.parametrize("suite", ["stanley", "gansner", *ENUMERATING])
+def test_each_suite_that_reads_the_shapes_passes_on_the_empty_shape(suite):
+    # one filling, one tableau, and no corner for `pak` to force or `commute` to toggle
+    results = run_suites([suite], VerifyConfig(shapes=((),)))
+    assert results and all(r.passed and '""' in r.line() for r in results)
+
+
 def _peak_growth(config: VerifyConfig) -> int:
     gc.collect()
     tracemalloc.start()
