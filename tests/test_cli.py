@@ -297,6 +297,16 @@ class TestSeriesCommand:
         )
         assert out.strip() == "1 + 1*q + 3*q^2 + 4*q^3 + 7*q^4"
 
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+    @pytest.mark.parametrize("which", ["hook-product", "rpp", "trace-product", "trace"])
+    def test_prints_what_tests_data_series_pins(self, capsys, monkeypatch, which, fmt, suffix):
+        # a series is printed, never read back: the pinned files are its round trip
+        pinned = os.path.join(os.path.dirname(__file__), "data", "series", f"{which}.{suffix}")
+        argv = ["series", which, "--shape", "3,2", "--degree", "6", "--format", fmt]
+        code, out, err = invoke(capsys, monkeypatch, argv)
+        with open(pinned) as f:
+            assert (code, out, err) == (0, f.read(), "")
+
     def test_a_series_is_looked_up_when_called(self, capsys, monkeypatch):
         # a tracer that rebinds the module's names sees the call
         calls = []
