@@ -411,11 +411,11 @@ def gk_chain_max(tableau: Tableau, k: int, r: int, kind: ChainKind) -> int:
         raise ValueError("the family needs at least one chain")
     if kind not in ("weak", "strict"):
         raise ValueError(f"unknown chain kind {kind!r}")
-    return _chain_maxima(_rectangle_rows(tableau, k), (r,), kind)[0]
+    return _chain_maxima(_order_type(_rectangle_rows(tableau, k)), (r,), kind)[0]
 
 
-def _chain_maxima(rows: Sequence[Sequence[int]], family_sizes: Sequence[int], kind: ChainKind) -> list[int]:
-    """`gk_chain_max` for each family size on a rectangle's `_rectangle_rows`, from one run.
+def _chain_maxima(grid: OrderType, family_sizes: Sequence[int], kind: ChainKind) -> list[int]:
+    """`gk_chain_max` for each family size on the `_order_type` of a rectangle, from one run.
 
     The run goes to the largest size rounded up to a power of two and is
     memoised per (order type, kind, units), so a loop over r = 1..n makes
@@ -423,7 +423,7 @@ def _chain_maxima(rows: Sequence[Sequence[int]], family_sizes: Sequence[int], ki
     share one run. The gain of r units is linear
     between the breakpoints and flat after the last.
     """
-    found = _breakpoints(_order_type(rows), kind, 1 << (max(family_sizes) - 1).bit_length())
+    found = _breakpoints(grid, kind, 1 << (max(family_sizes) - 1).bit_length())
     gains = []
     for r in family_sizes:
         units, gain, per_unit = found[bisect_left(found, (r,), 0, len(found) - 1)]

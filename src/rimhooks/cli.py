@@ -348,17 +348,21 @@ def cmd_verify(args) -> int:
     if "shapes" in settings:
         settings["shapes"] = tuple(Partition.from_string(s).parts for s in settings["shapes"])
     config = VerifyConfig(**settings)
-    results = run_suites([args.suite], config, jobs=args.jobs)
-    ok = all(r.passed for r in results)
-    if args.format == "json":
-        obj = [
-            {"suite": r.suite, "name": r.name, "passed": r.passed, "detail": r.detail}
-            for r in results
-        ]
-        _write_output(args, json.dumps(obj))
-    else:
-        _write_output(args, "\n".join(r.line() for r in results))
-    return 0 if ok else 1
+    out = open(args.outfile, "w", encoding="utf-8") if args.outfile else sys.stdout
+    results = []
+    try:
+        # each suite's lines are written as it ends, so an error in a later
+        # suite leaves them in place; JSON prints what has ended as one array
+        for result in run_suites([args.suite], config, jobs=args.jobs):
+            results.append(result)
+            if args.format == "text":
+                print(result.line(), file=out, flush=True)
+    finally:
+        if args.format == "json":
+            print(json.dumps([dataclasses.asdict(r) for r in results]), file=out)
+        if args.outfile:
+            out.close()
+    return 0 if all(r.passed for r in results) else 1
 
 
 def cmd_enumerate(args) -> int:
@@ -380,6 +384,9 @@ def cmd_enumerate(args) -> int:
 def cmd_render(args) -> int:
     pi = _read_grid(args, Rpp)
     highlight = [parse_cell(tok) for tok in (args.highlight or [])]
+    for u in highlight:
+        if u not in pi.shape:
+            raise DomainError(f"highlight {format_cell(u)} lies outside the shape {pi.shape}")
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(render.svg_grid(pi, highlight) + "\n")

@@ -31,8 +31,14 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, what: str, projected: int | str, ceiling: int):
         need = f"yield {projected} items" if isinstance(projected, int) else projected
         super().__init__(f"enumerating {what} would {need}, over the ceiling {ceiling}")
+        self.what = what
         self.projected = projected
         self.ceiling = ceiling
+
+    def __reduce__(self):
+        # a `verify --jobs` worker sends the error back pickled, and the default
+        # rebuilds it from the message alone, which this constructor refuses
+        return type(self), (self.what, self.projected, self.ceiling)
 
 
 def _counts_by_size(shape: Partition, bound: int) -> list[int]:

@@ -13,8 +13,8 @@ length the hook-product formula gives in advance. `run_suites(..., jobs=N)`
 runs whole suites in min(N, number of suites) processes, so a single suite
 always runs in one process. The process pool is imported only when N > 1 and
 two or more suites run, so a serial run never loads it. Results are
-aggregated in a fixed order so runs are deterministic for a given
-configuration (seed included).
+yielded in a fixed order, each suite's as it ends, so runs are deterministic
+for a given configuration (seed included).
 """
 
 from __future__ import annotations
@@ -473,23 +473,6 @@ def suite_diag(config: VerifyConfig) -> Iterator[Check]:
         yield name, failed == 0, f"{seen} tableaux, every diagonal"
 
 
-def _gk_failures(rectangle: tuple[tuple[int, ...], ...], mu: tuple[int, ...]) -> int:
-    """How many chain maxima of a content-k rectangle miss the diagonal-k partition mu.
-
-    For r chains the weak maximum must be the sum of the first r parts of
-    mu, and the strict one that of its conjugate, which counts the cells in
-    the first r columns.
-    """
-    family_sizes = range(1, GK_RMAX + 1)
-    weak = classical._chain_maxima(rectangle, family_sizes, "weak")
-    strict = classical._chain_maxima(rectangle, family_sizes, "strict")
-    failed = 0
-    for r, most_weak, most_strict in zip(family_sizes, weak, strict):
-        failed += sum(mu[:r]) != most_weak
-        failed += sum(p if p < r else r for p in mu) != most_strict
-    return failed
-
-
 @_suite("gk")
 def suite_gk(config: VerifyConfig) -> Iterator[Check]:
     shape = Partition(GK_SHAPE)
@@ -501,17 +484,28 @@ def suite_gk(config: VerifyConfig) -> Iterator[Check]:
     for k in shape.contents:
         a, b = classical._rectangle_corner(shape, k)
         plan.append((a, b, [(i - 1, i + k - 1) for i in range(max(1, 1 - k), a + 1)]))
-    # many (rectangle, diagonal partition) pairs repeat across tableaux; the
-    # memo lives for this run only and stays at 256 entries
-    failures = functools.lru_cache(maxsize=256)(_gk_failures)
+    family_sizes = range(1, GK_RMAX + 1)
+    # the weak and strict maxima of each order type met in this run, so each
+    # (order type, kind) flow runs once
+    maxima = {}
     checked, failed = 0, 0
     for rows in config.pick(_grids(shape, GK_TOTAL), count):
         # `_grids` lays the rows out by the shape with non-negative entries
         rows = tuple([tuple(row) for row in rows])
         built = build(Tableau._trusted(shape, rows)).rows
         for a, b, diagonal in plan:
+            grid = classical._order_type([row[:b] for row in rows[:a]])
+            if grid not in maxima:
+                maxima[grid] = [
+                    classical._chain_maxima(grid, family_sizes, kind) for kind in ("weak", "strict")
+                ]
+            weak, strict = maxima[grid]
+            # for r chains the weak maximum is the sum of the first r parts of the
+            # diagonal partition mu, the strict one that of the first r columns
             mu = sorted(filter(None, [built[i][j] for i, j in diagonal]), reverse=True)
-            failed += failures(tuple([row[:b] for row in rows[:a]]), tuple(mu))
+            for r, most_weak, most_strict in zip(family_sizes, weak, strict):
+                failed += sum(mu[:r]) != most_weak
+                failed += sum(p if p < r else r for p in mu) != most_strict
             checked += 2 * GK_RMAX
     name = f"chain maxima match diagonal partial sums on {shape}"
     yield name, failed == 0, f"{checked} (tableau, diagonal, family size) checks"
@@ -588,8 +582,12 @@ def _run_one(args: tuple[str, VerifyConfig]) -> list[CheckResult]:
 
 def run_suites(
     names: Sequence[str], config: VerifyConfig | None = None, jobs: int = 1
-) -> list[CheckResult]:
-    """Run the named suites (or all of them) and return results in suite order."""
+) -> Iterator[CheckResult]:
+    """Run the named suites (or all of them) and yield their results in suite order.
+
+    Each suite's results are yielded once it and every suite before it have
+    ended, so an error raised by a later suite reaches the consumer after them.
+    """
     config = config or VerifyConfig()
     expanded: list[str] = []
     for name in names:
@@ -608,7 +606,8 @@ def run_suites(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            grouped = list(pool.map(_run_one, units))
+            for group in pool.map(_run_one, units):
+                yield from group
     else:
-        grouped = [_run_one(unit) for unit in units]
-    return [res for group in grouped for res in group]
+        for unit in units:
+            yield from _run_one(unit)

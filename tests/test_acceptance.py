@@ -15,7 +15,7 @@ CONFIG = VerifyConfig()  # acceptance bounds are the defaults
 
 
 def _run(number: int, description: str, suites: list[str]) -> None:
-    results = run_suites(suites, CONFIG)
+    results = list(run_suites(suites, CONFIG))
     passed = all(r.passed for r in results)
     print(f"ACCEPTANCE {number}: {'PASS' if passed else 'FAIL'} - {description}")
     for r in results:
@@ -94,7 +94,7 @@ def test_criterion_10_classical_theorems():
 
 def test_parallel_jobs_match_serial():
     suites = ["golden", "diag", "gk"]
-    assert run_suites(suites, CONFIG, jobs=2) == run_suites(suites, CONFIG)
+    assert list(run_suites(suites, CONFIG, jobs=2)) == list(run_suites(suites, CONFIG))
 
 
 # A fresh interpreter: the serial CLI run must leave the process-pool stack
@@ -108,8 +108,8 @@ from rimhooks.verify import VerifyConfig, run_suites
 with redirect_stdout(io.StringIO()):
     assert cli.run(["verify", "golden"]) == 0
 assert "concurrent.futures.process" not in sys.modules, "a serial run loaded the pool"
-serial = run_suites(["golden", "syt"], VerifyConfig())
-assert run_suites(["golden", "syt"], VerifyConfig(), jobs=2) == serial
+serial = list(run_suites(["golden", "syt"], VerifyConfig()))
+assert list(run_suites(["golden", "syt"], VerifyConfig(), jobs=2)) == serial
 assert "concurrent.futures.process" in sys.modules, "--jobs 2 did not use the pool"
 """
 

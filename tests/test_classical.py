@@ -20,7 +20,7 @@ from rimhooks import (
     rsk,
     rsk_inv,
 )
-from rimhooks.classical import _chain_maxima, _hg_inv_step, biword
+from rimhooks.classical import _chain_maxima, _hg_inv_step, _order_type, biword
 from rimhooks.rpp import _from_frame
 from rimhooks.enumeration import _grids, enumerate_rpps, enumerate_tableaux
 from conftest import all_partitions
@@ -222,6 +222,17 @@ class TestGreeneKleitman:
         assert gk_chain_max(t, 0, 10**6 + 1, "strict") == 10**6
         assert gk_chain_max(t, 0, 1, "weak") == 10**6
 
+    def test_a_family_past_every_entry_takes_the_whole_rectangle(self):
+        # the flow stops once it covers the rectangle, so its cost is bounded by
+        # the rectangle, not by r, and r needs no ceiling
+        import random
+
+        rng = random.Random(21)
+        grid = [[rng.randint(0, 3) for _ in range(10)] for _ in range(10)]
+        t = Tableau(Partition((10,) * 10), grid)
+        for kind in ("weak", "strict"):
+            assert gk_chain_max(t, 0, 10**21, kind) == sum(map(sum, grid))
+
     def test_random_six_by_six_against_rsk_shape(self):
         # Greene's theorem for every family size, past the point where the
         # flow has taken every entry, on tableaux too large for the oracle
@@ -367,7 +378,7 @@ class TestGreeneKleitman:
             mu = rsk(Tableau(Partition((len(image[0]),) * len(image)), image)).shape
             for kind, lam in (("weak", mu), ("strict", mu.conjugate())):
                 expected = [sum(lam.parts[:r]) for r in family_sizes]
-                assert _chain_maxima(image, family_sizes, kind) == expected
+                assert _chain_maxima(_order_type(image), family_sizes, kind) == expected
 
     def test_bad_arguments(self):
         t = Tableau.zero(Partition((2, 2)))

@@ -287,6 +287,16 @@ class TestClassicalCommands:
         )
         assert (code, out.strip(), err) == (0, "1100", "")
 
+    def test_gk_family_past_every_entry(self, capsys, monkeypatch):
+        # the flow stops once it covers the rectangle, so r needs no ceiling
+        code, out, err = invoke(
+            capsys,
+            monkeypatch,
+            ["gk", "--k", "0", "--r", str(10**21), "--kind", "weak"],
+            stdin="1 1 2\n0 1 0\n3 0 0\n",
+        )
+        assert (code, out.strip(), err) == (0, "8", "")
+
 
 class TestSeriesCommand:
     def test_hook_product(self, capsys, monkeypatch):
@@ -440,6 +450,36 @@ class TestVerifyCommand:
             VerifyConfig(),
         ]
 
+    # stanley and gansner pass on this shape; bijection is then refused
+    SIX_BY_SIX = ["verify", "all", "--shape", "6,6,6,6,6,6", "--size-bound", "31",
+                  "--weight-bound", "31"]
+    CEILING = "enumerating fillings of 6,6,6,6,6,6 would yield 10399394 items, over the ceiling 10000000"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_the_suites_that_ended_are_printed_before_an_error(self, monkeypatch, jobs):
+        # under --jobs the refusal comes back from a worker, pickled
+        both = io.StringIO()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        with redirect_stdout(both), redirect_stderr(both):
+            code = run([*self.SIX_BY_SIX, "--jobs", jobs])
+        lines = both.getvalue().splitlines()
+        assert code == 1
+        assert [line.split(":")[0] for line in lines[:3]] == ["PASS stanley", *["PASS gansner"] * 2]
+        assert lines[3:] == [f"error: {self.CEILING}"]
+
+    def test_json_prints_the_results_that_ended_then_the_error(self, capsys, monkeypatch, tmp_path):
+        # the results go to --out, and the error object where it always goes
+        target = tmp_path / "results.json"
+        code, out, err = invoke(
+            capsys, monkeypatch, [*self.SIX_BY_SIX, "--format", "json", "--out", str(target)]
+        )
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"error": self.CEILING}
+        results = json.loads(target.read_text())
+        assert [(r["suite"], r["passed"]) for r in results] == [
+            ("stanley", True), ("gansner", True), ("gansner", True)
+        ]
+
     def test_unknown_suite_is_usage_error(self, capsys, monkeypatch):
         with pytest.raises(SystemExit) as err:
             run(["verify", "nonsense"])
@@ -509,6 +549,18 @@ class TestRenderCommand:
         assert code == 0
         text = target.read_text()
         assert text.startswith("<svg") and "#ffd47f" in text
+
+    def test_a_highlight_outside_the_shape_is_refused(self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "pic.svg"
+        code, out, err = invoke(
+            capsys,
+            monkeypatch,
+            ["render", "--svg", str(target), "--highlight", "(1,2)", "(9,9)", "(0,1)"],
+            stdin="1 2\n3\n",
+        )
+        assert (code, out) == (1, "")
+        assert err.strip() == "error: highlight (9,9) lies outside the shape 2,1"
+        assert not target.exists()
 
 
 class TestUsageErrors:

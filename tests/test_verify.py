@@ -83,7 +83,7 @@ def test_the_budget_is_checked_before_the_first_shape_is_enumerated(suite, monke
 @pytest.mark.parametrize("suite", ["stanley", "gansner", *ENUMERATING])
 def test_each_suite_that_reads_the_shapes_passes_on_the_empty_shape(suite):
     # one filling, one tableau, and no corner for `pak` to force or `commute` to toggle
-    results = run_suites([suite], VerifyConfig(shapes=((),)))
+    results = list(run_suites([suite], VerifyConfig(shapes=((),))))
     assert results and all(r.passed and '""' in r.line() for r in results)
 
 
@@ -113,19 +113,46 @@ def test_bijection_memory_does_not_grow_with_the_fillings():
 
 
 def test_a_wrong_chain_maximum_fails_gk_with_the_memo_warm(monkeypatch):
-    # the first run fills the flow memo; a fault on one rectangle must still show
+    # the first run fills the flow memo; a fault on one order type must still show
     assert suite_gk(VerifyConfig())[0].passed
     real = classical._chain_maxima
-    # the content-0 rectangle of the tableau with a single hook at (2,2)
-    faulty = ((0, 0, 0), (0, 1, 0), (0, 0, 0))
+    # the order type of the content-0 rectangle of the tableau with a single hook at (2,2)
+    faulty = classical._order_type(((0, 0, 0), (0, 1, 0), (0, 0, 0)))
 
-    def wrong_on_one(rows, family_sizes, kind):
-        gains = real(rows, family_sizes, kind)
-        return [gains[0] + 1, *gains[1:]] if rows == faulty and kind == "strict" else gains
+    def wrong_on_one(grid, family_sizes, kind):
+        gains = real(grid, family_sizes, kind)
+        return [gains[0] + 1, *gains[1:]] if grid == faulty and kind == "strict" else gains
 
     monkeypatch.setattr(classical, "_chain_maxima", wrong_on_one)
     (result,) = suite_gk(VerifyConfig())
     assert not result.passed
+
+
+def test_gk_runs_one_flow_per_order_type_and_kind(monkeypatch):
+    # a cold run: the flow memo holds nothing from earlier tests
+    flows, reduced = [], []
+    real_flow, real_type = classical._augmentations, classical._order_type
+
+    def counted_flow(grid, kind):
+        flows.append((grid, kind))
+        return real_flow(grid, kind)
+
+    def counted_type(rows):
+        reduced.append(real_type(rows))
+        return reduced[-1]
+
+    monkeypatch.setattr(classical, "_augmentations", counted_flow)
+    monkeypatch.setattr(classical, "_order_type", counted_type)
+    classical._breakpoints.cache_clear()
+    try:
+        (result,) = suite_gk(VerifyConfig())
+    finally:
+        classical._breakpoints.cache_clear()
+    assert result.passed
+    # once per (tableau, diagonal), 2002 tableaux of 3,3,3 at total 5 by 5 diagonals,
+    # and never again inside `_chain_maxima`
+    assert len(reduced) == 2002 * 5
+    assert len(flows) == len(set(flows)) == 2 * len(set(reduced)) == 474
 
 
 def test_jobs_are_capped_at_one_worker_per_suite(monkeypatch):
@@ -148,8 +175,8 @@ def test_jobs_are_capped_at_one_worker_per_suite(monkeypatch):
             return map(fn, units)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    results = run_suites(["golden", "stanley"], jobs=5000)
+    results = list(run_suites(["golden", "stanley"], jobs=5000))
     assert asked == [2]
-    assert results == run_suites(["golden", "stanley"])
-    run_suites(["golden"], jobs=5000)
+    assert results == list(run_suites(["golden", "stanley"]))
+    list(run_suites(["golden"], jobs=5000))
     assert asked == [2]
