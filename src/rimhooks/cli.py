@@ -33,7 +33,7 @@ from .insertion import (
 )
 from .rpp import Rpp, Tableau
 from .series import gansner_product, hook_product, rpp_series, trace_series
-from .verify import SUITE_NAMES, VerifyConfig, run_suites
+from .verify import FIXED_SUITES, SUITE_NAMES, VerifyConfig, run_suites
 
 
 class DomainError(Exception):
@@ -348,6 +348,14 @@ def cmd_verify(args) -> int:
     if "shapes" in settings:
         settings["shapes"] = tuple(Partition.from_string(s).parts for s in settings["shapes"])
     config = VerifyConfig(**settings)
+    if args.suite in FIXED_SUITES:
+        # a fixed instance reads no shape and no bound, so any given is refused
+        flags = {keywords.get("dest"): flag for flag, keywords in _SUBCOMMANDS["verify"][3]}
+        given = [flags[field] for field in settings if field not in ("sample", "seed")]
+        if given:
+            args.usage_error(
+                f"suite {args.suite} runs a fixed instance and takes no {', '.join(given)}"
+            )
     out = open(args.outfile, "w", encoding="utf-8") if args.outfile else sys.stdout
     results = []
     try:
@@ -475,7 +483,7 @@ _SUBCOMMANDS = {
     "enumerate": ("stream fillings or tableaux as JSON lines", cmd_enumerate, True, [
         ("what", {"choices": ("rpps", "tableaux")}),
         ("--bound", {"type": _non_negative_int, "required": True}),
-        ("--ceiling", {"type": int, "default": DEFAULT_CEILING}),
+        ("--ceiling", {"type": _non_negative_int, "default": DEFAULT_CEILING}),
     ]),
     "render": ("ASCII (and optional SVG) picture of a filling", cmd_render, False, [
         ("--svg", {"metavar": "PATH"}),
@@ -512,7 +520,8 @@ def make_parser(command: str | None = None) -> argparse.ArgumentParser:
             p.add_argument("--shape", required=shape, help="comma separated parts, e.g. 4,3,1")
         for *flags, keywords in arguments:
             p.add_argument(*flags, **keywords)
-        p.set_defaults(fn=fn)
+        # a handler that finds a usage error reports it as argparse does, with exit 2
+        p.set_defaults(fn=fn, usage_error=p.error)
     return parser
 
 

@@ -3,13 +3,14 @@
 Each suite is registered in `SUITES` under its name, in definition order, and
 returns one CheckResult per unit of work; the CLI `verify` subcommand and the
 acceptance tests both run through `run_suites`, so the two always agree. A
-suite reads each enumeration as a stream, in one pass, and keeps running
-counters rather than the items, so its memory does not grow with the number
-of fillings or tableaux. Opening a stream checks the enumeration budget, and
-the suites that enumerate open all their streams before they read any (see
-`_suite`). `VerifyConfig.fillings` and `VerifyConfig.tableaux` open the
-sampled streams: sampling picks items by their index in a stream, whose exact
-length the hook-product formula gives in advance. `run_suites(..., jobs=N)`
+suite runs either once per configured shape or once on a fixed instance (the
+names in `FIXED_SUITES`). It reads each enumeration as a stream, in one pass,
+and keeps running counters rather than the items, so its memory does not grow
+with the number of fillings or tableaux. Opening a stream checks the
+enumeration budget, and the registry opens every shape's streams before any
+is read (see `_suite`). `VerifyConfig.fillings` and `VerifyConfig.tableaux`
+open the sampled streams: sampling picks items by their index in a stream,
+whose exact length the hook-product formula gives in advance. `run_suites(..., jobs=N)`
 runs whole suites in min(N, number of suites) processes, so a single suite
 always runs in one process. The process pool is imported only when N > 1 and
 two or more suites run, so a serial run never loads it. Results are
@@ -80,9 +81,6 @@ class VerifyConfig:
     sample: int | None = None
     seed: int = 0
 
-    def partitions(self) -> list[Partition]:
-        return [Partition(parts) for parts in self.shapes]
-
     def kept(self, count: int) -> range | set[int]:
         """The indexes that `pick` keeps from a stream of `count` items."""
         if self.sample is None or count <= self.sample:
@@ -124,23 +122,35 @@ class CheckResult:
 
 
 SUITES: dict[str, Callable[[VerifyConfig], list[CheckResult]]] = {}
+#: the suites that run one fixed instance and read no shape and no bound
+FIXED_SUITES: set[str] = set()
 
 
-def _suite(name: str):
+def _suite(name: str, opener: Callable[[VerifyConfig, Partition], Sequence] | None = None):
     """Register a suite body under `name` in `SUITES`, in definition order.
 
     The body is a generator of `Check` tuples; the registered function, which
     the decorator also returns, runs it to its end and stamps `name` on each
-    result. A body that enumerates opens all its streams before its first
-    `yield`, and opening a stream checks its budget, so the first `next()`
-    checks every budget before any stream is read.
+    result. With an `opener`, the body runs once per configured shape, as
+    `body(config, shape, *opener(config, shape))`; every shape's streams are
+    opened, which checks every budget, before any is read. Without one, the
+    body runs a fixed instance as `body(config)`, and `name` is in `FIXED_SUITES`.
     """
 
-    def register(body: Callable[[VerifyConfig], Iterator[Check]]):
+    def register(body: Callable[..., Iterator[Check]]):
         @functools.wraps(body)
         def suite(config: VerifyConfig) -> list[CheckResult]:
-            return [CheckResult(name, *check) for check in body(config)]
+            if opener is None:
+                return [CheckResult(name, *check) for check in body(config)]
+            opened = [(shape, opener(config, shape)) for shape in map(Partition, config.shapes)]
+            return [
+                CheckResult(name, *check)
+                for shape, streams in opened
+                for check in body(config, shape, *streams)
+            ]
 
+        if opener is None:
+            FIXED_SUITES.add(name)
         SUITES[name] = suite
         return suite
 
@@ -150,51 +160,50 @@ def _suite(name: str):
 # ---------------------------------------------------------------- suites
 
 
-@_suite("stanley")
-def suite_stanley(config: VerifyConfig) -> Iterator[Check]:
-    for shape in config.partitions():
-        lhs = rpp_series(shape, config.stanley_degree)
-        rhs = hook_product(shape, config.stanley_degree)
-        coefficients = f"coefficients {list(lhs.coefficients)}"
-        yield f"size series equals hook product for {shape}", lhs == rhs, coefficients
+# stanley and gansner open no stream: each series checks its shape's budget
+@_suite("stanley", lambda config, shape: ())
+def suite_stanley(config: VerifyConfig, shape: Partition) -> Iterator[Check]:
+    lhs = rpp_series(shape, config.stanley_degree)
+    rhs = hook_product(shape, config.stanley_degree)
+    coefficients = f"coefficients {list(lhs.coefficients)}"
+    yield f"size series equals hook product for {shape}", lhs == rhs, coefficients
 
 
-@_suite("gansner")
-def suite_gansner(config: VerifyConfig) -> Iterator[Check]:
-    for shape in config.partitions():
-        lhs = trace_series(shape, config.trace_degree)
-        rhs = gansner_product(shape, config.trace_degree)
-        name = f"trace series equals refined hook product for {shape}"
-        yield name, lhs == rhs, f"{len(rhs.terms)} monomials"
-        specialized = rhs.specialize()
-        expected = hook_product(shape, config.trace_degree)
-        yield f"all-variables-to-q specialization matches for {shape}", specialized == expected
+@_suite("gansner", lambda config, shape: ())
+def suite_gansner(config: VerifyConfig, shape: Partition) -> Iterator[Check]:
+    lhs = trace_series(shape, config.trace_degree)
+    rhs = gansner_product(shape, config.trace_degree)
+    name = f"trace series equals refined hook product for {shape}"
+    yield name, lhs == rhs, f"{len(rhs.terms)} monomials"
+    specialized = rhs.specialize()
+    expected = hook_product(shape, config.trace_degree)
+    yield f"all-variables-to-q specialization matches for {shape}", specialized == expected
 
 
-@_suite("bijection")
-def suite_bijection(config: VerifyConfig) -> Iterator[Check]:
-    size, weight = config.size_bound, config.weight_bound
-    streams = [
-        (shape, config.fillings(shape, size), config.tableaux(shape, weight))
-        for shape in config.partitions()
-    ]
-    for shape, fillings, tableaux in streams:
-        seen, ok, broken = 0, 0, False
-        for pi in fillings:
-            seen += 1
-            if broken:
-                continue
-            # `factorize` raises on a decreasing anchor sequence
-            broken = build(factorize(pi).to_tableau()) != pi
-            ok += not broken
-        name = f"factorize then build is the identity on {shape}"
-        yield name, ok == seen, f"{ok}/{seen} fillings"
-        seen, ok = 0, 0
-        for t in tableaux:
-            seen += 1
-            ok += factorize(build(t)).to_tableau() == t
-        name = f"build then factorize is the identity on {shape}"
-        yield name, ok == seen, f"{ok}/{seen} tableaux"
+def _bijection_streams(config: VerifyConfig, shape: Partition) -> tuple[Iterator, Iterator]:
+    return config.fillings(shape, config.size_bound), config.tableaux(shape, config.weight_bound)
+
+
+@_suite("bijection", _bijection_streams)
+def suite_bijection(
+    config: VerifyConfig, shape: Partition, fillings: Iterator[Rpp], tableaux: Iterator[Tableau]
+) -> Iterator[Check]:
+    seen, ok, broken = 0, 0, False
+    for pi in fillings:
+        seen += 1
+        if broken:
+            continue
+        # `factorize` raises on a decreasing anchor sequence
+        broken = build(factorize(pi).to_tableau()) != pi
+        ok += not broken
+    name = f"factorize then build is the identity on {shape}"
+    yield name, ok == seen, f"{ok}/{seen} fillings"
+    seen, ok = 0, 0
+    for t in tableaux:
+        seen += 1
+        ok += factorize(build(t)).to_tableau() == t
+    name = f"build then factorize is the identity on {shape}"
+    yield name, ok == seen, f"{ok}/{seen} tableaux"
 
 
 @_suite("golden")
@@ -241,236 +250,226 @@ def suite_golden(config: VerifyConfig) -> Iterator[Check]:
     )
 
 
-@_suite("pak")
-def suite_pak(config: VerifyConfig) -> Iterator[Check]:
-    size = config.size_bound
-    streams = [(shape, config.fillings(shape, size)) for shape in config.partitions()]
-    for shape, fillings in streams:
-        # not `corners()`, which refuses the empty partition: it has no corner to force
-        _, outer = shape._corner_cells
-        # Two corner policies, spelled as orders: each outer corner x first,
-        # then the revlex-minimal corner of what remains at every step; and
-        # the revlex-maximal corner at every step (the rows bottom-up, each
-        # row right to left).
-        orders = [[x, *(u for u in shape.revlex_cells if u != x)] for x in outer]
-        orders.append(
-            [(i, j) for i in range(shape.length, 0, -1) for j in range(shape.parts[i - 1], 0, -1)]
+@_suite("pak", lambda config, shape: (config.fillings(shape, config.size_bound),))
+def suite_pak(config: VerifyConfig, shape: Partition, fillings: Iterator[Rpp]) -> Iterator[Check]:
+    # not `corners()`, which refuses the empty partition: it has no corner to force
+    _, outer = shape._corner_cells
+    # Two corner policies, spelled as orders: each outer corner x first,
+    # then the revlex-minimal corner of what remains at every step; and
+    # the revlex-maximal corner at every step (the rows bottom-up, each
+    # row right to left).
+    orders = [[x, *(u for u in shape.revlex_cells if u != x)] for x in outer]
+    orders.append(
+        [(i, j) for i in range(shape.length, 0, -1) for j in range(shape.parts[i - 1], 0, -1)]
+    )
+    seen, agree, independent = 0, True, True
+    for pi in fillings:
+        seen += 1
+        reference = peeling.peel_tableau(pi)
+        agree = agree and reference == factorize(pi).to_tableau()
+        independent = independent and all(
+            peeling.peel_tableau(pi, order) == reference for order in orders
         )
-        seen, agree, independent = 0, True, True
-        for pi in fillings:
-            seen += 1
-            reference = peeling.peel_tableau(pi)
-            agree = agree and reference == factorize(pi).to_tableau()
-            independent = independent and all(
-                peeling.peel_tableau(pi, order) == reference for order in orders
+    yield (
+        f"peeling equals factorization on {shape}",
+        agree,
+        f"{seen} fillings, two independent code paths",
+    )
+    yield (
+        f"corner choice does not matter on {shape}",
+        independent,
+        f"forced each of {len(outer)} corners first, plus a reversed policy",
+    )
+
+
+@_suite("commute", lambda config, shape: (enumerate_tableaux(shape, config.weight_bound),))
+def suite_commute(
+    config: VerifyConfig, shape: Partition, tableaux: Iterator[Tableau]
+) -> Iterator[Check]:
+    _, outer = shape._corner_cells
+    # The pairs at corner x are the nonzero tableaux that vanish at x,
+    # sampled per corner. A corner's hook length is 1, so the tableaux
+    # vanishing there number the coefficient of q^w in the hook product
+    # (its other factors times 1/(1 - q), which sums their coefficients).
+    vanishing = _counts_by_size(shape, config.weight_bound)[-1] - 1
+    kept = {x: config.kept(vanishing) for x in outer}
+    reduced = {x: shape.remove_corner(x) for x in outer}
+    seen = dict.fromkeys(outer, 0)
+    checked, failed = 0, 0
+    for t in tableaux:
+        if t.size == 0:
+            continue
+        corners = []
+        for x in outer:
+            if t.value(x) == 0:
+                if seen[x] in kept[x]:
+                    corners.append(x)
+                seen[x] += 1
+        if not corners:
+            continue
+        first = t.anchors()[0]
+        partial, whole = build(t.with_path([first], -1)), build(t)
+        for x in corners:
+            left = peeling.corner_toggle(whole, x)
+            inserted = try_insert(
+                reduced[x].rim_hook(first), peeling.corner_toggle(partial, x)
             )
-        yield (
-            f"peeling equals factorization on {shape}",
-            agree,
-            f"{seen} fillings, two independent code paths",
+            checked += 1
+            if isinstance(inserted, InsertionFailure) or inserted != left:
+                failed += 1
+    if any(n != vanishing for n in seen.values()):
+        raise RuntimeError(
+            f"tableaux of {shape} vanishing at a corner: counted {seen}, "
+            f"but the hook-product count is {vanishing}"
         )
-        yield (
-            f"corner choice does not matter on {shape}",
-            independent,
-            f"forced each of {len(outer)} corners first, plus a reversed policy",
-        )
+    name = f"corner toggle commutes with insertion on {shape}"
+    yield name, failed == 0, f"{checked} (corner, multiset) pairs"
 
 
-@_suite("commute")
-def suite_commute(config: VerifyConfig) -> Iterator[Check]:
-    weight = config.weight_bound
-    streams = [(shape, enumerate_tableaux(shape, weight)) for shape in config.partitions()]
-    for shape, tableaux in streams:
-        _, outer = shape._corner_cells
-        # The pairs at corner x are the nonzero tableaux that vanish at x,
-        # sampled per corner. A corner's hook length is 1, so the tableaux
-        # vanishing there number the coefficient of q^w in the hook product
-        # (its other factors times 1/(1 - q), which sums their coefficients).
-        vanishing = _counts_by_size(shape, weight)[-1] - 1
-        kept = {x: config.kept(vanishing) for x in outer}
-        reduced = {x: shape.remove_corner(x) for x in outer}
-        seen = dict.fromkeys(outer, 0)
-        checked, failed = 0, 0
-        for t in tableaux:
-            if t.size == 0:
-                continue
-            corners = []
-            for x in outer:
-                if t.value(x) == 0:
-                    if seen[x] in kept[x]:
-                        corners.append(x)
-                    seen[x] += 1
-            if not corners:
-                continue
-            first = t.anchors()[0]
-            partial, whole = build(t.with_path([first], -1)), build(t)
-            for x in corners:
-                left = peeling.corner_toggle(whole, x)
-                inserted = try_insert(
-                    reduced[x].rim_hook(first), peeling.corner_toggle(partial, x)
-                )
-                checked += 1
-                if isinstance(inserted, InsertionFailure) or inserted != left:
-                    failed += 1
-        if any(n != vanishing for n in seen.values()):
-            raise RuntimeError(
-                f"tableaux of {shape} vanishing at a corner: counted {seen}, "
-                f"but the hook-product count is {vanishing}"
-            )
-        name = f"corner toggle commutes with insertion on {shape}"
-        yield name, failed == 0, f"{checked} (corner, multiset) pairs"
+def _uniqueness_streams(config: VerifyConfig, shape: Partition) -> tuple[list, Iterator]:
+    paths = [(hook, enumerate_sw_paths(shape, hook.tail, len(hook))) for hook in shape.rim_hooks()]
+    return paths, config.fillings(shape, config.path_size_bound)
 
 
-@_suite("insertion-uniqueness")
-def suite_insertion_uniqueness(config: VerifyConfig) -> Iterator[Check]:
-    size = config.path_size_bound
-    streams = [
-        (
-            shape,
-            [enumerate_sw_paths(shape, hook.tail, len(hook)) for hook in shape.rim_hooks()],
-            config.fillings(shape, size),
-        )
-        for shape in config.partitions()
-    ]
-    for shape, sw_paths, fillings in streams:
-        hooks = shape.rim_hooks()
-        # each hook's paths are kept, since every filling is tried against them
-        sw_paths = [tuple(paths) for paths in sw_paths]
-        checked, failed = 0, 0
-        for pi in fillings:
-            for hook, paths in zip(hooks, sw_paths):
-                # the fillings the compatible brute-force paths make. South-west
-                # paths with one tail and length differ exactly when their cell
-                # sets do, so `valid == [result]` says that one path is valid
-                # and that it is the one the insertion walked
-                valid = []
-                for path in paths:
-                    if not is_compatible(path, pi):
-                        continue
-                    try:
-                        valid.append(pi.with_path(path, +1))
-                    except ValueError:
-                        continue
-                result = try_insert(hook, pi)
-                checked += 1
-                if isinstance(result, Rpp):
-                    if valid != [result]:
-                        failed += 1
-                else:
-                    witness_ok = (
-                        result.witness in pi.candidates()
-                        and content_key(result.witness) < content_key(result.path.head)
-                    )
-                    if valid or not witness_ok:
-                        failed += 1
-        yield (
-            f"unique valid path or certified failure on {shape}",
-            failed == 0,
-            f"{checked} (hook, filling) pairs against brute force",
-        )
-
-
-@_suite("crossing")
-def suite_crossing(config: VerifyConfig) -> Iterator[Check]:
-    size = config.path_size_bound
-    streams = [(shape, config.fillings(shape, size)) for shape in config.partitions()]
-    for shape, fillings in streams:
-        hooks = [(hook, rim_hook_key(hook)) for hook in shape.rim_hooks()]
-        cell_keys = {u: content_key(u) for u in shape.cells()}
-        cross_checked, cross_failed = 0, 0
-        stab_checked, stab_failed = 0, 0
-        for pi in fillings:
-            candidates = pi.candidates()
-            paths = {u: extraction_path(u, pi) for u in candidates}
-            # (content key of u, key of the hook extracted at u) per candidate u
-            keyed = [
-                (cell_keys[u], rim_hook_key(rim_hook_of_path(path, shape)))
-                for u, path in paths.items()
-            ]
-            for hook, hook_key in hooks:
-                head_key = content_key(insertion_path(hook, pi).head)
-                cross_checked += len(keyed)
-                for key, extracted in keyed:
-                    if key < head_key:
-                        cross_failed += extracted >= hook_key
-                    else:
-                        cross_failed += hook_key > extracted
-            for v, path in paths.items():
+@_suite("insertion-uniqueness", _uniqueness_streams)
+def suite_insertion_uniqueness(
+    config: VerifyConfig, shape: Partition, sw_paths: list, fillings: Iterator[Rpp]
+) -> Iterator[Check]:
+    # each hook's paths are kept, since every filling is tried against them
+    sw_paths = [(hook, tuple(paths)) for hook, paths in sw_paths]
+    checked, failed = 0, 0
+    for pi in fillings:
+        for hook, paths in sw_paths:
+            # the fillings the compatible brute-force paths make. South-west
+            # paths with one tail and length differ exactly when their cell
+            # sets do, so `valid == [result]` says that one path is valid
+            # and that it is the one the insertion walked
+            valid = []
+            for path in paths:
                 if not is_compatible(path, pi):
                     continue
                 try:
-                    reduced = pi.with_path(path, -1)
+                    valid.append(pi.with_path(path, +1))
                 except ValueError:
                     continue
-                after = reduced.candidates()
-                for u in candidates:
-                    if u != v:
-                        stab_checked += 1
-                        if u not in after:
-                            stab_failed += 1
-                for u, key in cell_keys.items():
-                    if u not in candidates and key < cell_keys[v]:
-                        stab_checked += 1
-                        if u in after:
-                            stab_failed += 1
-        name = f"paths cannot cross on {shape}"
-        yield name, cross_failed == 0, f"{cross_checked} (hook, candidate) pairs"
-        name = f"candidates are stable under extraction on {shape}"
-        yield name, stab_failed == 0, f"{stab_checked} cell checks"
+            result = try_insert(hook, pi)
+            checked += 1
+            if isinstance(result, Rpp):
+                if valid != [result]:
+                    failed += 1
+            else:
+                witness_ok = (
+                    result.witness in pi.candidates()
+                    and content_key(result.witness) < content_key(result.path.head)
+                )
+                if valid or not witness_ok:
+                    failed += 1
+    yield (
+        f"unique valid path or certified failure on {shape}",
+        failed == 0,
+        f"{checked} (hook, filling) pairs against brute force",
+    )
 
 
-@_suite("hg")
-def suite_hg(config: VerifyConfig) -> Iterator[Check]:
-    size, degree = config.size_bound, config.trace_degree
-    streams = [
-        (shape, config.fillings(shape, size), enumerate_rpps(shape, degree))
-        for shape in config.partitions()
-    ]
-    for shape, fillings, traced in streams:
-        seen, roundtrip, weights = 0, True, True
-        for pi in fillings:
-            seen += 1
-            t = classical.hg(pi)
-            roundtrip = roundtrip and classical.hg_inv(t) == pi
-            weights = weights and t.weighted_size == pi.size
-        yield f"inverse undoes the correspondence on {shape}", roundtrip, f"{seen} fillings"
-        yield f"recorded hooks account for the full size on {shape}", weights
-        refined = gansner_product(shape, degree)
-        acc = MultiTraceSeries(refined.var_lo, refined.var_hi, degree, {})
-        # each cell's hook monomial once per shape, laid out like the rows, so
-        # the per-filling loop reads the tableau's rows and builds no pairs
-        hooks = [
-            [hook_monomial(shape, (i, j)) for j in range(1, p + 1)]
-            for i, p in enumerate(shape.parts, start=1)
+@_suite("crossing", lambda config, shape: (config.fillings(shape, config.path_size_bound),))
+def suite_crossing(
+    config: VerifyConfig, shape: Partition, fillings: Iterator[Rpp]
+) -> Iterator[Check]:
+    hooks = [(hook, rim_hook_key(hook)) for hook in shape.rim_hooks()]
+    cell_keys = {u: content_key(u) for u in shape.cells()}
+    cross_checked, cross_failed = 0, 0
+    stab_checked, stab_failed = 0, 0
+    for pi in fillings:
+        candidates = pi.candidates()
+        paths = {u: extraction_path(u, pi) for u in candidates}
+        # (content key of u, key of the hook extracted at u) per candidate u
+        keyed = [
+            (cell_keys[u], rim_hook_key(rim_hook_of_path(path, shape)))
+            for u, path in paths.items()
         ]
-        for pi in traced:
-            exps = [0] * len(shape.contents)
-            for counts, monos in zip(classical.hg(pi).rows, hooks):
-                for count, mono in zip(counts, monos):
-                    if count:
-                        exps = [a + count * b for a, b in zip(exps, mono)]
-            acc.add_term(tuple(exps), 1)
-        yield f"trace series through the correspondence matches for {shape}", acc == refined
+        for hook, hook_key in hooks:
+            head_key = content_key(insertion_path(hook, pi).head)
+            cross_checked += len(keyed)
+            for key, extracted in keyed:
+                if key < head_key:
+                    cross_failed += extracted >= hook_key
+                else:
+                    cross_failed += hook_key > extracted
+        for v, path in paths.items():
+            if not is_compatible(path, pi):
+                continue
+            try:
+                reduced = pi.with_path(path, -1)
+            except ValueError:
+                continue
+            after = reduced.candidates()
+            for u in candidates:
+                if u != v:
+                    stab_checked += 1
+                    if u not in after:
+                        stab_failed += 1
+            for u, key in cell_keys.items():
+                if u not in candidates and key < cell_keys[v]:
+                    stab_checked += 1
+                    if u in after:
+                        stab_failed += 1
+    name = f"paths cannot cross on {shape}"
+    yield name, cross_failed == 0, f"{cross_checked} (hook, candidate) pairs"
+    name = f"candidates are stable under extraction on {shape}"
+    yield name, stab_failed == 0, f"{stab_checked} cell checks"
 
 
-@_suite("diag")
-def suite_diag(config: VerifyConfig) -> Iterator[Check]:
-    weight = config.weight_bound
-    streams = [(shape, config.tableaux(shape, weight)) for shape in config.partitions()]
-    for shape, tableaux in streams:
-        corners = [classical._rectangle_corner(shape, k) for k in shape.contents]
-        seen, failed = 0, 0
-        for t in tableaux:
-            seen += 1
-            # sums[a - 1][b - 1] is the sum of t over rows 1..a and columns 1..b
-            sums, above = [], repeat(0)
-            for row in t.rows:
-                above = list(map(add, above, accumulate(row)))
-                sums.append(above)
-            expected = [sums[a - 1][b - 1] for a, b in corners]
-            failed += sum(map(ne, build(t).traces(), expected))
-        name = f"traces are rectangle sums of the tableau on {shape}"
-        yield name, failed == 0, f"{seen} tableaux, every diagonal"
+def _hg_streams(config: VerifyConfig, shape: Partition) -> tuple[Iterator, Iterator]:
+    return config.fillings(shape, config.size_bound), enumerate_rpps(shape, config.trace_degree)
+
+
+@_suite("hg", _hg_streams)
+def suite_hg(
+    config: VerifyConfig, shape: Partition, fillings: Iterator[Rpp], traced: Iterator[Rpp]
+) -> Iterator[Check]:
+    seen, roundtrip, weights = 0, True, True
+    for pi in fillings:
+        seen += 1
+        t = classical.hg(pi)
+        roundtrip = roundtrip and classical.hg_inv(t) == pi
+        weights = weights and t.weighted_size == pi.size
+    yield f"inverse undoes the correspondence on {shape}", roundtrip, f"{seen} fillings"
+    yield f"recorded hooks account for the full size on {shape}", weights
+    refined = gansner_product(shape, config.trace_degree)
+    acc = MultiTraceSeries(refined.var_lo, refined.var_hi, config.trace_degree, {})
+    # each cell's hook monomial once per shape, laid out like the rows, so
+    # the per-filling loop reads the tableau's rows and builds no pairs
+    hooks = [
+        [hook_monomial(shape, (i, j)) for j in range(1, p + 1)]
+        for i, p in enumerate(shape.parts, start=1)
+    ]
+    for pi in traced:
+        exps = [0] * len(shape.contents)
+        for counts, monos in zip(classical.hg(pi).rows, hooks):
+            for count, mono in zip(counts, monos):
+                if count:
+                    exps = [a + count * b for a, b in zip(exps, mono)]
+        acc.add_term(tuple(exps), 1)
+    yield f"trace series through the correspondence matches for {shape}", acc == refined
+
+
+@_suite("diag", lambda config, shape: (config.tableaux(shape, config.weight_bound),))
+def suite_diag(
+    config: VerifyConfig, shape: Partition, tableaux: Iterator[Tableau]
+) -> Iterator[Check]:
+    corners = [classical._rectangle_corner(shape, k) for k in shape.contents]
+    seen, failed = 0, 0
+    for t in tableaux:
+        seen += 1
+        # sums[a - 1][b - 1] is the sum of t over rows 1..a and columns 1..b
+        sums, above = [], repeat(0)
+        for row in t.rows:
+            above = list(map(add, above, accumulate(row)))
+            sums.append(above)
+        expected = [sums[a - 1][b - 1] for a, b in corners]
+        failed += sum(map(ne, build(t).traces(), expected))
+    name = f"traces are rectangle sums of the tableau on {shape}"
+    yield name, failed == 0, f"{seen} tableaux, every diagonal"
 
 
 @_suite("gk")

@@ -443,8 +443,8 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "run_suites", capture)
         flags = ["--size-bound", "1", "--weight-bound", "2", "--path-size-bound", "3",
                  "--degree", "4", "--trace-degree", "5", "--sample", "6", "--seed", "7"]
-        invoke(capsys, monkeypatch, ["verify", "golden", "--shape", "2,1", "--shape", "3", *flags])
-        invoke(capsys, monkeypatch, ["verify", "golden"])
+        invoke(capsys, monkeypatch, ["verify", "stanley", "--shape", "2,1", "--shape", "3", *flags])
+        invoke(capsys, monkeypatch, ["verify", "stanley"])
         assert seen == [
             VerifyConfig(((2, 1), (3,)), 1, 2, 3, 4, 5, sample=6, seed=7),
             VerifyConfig(),
@@ -479,6 +479,24 @@ class TestVerifyCommand:
         assert [(r["suite"], r["passed"]) for r in results] == [
             ("stanley", True), ("gansner", True), ("gansner", True)
         ]
+
+    @pytest.mark.parametrize("suite", ["golden", "gk", "syt", "rsk-thm", "involution"])
+    def test_a_fixed_instance_suite_refuses_the_shape_and_the_bounds(
+        self, capsys, monkeypatch, tmp_path, suite
+    ):
+        given = [["--shape", "2,1"], ["--size-bound", "3"], ["--weight-bound", "2"],
+                 ["--path-size-bound", "1"], ["--degree", "4"], ["--trace-degree", "5"]]
+        for flag in given:
+            with pytest.raises(SystemExit) as err:
+                run(["verify", suite, *flag, "--format", "json"])
+            out, message = capsys.readouterr()
+            assert (err.value.code, out) == (2, "")
+            assert f"suite {suite} runs a fixed instance and takes no {flag[0]}\n" in message
+        # the flags it reads, or that say how to run it, stay accepted
+        target = tmp_path / "results.json"
+        argv = ["verify", suite, "--sample", "2", "--seed", "3", "--jobs", "1", "--format", "json"]
+        assert invoke(capsys, monkeypatch, [*argv, "--out", str(target)]) == (0, "", "")
+        assert {r["suite"] for r in json.loads(target.read_text())} == {suite}
 
     def test_unknown_suite_is_usage_error(self, capsys, monkeypatch):
         with pytest.raises(SystemExit) as err:
@@ -616,6 +634,7 @@ class TestUsageErrors:
             ["series", "trace", "--shape", "2,1", "--degree", "-1"],
             ["series", "hook-product", "--shape", "2,1", "--degree", "-1"],
             ["enumerate", "rpps", "--shape", "2,1", "--bound", "-1"],
+            ["enumerate", "rpps", "--shape", "2,1", "--bound", "3", "--ceiling", "-1"],
             ["verify", "stanley", "--degree", "-1"],
             ["verify", "bijection", "--size-bound", "-1"],
             ["verify", "bijection", "--weight-bound", "-2"],

@@ -10,7 +10,14 @@ import pytest
 
 from rimhooks import BudgetExceededError, Partition, classical, cli, enumeration
 from rimhooks.enumeration import projected_rpp_count
-from rimhooks.verify import SUITES, VerifyConfig, run_suites, suite_bijection, suite_gk
+from rimhooks.verify import (
+    FIXED_SUITES,
+    SUITES,
+    VerifyConfig,
+    run_suites,
+    suite_bijection,
+    suite_gk,
+)
 
 
 DATA = Path(__file__).parent / "data"
@@ -24,6 +31,21 @@ def test_verify_all_prints_the_pinned_lines():
 def test_each_suite_is_registered_under_its_name():
     assert SUITES["bijection"] is suite_bijection and SUITES["gk"] is suite_gk
     assert all(SUITES[name].__name__ == "suite_" + name.replace("-", "_") for name in SUITES)
+
+
+def test_the_fixed_instance_suites_are_the_ones_that_read_no_shape():
+    assert FIXED_SUITES == {"golden", "gk", "syt", "rsk-thm", "involution"}
+
+
+@pytest.mark.parametrize("suite", [name for name in SUITES if name not in FIXED_SUITES])
+@pytest.mark.parametrize("sampling", [{}, {"sample": 3, "seed": 5}])
+def test_each_shape_is_a_unit_of_its_own(suite, sampling):
+    # what a shape gives does not depend on the shapes run beside it
+    bounds = dict(size_bound=4, weight_bound=4, path_size_bound=4, stanley_degree=6,
+                  trace_degree=5, **sampling)
+    a, b = (3, 1), (2, 2, 1)
+    apart = [SUITES[suite](VerifyConfig(shapes=(shape,), **bounds)) for shape in (a, b)]
+    assert SUITES[suite](VerifyConfig(shapes=(a, b), **bounds)) == apart[0] + apart[1]
 
 
 def test_sampled_verify_all_prints_the_pinned_json(capsys):
