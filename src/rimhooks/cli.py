@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Every subcommand reads grids from stdin (or --in) and writes to stdout (or
---out). Exit status: 0 on success, 1 with a diagnostic on domain and I/O
-errors (JSON shaped under --format json), 2 on usage errors. Each subcommand
-is declared once, in the `_SUBCOMMANDS` table, from which `make_parser` builds
-both the full parser and the parser of one subcommand.
+A subcommand that reads a grid reads it from stdin (or --in); every one
+writes to stdout (or --out). Exit status: 0 on success, 1 with a diagnostic
+on domain and I/O errors (JSON shaped under --format json), 2 on usage errors.
+Each subcommand is declared once, in the `_SUBCOMMANDS` table, from which
+`make_parser` builds both the full parser and the parser of one subcommand.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .insertion import (
 )
 from .rpp import Rpp, Tableau
 from .series import gansner_product, hook_product, rpp_series, trace_series
-from .verify import FIXED_SUITES, SUITE_NAMES, VerifyConfig, run_suites
+from .verify import READS, SUITE_NAMES, VerifyConfig, run_suites
 
 
 class DomainError(Exception):
@@ -42,7 +42,7 @@ class DomainError(Exception):
 
 def _read_input(args):
     """The input text, or under --format json the JSON value it holds."""
-    if getattr(args, "infile", None):
+    if args.infile:
         with open(args.infile, encoding="utf-8") as fh:
             text = fh.read()
     else:
@@ -58,7 +58,7 @@ def _read_input(args):
 
 
 def _write_output(args, text: str) -> None:
-    if getattr(args, "outfile", None):
+    if args.outfile:
         with open(args.outfile, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
@@ -76,19 +76,15 @@ def _read_grid(args, cls):
     else:
         data = _read_input(args)
         value = cls.from_json_obj(data) if args.format == "json" else cls.from_text(data)
-    shape = _shape_arg(args, required=False)
+    shape = _shape_arg(args)
     if shape is not None and value.shape != shape:
         raise DomainError(f"input has shape {value.shape}, expected {shape}")
     return value
 
 
-def _shape_arg(args, required: bool = True) -> Partition | None:
-    text = getattr(args, "shape", None)
-    if text is None:
-        if required:
-            raise DomainError("this subcommand requires --shape")
-        return None
-    return Partition.from_string(text)
+def _shape_arg(args) -> Partition | None:
+    """The --shape given, or None; argparse requires it where a subcommand needs it."""
+    return None if args.shape is None else Partition.from_string(args.shape)
 
 
 def _emit_obj(args, obj, text: str) -> None:
@@ -306,8 +302,7 @@ def cmd_rsk_inv(args) -> int:
         if not second.strip():
             raise DomainError("expected two grids separated by a blank line")
         pair = classical.SsytPair(Rpp.from_text(first), Rpp.from_text(second))
-    shape = _shape_arg(args, required=False)
-    t = classical.rsk_inv(pair, shape)
+    t = classical.rsk_inv(pair, _shape_arg(args))
     _emit_obj(args, t.to_json_obj(), t.to_text())
     return 0
 
@@ -348,14 +343,17 @@ def cmd_verify(args) -> int:
     if "shapes" in settings:
         settings["shapes"] = tuple(Partition.from_string(s).parts for s in settings["shapes"])
     config = VerifyConfig(**settings)
-    if args.suite in FIXED_SUITES:
-        # a fixed instance reads no shape and no bound, so any given is refused
-        flags = {keywords.get("dest"): flag for flag, keywords in _SUBCOMMANDS["verify"][3]}
-        given = [flags[field] for field in settings if field not in ("sample", "seed")]
-        if given:
-            args.usage_error(
-                f"suite {args.suite} runs a fixed instance and takes no {', '.join(given)}"
-            )
+    # every suite takes --seed, which goes with --sample; `all` reads every field
+    reads = fields if args.suite == "all" else READS[args.suite] | {"seed"}
+    unread = [field for field in settings if field not in reads]
+    if unread:
+        # argparse derives the dest of a flag that names none from the flag
+        flags = {
+            keywords.get("dest", flag.lstrip("-").replace("-", "_")): flag
+            for flag, keywords in _SUBCOMMANDS["verify"][3]
+        }
+        why = "runs a fixed instance and " * ("shapes" not in reads)
+        args.usage_error(f"suite {args.suite} {why}takes no {', '.join(map(flags.get, unread))}")
     out = open(args.outfile, "w", encoding="utf-8") if args.outfile else sys.stdout
     results = []
     try:
@@ -426,7 +424,8 @@ _PERM = ("--perm", {"metavar": "WORD", "help": "permutation in one-line notation
 
 # Every subcommand, in the order that usage lists them: name -> (help, handler,
 # shape, arguments). `shape` is None when the subcommand takes no --shape, else
-# whether it requires one. Each of `arguments` is the flags and then the keywords
+# whether it requires one; the subcommands whose --shape is optional read a grid,
+# and only they take --in. Each of `arguments` is the flags and then the keywords
 # of one `add_argument` call, made after those of --in, --out, --format and --shape.
 _SUBCOMMANDS = {
     "info": ("hooks, corners, regions and both cell orders", cmd_info, True, []),
@@ -513,7 +512,8 @@ def make_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name in built:
         summary, fn, shape, arguments = _SUBCOMMANDS[name]
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--in", dest="infile", metavar="PATH", help="read input from a file")
+        if shape is False:
+            p.add_argument("--in", dest="infile", metavar="PATH", help="read input from a file")
         p.add_argument("--out", dest="outfile", metavar="PATH", help="write output to a file")
         p.add_argument("--format", choices=("text", "json"), default="text")
         if shape is not None:

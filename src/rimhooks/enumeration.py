@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .geometry import Cell, Partition, format_cell, south, west
-from .insertion import LatticePath, Orientation
+from .insertion import LatticePath
 from .rpp import Rpp, Tableau
 
 DEFAULT_CEILING = 10_000_000
@@ -201,7 +201,7 @@ def enumerate_sw_paths(
 
     def extend() -> Iterator[LatticePath]:
         if len(prefix) == length:
-            yield LatticePath(tuple(prefix), Orientation.SW)
+            yield LatticePath(tuple(prefix))
             return
         for step in (south, west):
             nxt = step(prefix[-1])

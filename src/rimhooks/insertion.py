@@ -11,7 +11,6 @@ succeeds and inverts the factorization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from operator import le
 from typing import Iterator
 
@@ -19,6 +18,7 @@ from .geometry import (
     Cell,
     Partition,
     RimHook,
+    content,
     content_key,
     format_cell,
     revlex_key,
@@ -26,65 +26,47 @@ from .geometry import (
 from .rpp import Rpp, Tableau, _candidates_among, _from_frame, _to_frame
 
 
-class Orientation(Enum):
-    NE = "NE"
-    SW = "SW"
-
-
-_STEPS = {
-    Orientation.NE: ((-1, 0), (0, 1)),
-    Orientation.SW: ((1, 0), (0, -1)),
-}
-
-
 @dataclass(frozen=True)
 class LatticePath:
-    """An ordered cell sequence whose steps are all north/east or all south/west.
+    """An ordered cell sequence whose steps are all south/west or all north/east.
 
-    Head and tail do not depend on the orientation: reversing a path swaps the
-    cell order and the orientation but keeps head and tail. Cells are not
+    Its head is the south-west end and its tail the north-east one, whichever
+    way the cells run: reversing a path keeps head and tail. Cells are not
     required to lie inside any particular shape.
     """
 
     cells: tuple[Cell, ...]
-    orientation: Orientation
 
     def __post_init__(self):
         if not self.cells:
             raise ValueError("a path must contain at least one cell")
-        allowed = _STEPS[self.orientation]
-        for a, b in zip(self.cells, self.cells[1:]):
-            if (b[0] - a[0], b[1] - a[1]) not in allowed:
-                raise ValueError(
-                    f"illegal {self.orientation.value} step "
-                    f"{format_cell(a)} -> {format_cell(b)}"
-                )
+        steps = {(b[0] - a[0], b[1] - a[1]) for a, b in zip(self.cells, self.cells[1:])}
+        if not (steps <= {(1, 0), (0, -1)} or steps <= {(-1, 0), (0, 1)}):
+            raise ValueError(f"path {self} does not step only south/west or only north/east")
 
     @classmethod
-    def _trusted(cls, cells: tuple[Cell, ...], orientation: Orientation) -> "LatticePath":
+    def _trusted(cls, cells: tuple[Cell, ...]) -> "LatticePath":
         """A path of `cells`, stored as given and checked for nothing.
 
-        Only for walks whose every step is one of `orientation`'s; each call
-        site names what certifies it.
+        Only for walks whose steps are all south/west or all north/east; each
+        call site names what certifies it.
         """
         path = object.__new__(cls)
         object.__setattr__(path, "cells", cells)
-        object.__setattr__(path, "orientation", orientation)
         return path
 
     @property
     def head(self) -> Cell:
-        """The south-west end of the path."""
-        return self.cells[-1] if self.orientation is Orientation.SW else self.cells[0]
+        """The south-west end of the path: the end of lower content."""
+        return min(self.cells[0], self.cells[-1], key=content)
 
     @property
     def tail(self) -> Cell:
         """The north-east end of the path."""
-        return self.cells[0] if self.orientation is Orientation.SW else self.cells[-1]
+        return max(self.cells[0], self.cells[-1], key=content)
 
     def reverse(self) -> "LatticePath":
-        other = Orientation.NE if self.orientation is Orientation.SW else Orientation.SW
-        return LatticePath(tuple(reversed(self.cells)), other)
+        return LatticePath(self.cells[::-1])
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -287,8 +269,8 @@ def is_compatible(path: LatticePath, pi: Rpp) -> bool:
     shape = pi.shape
     frame = shape.frame
     width, east_forced, rows = frame.width, frame.east_forced, pi.rows
-    # the value at each path position: a test on the set of cells, so either
-    # orientation passes or fails alike, and it reads path cells only
+    # the value at each path position: a test on the set of cells, so a path
+    # and its reverse pass or fail alike, and it reads path cells only
     on_path = {}
     for i, j in path:
         if (i, j) not in shape:
@@ -324,7 +306,7 @@ def _sw_path(walk: list[int], length: int, width: int) -> LatticePath:
     i, j = cells[-1]
     cells += [(i, j - k) for k in range(1, length - len(cells) + 1)]
     # the walk steps south or west on the frame, and the rest goes west
-    return LatticePath._trusted(tuple(cells), Orientation.SW)
+    return LatticePath._trusted(tuple(cells))
 
 
 def insertion_path(hook: RimHook, pi: Rpp) -> LatticePath:
@@ -384,7 +366,7 @@ def extraction_path(v: Cell, pi: Rpp) -> LatticePath:
         raise ValueError(f"{format_cell(v)} is not a candidate of the filling")
     walk = _extraction_walk(shape, grid, start)[0]
     # the walk steps north or east on the frame
-    return LatticePath._trusted(tuple([divmod(p, width) for p in walk]), Orientation.NE)
+    return LatticePath._trusted(tuple([divmod(p, width) for p in walk]))
 
 
 def rim_hook_of_path(path: LatticePath, shape: Partition) -> RimHook:

@@ -59,22 +59,29 @@ def _svg_header(shape: Partition, copies: int = 1) -> list[str]:
     ]
 
 
+def _svg_cell(u: Cell, fill: str, text: str | None = None) -> list[str]:
+    """The square of the cell u filled with `fill`, with `text` centred in it when given."""
+    i, j = u
+    x, y = (j - 1) * _SVG_CELL + 1, (i - 1) * _SVG_CELL + 1
+    out = [
+        f'<rect x="{x}" y="{y}" width="{_SVG_CELL}" height="{_SVG_CELL}" '
+        f'fill="{fill}" stroke="black"/>'
+    ]
+    if text is not None:
+        out.append(
+            f'<text x="{x + _SVG_CELL // 2}" y="{y + _SVG_CELL // 2}" '
+            f'text-anchor="middle" dominant-baseline="central" '
+            f'font-family="monospace" font-size="14">{text}</text>'
+        )
+    return out
+
+
 def svg_grid(grid: ShapedGrid, highlight: Iterable[Cell] = ()) -> str:
     """An SVG drawing of the grid with highlighted cells filled."""
     marked = set(highlight)
     out = _svg_header(grid.shape)
-    for (i, j), v in grid.entries():
-        x, y = (j - 1) * _SVG_CELL + 1, (i - 1) * _SVG_CELL + 1
-        fill = "#ffd47f" if (i, j) in marked else "white"
-        out.append(
-            f'<rect x="{x}" y="{y}" width="{_SVG_CELL}" height="{_SVG_CELL}" '
-            f'fill="{fill}" stroke="black"/>'
-        )
-        out.append(
-            f'<text x="{x + _SVG_CELL / 2:.0f}" y="{y + _SVG_CELL / 2:.0f}" '
-            f'text-anchor="middle" dominant-baseline="central" '
-            f'font-family="monospace" font-size="14">{v}</text>'
-        )
+    for u, v in grid.entries():
+        out += _svg_cell(u, "#ffd47f" if u in marked else "white", str(v))
     out.append("</svg>")
     return "\n".join(out)
 
@@ -91,13 +98,7 @@ def svg_shapes(shape: Partition, markings: Sequence[Iterable[Cell]]) -> str:
         cells = set(marked)
         out.append(f'<g transform="translate(0,{k * step})">')
         for u in shape.cells():
-            i, j = u
-            x, y = (j - 1) * _SVG_CELL + 1, (i - 1) * _SVG_CELL + 1
-            fill = "#9fc5e8" if u in cells else "white"
-            out.append(
-                f'<rect x="{x}" y="{y}" width="{_SVG_CELL}" height="{_SVG_CELL}" '
-                f'fill="{fill}" stroke="black"/>'
-            )
+            out += _svg_cell(u, "#9fc5e8" if u in cells else "white")
         out.append("</g>")
     out.append("</svg>")
     return "\n".join(out)

@@ -118,13 +118,10 @@ class ShapedGrid:
     __str__ = to_text
 
     @classmethod
-    def from_text(cls, text: str, shape: Partition | None = None):
+    def from_text(cls, text: str):
         lines = [line for line in text.splitlines() if line.strip()]
         rows = [_parse_ints(line.split(), f"row {i}") for i, line in enumerate(lines, start=1)]
-        inferred = Partition(len(row) for row in rows)
-        if shape is not None and shape != inferred:
-            raise ValueError(f"grid has shape {inferred}, expected {shape}")
-        return cls(inferred, rows)
+        return cls(Partition(len(row) for row in rows), rows)
 
     def to_json_obj(self) -> dict:
         return {"shape": list(self.shape.parts), "rows": [list(r) for r in self.rows]}

@@ -3,12 +3,12 @@
 Each suite is registered in `SUITES` under its name, in definition order, and
 returns one CheckResult per unit of work; the CLI `verify` subcommand and the
 acceptance tests both run through `run_suites`, so the two always agree. A
-suite runs either once per configured shape or once on a fixed instance (the
-names in `FIXED_SUITES`). It reads each enumeration as a stream, in one pass,
-and keeps running counters rather than the items, so its memory does not grow
-with the number of fillings or tableaux. Opening a stream checks the
-enumeration budget, and the registry opens every shape's streams before any
-is read (see `_suite`). `VerifyConfig.fillings` and `VerifyConfig.tableaux`
+suite runs either once per configured shape or once on a fixed instance, and
+`READS` names the configuration fields it reads. It reads each enumeration as
+a stream, in one pass, and keeps running counters rather than the items, so
+its memory does not grow with the number of fillings or tableaux. Opening a
+stream checks the enumeration budget, and the registry opens every shape's
+streams before any is read (see `_suite`). `VerifyConfig.fillings` and `VerifyConfig.tableaux`
 open the sampled streams: sampling picks items by their index in a stream,
 whose exact length the hook-product formula gives in advance. `run_suites(..., jobs=N)`
 runs whole suites in min(N, number of suites) processes, so a single suite
@@ -122,11 +122,13 @@ class CheckResult:
 
 
 SUITES: dict[str, Callable[[VerifyConfig], list[CheckResult]]] = {}
-#: the suites that run one fixed instance and read no shape and no bound
-FIXED_SUITES: set[str] = set()
+#: the `VerifyConfig` fields each suite reads, but `seed`, which every suite takes
+READS: dict[str, frozenset[str]] = {}
 
 
-def _suite(name: str, opener: Callable[[VerifyConfig, Partition], Sequence] | None = None):
+def _suite(
+    name: str, reads: str = "", opener: Callable[[VerifyConfig, Partition], Sequence] | None = None
+):
     """Register a suite body under `name` in `SUITES`, in definition order.
 
     The body is a generator of `Check` tuples; the registered function, which
@@ -134,7 +136,8 @@ def _suite(name: str, opener: Callable[[VerifyConfig, Partition], Sequence] | No
     result. With an `opener`, the body runs once per configured shape, as
     `body(config, shape, *opener(config, shape))`; every shape's streams are
     opened, which checks every budget, before any is read. Without one, the
-    body runs a fixed instance as `body(config)`, and `name` is in `FIXED_SUITES`.
+    body runs a fixed instance as `body(config)`. `READS[name]` holds the
+    fields named in `reads`, and `shapes` when there is an opener.
     """
 
     def register(body: Callable[..., Iterator[Check]]):
@@ -149,8 +152,7 @@ def _suite(name: str, opener: Callable[[VerifyConfig, Partition], Sequence] | No
                 for check in body(config, shape, *streams)
             ]
 
-        if opener is None:
-            FIXED_SUITES.add(name)
+        READS[name] = frozenset(reads.split() + ["shapes"] * (opener is not None))
         SUITES[name] = suite
         return suite
 
@@ -161,7 +163,7 @@ def _suite(name: str, opener: Callable[[VerifyConfig, Partition], Sequence] | No
 
 
 # stanley and gansner open no stream: each series checks its shape's budget
-@_suite("stanley", lambda config, shape: ())
+@_suite("stanley", "stanley_degree", lambda config, shape: ())
 def suite_stanley(config: VerifyConfig, shape: Partition) -> Iterator[Check]:
     lhs = rpp_series(shape, config.stanley_degree)
     rhs = hook_product(shape, config.stanley_degree)
@@ -169,7 +171,7 @@ def suite_stanley(config: VerifyConfig, shape: Partition) -> Iterator[Check]:
     yield f"size series equals hook product for {shape}", lhs == rhs, coefficients
 
 
-@_suite("gansner", lambda config, shape: ())
+@_suite("gansner", "trace_degree", lambda config, shape: ())
 def suite_gansner(config: VerifyConfig, shape: Partition) -> Iterator[Check]:
     lhs = trace_series(shape, config.trace_degree)
     rhs = gansner_product(shape, config.trace_degree)
@@ -184,7 +186,7 @@ def _bijection_streams(config: VerifyConfig, shape: Partition) -> tuple[Iterator
     return config.fillings(shape, config.size_bound), config.tableaux(shape, config.weight_bound)
 
 
-@_suite("bijection", _bijection_streams)
+@_suite("bijection", "size_bound weight_bound sample", _bijection_streams)
 def suite_bijection(
     config: VerifyConfig, shape: Partition, fillings: Iterator[Rpp], tableaux: Iterator[Tableau]
 ) -> Iterator[Check]:
@@ -250,7 +252,7 @@ def suite_golden(config: VerifyConfig) -> Iterator[Check]:
     )
 
 
-@_suite("pak", lambda config, shape: (config.fillings(shape, config.size_bound),))
+@_suite("pak", "size_bound sample", lambda c, s: (c.fillings(s, c.size_bound),))
 def suite_pak(config: VerifyConfig, shape: Partition, fillings: Iterator[Rpp]) -> Iterator[Check]:
     # not `corners()`, which refuses the empty partition: it has no corner to force
     _, outer = shape._corner_cells
@@ -282,7 +284,7 @@ def suite_pak(config: VerifyConfig, shape: Partition, fillings: Iterator[Rpp]) -
     )
 
 
-@_suite("commute", lambda config, shape: (enumerate_tableaux(shape, config.weight_bound),))
+@_suite("commute", "weight_bound sample", lambda c, s: (enumerate_tableaux(s, c.weight_bound),))
 def suite_commute(
     config: VerifyConfig, shape: Partition, tableaux: Iterator[Tableau]
 ) -> Iterator[Check]:
@@ -331,7 +333,7 @@ def _uniqueness_streams(config: VerifyConfig, shape: Partition) -> tuple[list, I
     return paths, config.fillings(shape, config.path_size_bound)
 
 
-@_suite("insertion-uniqueness", _uniqueness_streams)
+@_suite("insertion-uniqueness", "path_size_bound sample", _uniqueness_streams)
 def suite_insertion_uniqueness(
     config: VerifyConfig, shape: Partition, sw_paths: list, fillings: Iterator[Rpp]
 ) -> Iterator[Check]:
@@ -371,7 +373,7 @@ def suite_insertion_uniqueness(
     )
 
 
-@_suite("crossing", lambda config, shape: (config.fillings(shape, config.path_size_bound),))
+@_suite("crossing", "path_size_bound sample", lambda c, s: (c.fillings(s, c.path_size_bound),))
 def suite_crossing(
     config: VerifyConfig, shape: Partition, fillings: Iterator[Rpp]
 ) -> Iterator[Check]:
@@ -423,7 +425,7 @@ def _hg_streams(config: VerifyConfig, shape: Partition) -> tuple[Iterator, Itera
     return config.fillings(shape, config.size_bound), enumerate_rpps(shape, config.trace_degree)
 
 
-@_suite("hg", _hg_streams)
+@_suite("hg", "size_bound trace_degree sample", _hg_streams)
 def suite_hg(
     config: VerifyConfig, shape: Partition, fillings: Iterator[Rpp], traced: Iterator[Rpp]
 ) -> Iterator[Check]:
@@ -453,7 +455,7 @@ def suite_hg(
     yield f"trace series through the correspondence matches for {shape}", acc == refined
 
 
-@_suite("diag", lambda config, shape: (config.tableaux(shape, config.weight_bound),))
+@_suite("diag", "weight_bound sample", lambda c, s: (c.tableaux(s, c.weight_bound),))
 def suite_diag(
     config: VerifyConfig, shape: Partition, tableaux: Iterator[Tableau]
 ) -> Iterator[Check]:
@@ -472,7 +474,7 @@ def suite_diag(
     yield name, failed == 0, f"{seen} tableaux, every diagonal"
 
 
-@_suite("gk")
+@_suite("gk", "sample")
 def suite_gk(config: VerifyConfig) -> Iterator[Check]:
     shape = Partition(GK_SHAPE)
     # the grids of at most GK_TOTAL on the shape's cells, in stars and bars

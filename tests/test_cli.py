@@ -1,6 +1,8 @@
+import dataclasses
 import io
 import json
 import os
+import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rimhooks import Partition, Rpp, Tableau, cli, enumeration, series
 from rimhooks.cli import run
+from rimhooks.verify import READS, VerifyConfig
 
 RUNNING = "0 1 2 3\n1 2 2\n1\n"
 STAIRCASE = "0 0 0\n0 0 0\n1 1 1\n"
@@ -411,6 +414,18 @@ class TestSeriesCommand:
         assert peak < 1_000_000
 
 
+#: a small value of each `VerifyConfig` field but `seed`, as the verify flag that sets it
+VERIFY_FLAGS = {
+    "shapes": ["--shape", "2,1"],
+    "size_bound": ["--size-bound", "2"],
+    "weight_bound": ["--weight-bound", "2"],
+    "path_size_bound": ["--path-size-bound", "2"],
+    "stanley_degree": ["--degree", "3"],
+    "trace_degree": ["--trace-degree", "3"],
+    "sample": ["--sample", "2"],
+}
+
+
 class TestVerifyCommand:
     def test_stanley_single_shape(self, capsys, monkeypatch):
         code, out, _ = invoke(
@@ -443,7 +458,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "run_suites", capture)
         flags = ["--size-bound", "1", "--weight-bound", "2", "--path-size-bound", "3",
                  "--degree", "4", "--trace-degree", "5", "--sample", "6", "--seed", "7"]
-        invoke(capsys, monkeypatch, ["verify", "stanley", "--shape", "2,1", "--shape", "3", *flags])
+        invoke(capsys, monkeypatch, ["verify", "all", "--shape", "2,1", "--shape", "3", *flags])
         invoke(capsys, monkeypatch, ["verify", "stanley"])
         assert seen == [
             VerifyConfig(((2, 1), (3,)), 1, 2, 3, 4, 5, sample=6, seed=7),
@@ -494,9 +509,31 @@ class TestVerifyCommand:
             assert f"suite {suite} runs a fixed instance and takes no {flag[0]}\n" in message
         # the flags it reads, or that say how to run it, stay accepted
         target = tmp_path / "results.json"
-        argv = ["verify", suite, "--sample", "2", "--seed", "3", "--jobs", "1", "--format", "json"]
+        argv = ["verify", suite, "--seed", "3", "--jobs", "1", "--format", "json"]
+        argv += ["--sample", "2"] if suite == "gk" else []
         assert invoke(capsys, monkeypatch, [*argv, "--out", str(target)]) == (0, "", "")
         assert {r["suite"] for r in json.loads(target.read_text())} == {suite}
+
+    @pytest.mark.parametrize("suite", READS)
+    def test_a_suite_refuses_each_flag_it_does_not_read(self, capsys, monkeypatch, tmp_path, suite):
+        assert READS[suite] <= set(VERIFY_FLAGS)
+        assert set(VERIFY_FLAGS) == {f.name for f in dataclasses.fields(VerifyConfig)} - {"seed"}
+        for field, flag in VERIFY_FLAGS.items():
+            if field in READS[suite]:
+                continue
+            with pytest.raises(SystemExit) as err:
+                run(["verify", suite, *flag])
+            out, message = capsys.readouterr()
+            assert (err.value.code, out) == (2, "")
+            assert message.endswith(f" takes no {flag[0]}\n")
+            assert f"error: suite {suite} " in message
+        # every flag it reads at once, with the ones that say how to run it
+        target = tmp_path / "results.json"
+        argv = ["verify", suite, *(arg for field in READS[suite] for arg in VERIFY_FLAGS[field])]
+        argv += ["--seed", "3", "--jobs", "1", "--format", "json", "--out", str(target)]
+        assert invoke(capsys, monkeypatch, argv) == (0, "", "")
+        results = json.loads(target.read_text())
+        assert results and {r["suite"] for r in results} == {suite}
 
     def test_unknown_suite_is_usage_error(self, capsys, monkeypatch):
         with pytest.raises(SystemExit) as err:
@@ -548,6 +585,24 @@ class TestEnumerateCommand:
         )
         assert code == 0 and err == ""
         assert out.splitlines() == [json.dumps(Rpp.zero(Partition((40,) * 40)).to_json_obj())]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, pinned",
+    [
+        (["rimhooks", "--shape", "4,3,1"], "", "rimhooks-4,3,1.svg"),
+        (["render", "--highlight", "(1,4)", "(1,3)"], RUNNING, "render-running-example.svg"),
+    ],
+    ids=["rimhooks", "render"],
+)
+def test_writes_the_svg_that_tests_data_svg_pins(
+    capsys, monkeypatch, tmp_path, argv, stdin, pinned
+):
+    target = tmp_path / "out.svg"
+    code, _, err = invoke(capsys, monkeypatch, [*argv, "--svg", str(target)], stdin=stdin)
+    assert (code, err) == (0, "")
+    with open(os.path.join(os.path.dirname(__file__), "data", "svg", pinned)) as f:
+        assert target.read_text() == f.read()
 
 
 class TestRenderCommand:
@@ -756,13 +811,30 @@ class TestIoErrors:
         assert not target.parent.exists()
 
 
+def test_python_m_rimhooks_prints_what_run_prints(capsys, monkeypatch):
+    # the `__main__` module, run as a fresh interpreter runs it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["info", "--shape", "2,1"]
+    done = subprocess.run(
+        [sys.executable, "-m", "rimhooks", *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == invoke(capsys, monkeypatch, argv)
+
+
 # ------------------------------------------------------------ the contract
 # Every argv and stdin ends in exit 0, 1 or 2; a non-zero exit leaves a
 # message on stderr or a JSON `error`; no exception escapes `run`. Integers
 # and grids are small so that each example runs in milliseconds. `--r` of
 # `gk` is drawn up to 2000 all the same: the chain flow stops once every
 # entry is taken, which on these grids is after a few augmentations. The
-# `gk` and `all` suites run a fixed, slower configuration.
+# `gk` and `all` suites run a fixed, slower configuration. A verify suite
+# refuses a flag it does not read, so those flags are drawn rarely and the
+# ones it reads often, and most runs reach the suite.
 
 # its parent is a file, so opening it for reading or writing always fails
 _UNOPENABLE = os.path.join(__file__, "no-such-dir", "x")
@@ -785,9 +857,9 @@ def _choice(values):
     return _mostly(st.sampled_from(values), st.just("nonsense"))
 
 
-def _rare(flag, values):
-    """The flag with a drawn value about once in ten draws, nothing otherwise."""
-    return _mostly(st.just([]), values.map(lambda v: [flag, v]))
+def _rare(flag, values, one_in=10):
+    """The flag with a drawn value about once in `one_in` draws, nothing otherwise."""
+    return _mostly(st.just([]), values.map(lambda v: [flag, v]), one_in)
 
 
 _INTS = _mostly(st.integers(-1, 6).map(str), st.sampled_from(["-2", "x", "", "1.5"]))
@@ -812,18 +884,31 @@ _PERMS = _mostly(
 _COMMON = [
     _rare("--format", st.just("xml")),
     _opt("--format", st.sampled_from(["text", "json"])),
-    _rare("--in", st.just(_UNOPENABLE)),
     _rare("--out", st.just(_UNOPENABLE)),
 ]
-_GRID = _COMMON + [_rare("--shape", _SHAPES)]
+_GRID = _COMMON + [_rare("--in", st.just(_UNOPENABLE)), _rare("--shape", _SHAPES)]
 _TABLEAU = _GRID + [_rare("--perm", _PERMS)]
-# verify takes five bounds at once; each is rarely bad, so most runs reach a suite
-_BOUNDS = [
-    _opt(flag, _mostly(st.integers(0, 3).map(str), _BAD_BOUNDS, one_in=50), required=True)
-    for flag in (
-        "--size-bound", "--weight-bound", "--path-size-bound", "--degree", "--trace-degree"
-    )
-]
+# a bound is rarely bad, so most runs reach a suite
+_BOUND = _mostly(st.integers(0, 3).map(str), _BAD_BOUNDS, one_in=50)
+# the values of each verify flag, by the config field it sets
+_VERIFY_VALUES = dict.fromkeys(VERIFY_FLAGS, _BOUND) | {
+    "shapes": _SHAPES,
+    "sample": _mostly(st.integers(1, 4).map(str), _BAD_BOUNDS),
+}
+
+
+def _verify_flags(suite):
+    """The verify flags, each often when `suite` reads it and rarely when it does not."""
+    reads = READS.get(suite, ())
+    groups = []
+    for field, values in _VERIFY_VALUES.items():
+        flag = VERIFY_FLAGS[field][0]
+        if field in reads:
+            groups.append(_opt(flag, values, required=True))
+        else:
+            groups.append(_rare(flag, values, one_in=40))
+    return groups
+
 
 # subcommand -> (positional arguments, option groups)
 _COMMANDS = {
@@ -859,22 +944,10 @@ _COMMANDS = {
         _COMMON
         + [_opt("--shape", _SHAPES, required=True), _opt("--degree", _SMALL_INTS, required=True)],
     ),
+    # and the flags of `_verify_flags`, drawn for the suite
     "verify": (
-        [
-            _choice(
-                ["stanley", "gansner", "bijection", "golden", "pak", "commute",
-                 "insertion-uniqueness", "crossing", "hg", "diag", "syt", "rsk-thm",
-                 "involution"]
-            )
-        ],
-        _COMMON
-        + [_opt("--shape", _SHAPES, required=True)]
-        + _BOUNDS
-        + [
-            _opt("--sample", _mostly(st.integers(1, 4).map(str), _BAD_BOUNDS)),
-            _opt("--seed", _INTS),
-            _rare("--jobs", st.just("0")),
-        ],
+        [_choice([name for name in READS if name != "gk"])],
+        _COMMON + [_opt("--seed", _INTS), _rare("--jobs", st.just("0"))],
     ),
     "enumerate": (
         [_choice(["rpps", "tableaux"])],
@@ -951,6 +1024,8 @@ def _invocations(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
     positional, options = _COMMANDS[command]
     argv = [command] + [draw(arg) for arg in positional]
+    if command == "verify":
+        options = options + _verify_flags(argv[1])
     for group in options:
         argv += draw(group)
     stdin = draw(_JSON_STDIN if "json" in argv else _TEXT_STDIN)

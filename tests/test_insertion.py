@@ -18,7 +18,7 @@ from rimhooks import (
     try_insert,
 )
 from rimhooks.enumeration import enumerate_rpps, enumerate_sw_paths, enumerate_tableaux
-from rimhooks.insertion import LatticePath, Orientation
+from rimhooks.insertion import LatticePath
 from rimhooks.rpp import _from_frame
 from conftest import all_partitions
 from oracles import extract_min, is_factor
@@ -26,16 +26,17 @@ from oracles import extract_min, is_factor
 
 class TestLatticePath:
     def test_orientation_validation(self):
-        LatticePath(((1, 3), (2, 3), (2, 2)), Orientation.SW)
+        LatticePath(((1, 3), (2, 3), (2, 2)))
+        LatticePath(((2, 2), (2, 3), (1, 3)))
+        with pytest.raises(ValueError, match="only south/west or only north/east"):
+            LatticePath(((1, 3), (2, 3), (2, 4)))
         with pytest.raises(ValueError):
-            LatticePath(((1, 3), (2, 3)), Orientation.NE)
-        with pytest.raises(ValueError):
-            LatticePath(((1, 1), (3, 1)), Orientation.SW)
+            LatticePath(((1, 1), (3, 1)))
 
     def test_head_tail_orientation_independent(self):
-        sw = LatticePath(((1, 3), (2, 3), (2, 2)), Orientation.SW)
+        sw = LatticePath(((1, 3), (2, 3), (2, 2)))
         ne = sw.reverse()
-        assert ne.orientation is Orientation.NE
+        assert ne.cells == ((2, 2), (2, 3), (1, 3))
         assert sw.head == ne.head == (2, 2)
         assert sw.tail == ne.tail == (1, 3)
         assert ne.reverse() == sw
@@ -46,11 +47,11 @@ class TestCompatibility:
         shape = Partition((4, 3, 1))
         zero = Rpp.zero(shape)
         for hook in shape.rim_hooks():
-            path = LatticePath(tuple(reversed(hook.cells)), Orientation.SW)
+            path = LatticePath(tuple(reversed(hook.cells)))
             assert is_compatible(path, zero)
 
     def test_golden_path(self, staircase_example):
-        path = LatticePath(((1, 3), (2, 3), (2, 2)), Orientation.SW)
+        path = LatticePath(((1, 3), (2, 3), (2, 2)))
         assert is_compatible(path, staircase_example)
 
     def test_brute_forced_violation(self, staircase_example):
@@ -66,7 +67,7 @@ class TestCompatibility:
 
     def test_path_outside_shape_is_an_error(self):
         pi = Rpp.zero(Partition((2, 2)))
-        path = LatticePath(((3, 1),), Orientation.SW)
+        path = LatticePath(((3, 1),))
         with pytest.raises(ValueError, match="leaves the shape"):
             is_compatible(path, pi)
 
@@ -186,18 +187,16 @@ class TestExtraction:
 class TestRimHookOfPath:
     def test_examples(self, running_example):
         shape = running_example.shape
-        single = LatticePath(((1, 4),), Orientation.NE)
+        single = LatticePath(((1, 4),))
         assert rim_hook_of_path(single, shape).anchor == (1, 4)
-        long = LatticePath(
-            ((3, 1), (2, 1), (2, 2), (2, 3), (1, 3), (1, 4)), Orientation.NE
-        )
+        long = LatticePath(((3, 1), (2, 1), (2, 2), (2, 3), (1, 3), (1, 4)))
         assert rim_hook_of_path(long, shape).anchor == (1, 1)
-        row = LatticePath(((1, 2), (1, 3), (1, 4)), Orientation.NE)
+        row = LatticePath(((1, 2), (1, 3), (1, 4)))
         assert rim_hook_of_path(row, shape).anchor == (1, 3)
 
     def test_bad_tail_is_internal_error(self):
         shape = Partition((4, 3, 1))
-        path = LatticePath(((1, 2),), Orientation.NE)
+        path = LatticePath(((1, 2),))
         with pytest.raises(RuntimeError):
             rim_hook_of_path(path, shape)
 

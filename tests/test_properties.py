@@ -25,7 +25,6 @@ from rimhooks.classical import _hg_inv_step, _hg_step
 from rimhooks.enumeration import enumerate_rpps, enumerate_sw_paths
 from rimhooks.insertion import (
     LatticePath,
-    Orientation,
     _extraction_walk,
     _insertion_walk,
     build,
@@ -372,7 +371,7 @@ def _check_insertion_and_extraction_walks(pi):
             compatible = False
             if inside:
                 compatible = _compatible_per_cell(shape, rows, walk)
-                path = LatticePath(tuple(walk), Orientation.SW)
+                path = LatticePath(tuple(walk))
                 assert is_compatible(path, pi) == compatible
                 # set-based, so the reversed path reads the same
                 assert is_compatible(path.reverse(), pi) == compatible
@@ -545,7 +544,7 @@ class TestInlineKernelsMatchPerCellLogic:
         hooks = {(h.tail, len(h)): h.anchor for h in shape.rim_hooks()}
 
         def along_row(i, j, length):
-            return LatticePath(tuple((i, j - k) for k in reversed(range(length))), Orientation.NE)
+            return LatticePath(tuple((i, j - k) for k in reversed(range(length))))
 
         for i, p in enumerate(shape.parts, start=1):
             for length in range(1, p + shape.length + 1):

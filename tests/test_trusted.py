@@ -15,7 +15,6 @@ from rimhooks.insertion import (
     Factorization,
     InsertionFailure,
     LatticePath,
-    Orientation,
     extraction_path,
     insertion_path,
     try_insert,
@@ -44,7 +43,7 @@ def _assert_certified(grid, cls):
 
 def _assert_path(path):
     assert type(path.cells) is tuple
-    assert path == LatticePath(path.cells, path.orientation)
+    assert path == LatticePath(path.cells)
 
 
 def _check_tableau_sites(t):
@@ -110,14 +109,14 @@ def test_gk_suite_tableaux(real_trusted, monkeypatch):
 def test_fixtures_swap_the_constructor(real_trusted):
     # here the real ones store what they are given; everywhere else they validate
     assert Rpp._trusted(Partition((2,)), ((1, 0),)).rows == ((1, 0),)
-    assert LatticePath._trusted(((1, 1), (1, 3)), Orientation.NE).cells == ((1, 1), (1, 3))
+    assert LatticePath._trusted(((1, 1), (1, 3))).cells == ((1, 1), (1, 3))
     assert Factorization._trusted(Partition((2,)), ((1, 1), (1, 2))).anchors == ((1, 1), (1, 2))
 
 
 def test_trusted_validates_under_the_autouse_fixture():
     with pytest.raises(ValueError, match=r"\(1,2\)"):
         Rpp._trusted(Partition((2,)), ((1, 0),))
-    with pytest.raises(ValueError, match="illegal NE step"):
-        LatticePath._trusted(((1, 1), (1, 3)), Orientation.NE)
+    with pytest.raises(ValueError, match="only south/west or only north/east"):
+        LatticePath._trusted(((1, 1), (1, 3)))
     with pytest.raises(ValueError, match="weakly increasing"):
         Factorization._trusted(Partition((2,)), ((1, 1), (1, 2)))

@@ -11,7 +11,7 @@ import pytest
 from rimhooks import BudgetExceededError, Partition, classical, cli, enumeration
 from rimhooks.enumeration import projected_rpp_count
 from rimhooks.verify import (
-    FIXED_SUITES,
+    READS,
     SUITES,
     VerifyConfig,
     run_suites,
@@ -34,10 +34,11 @@ def test_each_suite_is_registered_under_its_name():
 
 
 def test_the_fixed_instance_suites_are_the_ones_that_read_no_shape():
-    assert FIXED_SUITES == {"golden", "gk", "syt", "rsk-thm", "involution"}
+    fixed = {name for name in SUITES if "shapes" not in READS[name]}
+    assert fixed == {"golden", "gk", "syt", "rsk-thm", "involution"}
 
 
-@pytest.mark.parametrize("suite", [name for name in SUITES if name not in FIXED_SUITES])
+@pytest.mark.parametrize("suite", [name for name in SUITES if "shapes" in READS[name]])
 @pytest.mark.parametrize("sampling", [{}, {"sample": 3, "seed": 5}])
 def test_each_shape_is_a_unit_of_its_own(suite, sampling):
     # what a shape gives does not depend on the shapes run beside it
