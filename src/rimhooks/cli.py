@@ -71,7 +71,7 @@ def _read_grid(args, cls):
     A --perm, which only the tableau-reading subcommands take, replaces the
     input with its permutation matrix.
     """
-    if getattr(args, "perm", None):
+    if getattr(args, "perm", None) is not None:
         value = classical.permutation_matrix(args.perm)
     else:
         data = _read_input(args)
@@ -84,7 +84,20 @@ def _read_grid(args, cls):
 
 def _shape_arg(args) -> Partition | None:
     """The --shape given, or None; argparse requires it where a subcommand needs it."""
-    return None if args.shape is None else Partition.from_string(args.shape)
+    return None if args.shape is None else _parse_shape(args.shape)
+
+
+def _parse_shape(text: str) -> Partition:
+    """The shape `text` names, refused before any table of it is built when its
+    frame, the diagram with a one-cell border, has more positions than the ceiling."""
+    shape = Partition.from_string(text)
+    positions = (shape.length + 2) * ((shape.parts[0] if shape else 0) + 2)
+    if positions > DEFAULT_CEILING:
+        raise DomainError(
+            f"the frame of shape {shape} has {positions} positions, "
+            f"over the ceiling {DEFAULT_CEILING}"
+        )
+    return shape
 
 
 def _emit_obj(args, obj, text: str) -> None:
@@ -341,7 +354,7 @@ def cmd_verify(args) -> int:
     fields = {f.name for f in dataclasses.fields(VerifyConfig)}
     settings = {k: v for k, v in vars(args).items() if k in fields and v is not None}
     if "shapes" in settings:
-        settings["shapes"] = tuple(Partition.from_string(s).parts for s in settings["shapes"])
+        settings["shapes"] = tuple(_parse_shape(s).parts for s in settings["shapes"])
     config = VerifyConfig(**settings)
     # every suite takes --seed, which goes with --sample; `all` reads every field
     reads = fields if args.suite == "all" else READS[args.suite] | {"seed"}

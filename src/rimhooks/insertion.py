@@ -269,11 +269,12 @@ def is_compatible(path: LatticePath, pi: Rpp) -> bool:
     shape = pi.shape
     frame = shape.frame
     width, east_forced, rows = frame.width, frame.east_forced, pi.rows
+    parts, n = shape.parts, shape.length
     # the value at each path position: a test on the set of cells, so a path
     # and its reverse pass or fail alike, and it reads path cells only
     on_path = {}
     for i, j in path:
-        if (i, j) not in shape:
+        if not (0 < i <= n and 0 < j <= parts[i - 1]):  # `(i, j) in shape`, inline
             raise ValueError(f"path leaves the shape at {format_cell((i, j))}")
         on_path[i * width + j] = rows[i - 1][j - 1]
     for p, v in on_path.items():

@@ -90,8 +90,9 @@ class ShapedGrid:
     def with_path(self, cells: Iterable[Cell], delta: int):
         """A copy with `delta` added at every cell of `cells` (validated)."""
         grid = [list(row) for row in self.rows]
+        parts, n = self.shape.parts, self.shape.length
         for i, j in cells:
-            if (i, j) not in self.shape:
+            if not (0 < i <= n and 0 < j <= parts[i - 1]):  # `(i, j) in self.shape`, inline
                 raise ValueError(
                     f"cell {format_cell((i, j))} lies outside the shape {self.shape}"
                 )

@@ -486,27 +486,39 @@ def suite_gk(config: VerifyConfig) -> Iterator[Check]:
         a, b = classical._rectangle_corner(shape, k)
         plan.append((a, b, [(i - 1, i + k - 1) for i in range(max(1, 1 - k), a + 1)]))
     family_sizes = range(1, GK_RMAX + 1)
-    # the weak and strict maxima of each order type met in this run, so each
-    # (order type, kind) flow runs once
-    maxima = {}
+    # the weak then strict maxima for r = 1..GK_RMAX of each order type met in
+    # this run, so each (order type, kind) flow runs once; and the same vector
+    # of partial sums of each diagonal's values
+    maxima, sums = {}, {}
+    # per diagonal, its rectangle in the previous tableau and that rectangle's
+    # maxima: `_grids` changes the late cells most often, so rectangles often repeat
+    last = [((), ())] * len(plan)
     checked, failed = 0, 0
     for rows in config.pick(_grids(shape, GK_TOTAL), count):
         # `_grids` lays the rows out by the shape with non-negative entries
         rows = tuple([tuple(row) for row in rows])
         built = build(Tableau._trusted(shape, rows)).rows
-        for a, b, diagonal in plan:
-            grid = classical._order_type([row[:b] for row in rows[:a]])
-            if grid not in maxima:
-                maxima[grid] = [
-                    classical._chain_maxima(grid, family_sizes, kind) for kind in ("weak", "strict")
-                ]
-            weak, strict = maxima[grid]
-            # for r chains the weak maximum is the sum of the first r parts of the
-            # diagonal partition mu, the strict one that of the first r columns
-            mu = sorted(filter(None, [built[i][j] for i, j in diagonal]), reverse=True)
-            for r, most_weak, most_strict in zip(family_sizes, weak, strict):
-                failed += sum(mu[:r]) != most_weak
-                failed += sum(p if p < r else r for p in mu) != most_strict
+        for d, (a, b, diagonal) in enumerate(plan):
+            rectangle = tuple([row[:b] for row in rows[:a]])
+            if rectangle != last[d][0]:
+                grid = classical._order_type(rectangle)
+                if grid not in maxima:
+                    maxima[grid] = (
+                        *classical._chain_maxima(grid, family_sizes, "weak"),
+                        *classical._chain_maxima(grid, family_sizes, "strict"),
+                    )
+                last[d] = rectangle, maxima[grid]
+            values = tuple([built[i][j] for i, j in diagonal])
+            if values not in sums:
+                # for r chains the weak maximum is the sum of the first r parts of
+                # the diagonal partition mu, the strict one that of the first r columns
+                mu = sorted(filter(None, values), reverse=True)
+                sums[values] = (
+                    *(sum(mu[:r]) for r in family_sizes),
+                    *(sum(p if p < r else r for p in mu) for r in family_sizes),
+                )
+            if sums[values] != last[d][1]:
+                failed += sum(map(ne, sums[values], last[d][1]))
             checked += 2 * GK_RMAX
     name = f"chain maxima match diagonal partial sums on {shape}"
     yield name, failed == 0, f"{checked} (tableau, diagonal, family size) checks"

@@ -268,9 +268,9 @@ class TestClassicalCommands:
 
     @pytest.mark.parametrize("word", ["", " "])
     def test_blank_perm_is_the_empty_permutation(self, capsys, monkeypatch, word):
-        # like --shape '', which is the empty partition
-        code, out, _ = invoke(capsys, monkeypatch, ["build", "--perm", word])
-        assert code == 0 and out.strip() == ""
+        # like --shape '', which is the empty partition; the grid on stdin is not read
+        code, out, _ = invoke(capsys, monkeypatch, ["build", "--perm", word], stdin="1 0\n0\n")
+        assert (code, out) == (0, "\n")
 
     def test_gk(self, capsys, monkeypatch):
         code, out, _ = invoke(
@@ -412,6 +412,36 @@ class TestSeriesCommand:
         assert (code, out) == (1, "")
         assert f"{message}, over the ceiling 10000000" in err
         assert peak < 1_000_000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["info", "--shape", "100000000"],
+            ["series", "hook-product", "--shape", "100000000", "--degree", "3"],
+            ["enumerate", "rpps", "--shape", "100000000", "--bound", "1"],
+            ["verify", "stanley", "--shape", "2,1", "--shape", "100000000"],
+        ],
+    )
+    def test_a_shape_whose_frame_is_over_the_ceiling_is_refused_before_any_table(
+        self, capsys, monkeypatch, argv
+    ):
+        # the frame of 100000000 has 3 x 100000002 positions; its conjugate alone
+        # would be a tuple of 10^8 entries
+        tracemalloc.start()
+        try:
+            code, out, err = invoke(capsys, monkeypatch, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert "positions, over the ceiling 10000000" in err
+        assert peak < 1_000_000
+
+    def test_a_frame_of_ceiling_positions_is_taken(self):
+        # (2 + 2) x (2499998 + 2) is the ceiling exactly
+        assert cli._parse_shape("2499998,2499998") == Partition((2499998, 2499998))
+        with pytest.raises(cli.DomainError, match="10000004 positions, over the ceiling"):
+            cli._parse_shape("2499999,2499998")
 
 
 #: a small value of each `VerifyConfig` field but `seed`, as the verify flag that sets it

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from rimhooks import insertion
@@ -70,6 +72,26 @@ class TestCompatibility:
         path = LatticePath(((3, 1),))
         with pytest.raises(ValueError, match="leaves the shape"):
             is_compatible(path, pi)
+
+    def test_membership_is_the_shapes_own(self):
+        # every cell of the frame, which holds row 0, column 0, the row past the
+        # last and the cell past each row's end: refused exactly when the shape
+        # does not contain it, with the same text whatever the way out
+        for shape in all_partitions(7):
+            pi, t = Rpp.zero(shape), Tableau.zero(shape)
+            width = (shape.parts[0] if shape else 0) + 2
+            for cell in [(i, j) for i in range(shape.length + 2) for j in range(width)]:
+                path = LatticePath((cell,))
+                if cell in shape:
+                    is_compatible(path, pi)
+                    assert t.with_path([cell], 1).value(cell) == 1
+                    continue
+                where, named = re.escape(format_cell(cell)), re.escape(f"{shape}")
+                with pytest.raises(ValueError, match=f"^path leaves the shape at {where}$"):
+                    is_compatible(path, pi)
+                outside = f"^cell {where} lies outside the shape {named}$"
+                with pytest.raises(ValueError, match=outside):
+                    t.with_path([cell], 1)
 
 
 class TestInsertionPath:

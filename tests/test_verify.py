@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rimhooks import BudgetExceededError, Partition, classical, cli, enumeration
+from rimhooks import BudgetExceededError, Partition, classical, cli, enumeration, verify
 from rimhooks.enumeration import projected_rpp_count
 from rimhooks.verify import (
     READS,
@@ -172,10 +172,41 @@ def test_gk_runs_one_flow_per_order_type_and_kind(monkeypatch):
     finally:
         classical._breakpoints.cache_clear()
     assert result.passed
-    # once per (tableau, diagonal), 2002 tableaux of 3,3,3 at total 5 by 5 diagonals,
-    # and never again inside `_chain_maxima`
-    assert len(reduced) == 2002 * 5
+    # once per change of a diagonal's rectangle from one tableau to the next, of
+    # 2002 tableaux of 3,3,3 at total 5 by 5 diagonals, and never inside `_chain_maxima`
+    assert len(reduced) == 651 + 1287 + 2002 + 462 + 56
     assert len(flows) == len(set(flows)) == 2 * len(set(reduced)) == 474
+
+
+def test_a_wrong_diagonal_entry_fails_gk_with_both_memos_warm(monkeypatch):
+    # one entry raised on diagonal -1 of a late tableau, where its rectangle's order
+    # type and the raised diagonal values have both been met earlier in the run
+    target, cell = ((4, 0, 1), (0, 0, 0), (0, 0, 0)), (2, 1)
+    diagonal = [(i, i - 1) for i in (1, 2)]
+    real_build, real_maxima = verify.build, classical._chain_maxima
+    met, events = set(), []
+
+    def raised_on_target(t):
+        built = real_build(t)
+        if t.rows == target:
+            built = built.with_path([(cell[0] + 1, cell[1] + 1)], +1)
+            raised = tuple([built.rows[i][j] for i, j in diagonal])
+            assert raised in met
+        met.add(tuple([built.rows[i][j] for i, j in diagonal]))
+        events.append(t.rows)
+        return built
+
+    def recorded(grid, family_sizes, kind):
+        events.append("flow")
+        return real_maxima(grid, family_sizes, kind)
+
+    monkeypatch.setattr(verify, "build", raised_on_target)
+    monkeypatch.setattr(classical, "_chain_maxima", recorded)
+    (result,) = suite_gk(VerifyConfig())
+    assert not result.passed
+    # no order type was new to the run between the target's build and the next one
+    after = events[events.index(target) + 1:]
+    assert after and after[0] != "flow"
 
 
 def test_jobs_are_capped_at_one_worker_per_suite(monkeypatch):
