@@ -546,11 +546,15 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (DomainError, ValueError, BudgetExceededError, OSError) as exc:
-        if getattr(args, "format", "text") == "json":
-            print(json.dumps({"error": str(exc)}))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message = str(exc)
+    except MemoryError:
+        # a shape under the frame ceiling can still outgrow the memory at hand
+        message = f"out of memory running {args.command}"
+    if getattr(args, "format", "text") == "json":
+        print(json.dumps({"error": message}))
+    else:
+        print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 def main() -> None:

@@ -342,8 +342,13 @@ class Partition:
 
         Its head sits at the bottom of u's column, its tail at the end of u's
         row, and it runs north-east along the rim (no cell of the diagram lies
-        south-east of any of its cells).
+        south-east of any of its cells). The result is shared per (shape,
+        anchor), like `remove_corner`'s, and its anchor is the tuple (i, j).
         """
+        try:
+            return self._hooks[u]  # kept only under a tuple key that passed `_require`
+        except (KeyError, TypeError):  # not kept yet, or a list anchor
+            pass
         self._require(u)
         i, j = u
         head = (self.col_length(j), j)
@@ -357,7 +362,11 @@ class Partition:
             else:
                 cur = north(cur)
             cells.append(cur)
-        return RimHook(self, u, tuple(cells))
+        return self._hooks.setdefault((i, j), RimHook(self, (i, j), tuple(cells)))
+
+    @cached_property
+    def _hooks(self) -> dict[Cell, "RimHook"]:
+        return {}  # rim_hook's results by anchor, kept as long as this partition
 
     def rim_hooks(self) -> list["RimHook"]:
         """All rim-hooks, smallest first in the rim-hook order."""

@@ -17,6 +17,7 @@ from typing import Iterator
 from .geometry import (
     Cell,
     Partition,
+    Region,
     RimHook,
     content,
     content_key,
@@ -292,7 +293,7 @@ def _insert_into_copy(hook: RimHook, pi: Rpp) -> tuple[list[int], bool, list]:
     copy, which holds the result when it did and `pi` otherwise.
     """
     shape = pi.shape
-    if hook.shape != shape:
+    if hook.shape is not shape and hook.shape != shape:
         raise ValueError(f"hook shape {hook.shape} does not match {shape}")
     grid = _to_frame(shape, pi.rows)
     i, j = hook.tail
@@ -409,7 +410,8 @@ def _extractions(pi: Rpp) -> Iterator[tuple[Cell, list[int], list]]:
     """
     shape = pi.shape
     frame = shape.frame
-    width, heads = frame.width, shape._column_by_head_content
+    width, kinds, heads = frame.width, frame.candidate, shape._column_by_head_content
+    outer = Region.OUTER_DIAG
     grid = _to_frame(shape, pi.rows)
     anchors: list[Cell] = []
     # each position is tested against the grid as it stands when the pass reaches it
@@ -433,15 +435,17 @@ def _extractions(pi: Rpp) -> Iterator[tuple[Cell, list[int], list]]:
                 )
             anchors.append(anchor)
             again = False
-            for q in _candidates_among(shape, grid, guard):
-                if q != v:
-                    raise RuntimeError(
-                        f"extraction at {format_cell(divmod(v, width))} made the earlier cell "
-                        f"{format_cell(divmod(q, width))} a candidate, against the "
-                        f"candidate-stability law (shape {shape}, filling {pi.rows!r}, "
-                        f"anchors {anchors})"
-                    )
-                again = True
+            for q in guard:
+                kind = kinds[q]  # `_candidates_among`'s test, inline
+                if kind and (x := grid[q]) > grid[q - 1] and (kind is outer or x > grid[q - width]):
+                    if q != v:
+                        raise RuntimeError(
+                            f"extraction at {format_cell(divmod(v, width))} made the earlier "
+                            f"cell {format_cell(divmod(q, width))} a candidate, against the "
+                            f"candidate-stability law (shape {shape}, filling {pi.rows!r}, "
+                            f"anchors {anchors})"
+                        )
+                    again = True
             yield anchor, path, grid
 
 

@@ -42,13 +42,15 @@ def _peel(grid: list, width: int, parts: list[int], corners: Iterable[Cell]) -> 
     the diagonal has the border 0 north or west of it, so the walk never
     leaves the diagram. The toggle maps [max(north, west), lo] onto itself,
     so the filling stays a reverse plane partition, corner by corner, and
-    nothing is tested.
+    no value is tested.
     """
     inf = math.inf
     step = width + 1
     counts = [0] * len(grid)
+    n = len(parts)  # the running row count of `_require_outer_corner`'s test, inline
     for r, s in corners:
-        _require_outer_corner(parts, r, s)
+        if not (0 < r <= n and parts[r - 1] == s and (r == n or parts[r] < s)):
+            _require_outer_corner(parts, r, s)
         p = r * width + s
         above, left = grid[p - width], grid[p - 1]
         hi = above if above > left else left
@@ -61,9 +63,10 @@ def _peel(grid: list, width: int, parts: list[int], corners: Iterable[Cell]) -> 
             hi = above if above > left else left
             grid[p] = hi + lo - grid[p]
             lo = above + left - hi
-        parts[r - 1] -= 1
-        if not parts[r - 1]:
+        parts[r - 1] = s - 1
+        if s == 1:  # a corner in column 1 ends the last row
             parts.pop()
+            n -= 1
     return counts
 
 

@@ -100,10 +100,11 @@ class ShapedGrid:
         return type(self)(self.shape, grid)
 
     def __eq__(self, other) -> bool:
+        # rows first: they differ far more often than shapes, which are often one object
         return (
             type(other) is type(self)
-            and self.shape == other.shape
             and self.rows == other.rows
+            and (self.shape is other.shape or self.shape == other.shape)
         )
 
     def __hash__(self) -> int:
@@ -255,9 +256,12 @@ def _to_frame(shape: Partition, rows: Iterable[Sequence[int]]) -> list:
 
 def _from_frame(grid: Sequence, width: int, parts: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The rows of the diagram `parts` read back from a frame of this width."""
-    return tuple(
-        [tuple(grid[i * width + 1 : i * width + p + 1]) for i, p in enumerate(parts, start=1)]
-    )
+    rows = []
+    p = width + 1
+    for part in parts:
+        rows.append(tuple(grid[p : p + part]))
+        p += width
+    return tuple(rows)
 
 
 def _candidates_among(shape: Partition, grid: Sequence, positions: Iterable[int]) -> Iterator[int]:

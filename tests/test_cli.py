@@ -856,6 +856,35 @@ def test_python_m_rimhooks_prints_what_run_prints(capsys, monkeypatch):
     assert (done.returncode, done.stdout, done.stderr) == invoke(capsys, monkeypatch, argv)
 
 
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_running_out_of_memory_is_an_error_not_a_traceback(form):
+    # a shape under the frame ceiling whose per-cell tables and grids outgrow
+    # a 200 MB address space, limited in the child only
+    resource = pytest.importorskip("resource")
+    limit = 200 * 2**20
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "rimhooks", "info", "--shape", "1000000", "--format", form],
+        env=dict(os.environ, PYTHONPATH=path),
+        preexec_fn=limited,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    if form == "json":
+        assert json.loads(done.stdout) == {"error": "out of memory running info"}
+    else:
+        assert done.stdout == ""
+        assert "out of memory" in done.stderr
+
+
 # ------------------------------------------------------------ the contract
 # Every argv and stdin ends in exit 0, 1 or 2; a non-zero exit leaves a
 # message on stderr or a JSON `error`; no exception escapes `run`. Integers

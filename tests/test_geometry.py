@@ -1,4 +1,5 @@
 import math
+import operator
 import re
 
 import pytest
@@ -362,6 +363,32 @@ class TestRimHooks:
             (1, 4), (2, 3), (1, 3), (2, 2), (1, 2), (3, 1), (2, 1), (1, 1),
         ]
         assert hooks[-1].cells == ((3, 1), (2, 1), (2, 2), (2, 3), (1, 3), (1, 4))
+
+    def test_one_hook_per_anchor(self):
+        shape = Partition((4, 3, 1))
+        hooks = shape.rim_hooks()
+        for u, hook in zip(shape.revlex_cells, hooks):
+            assert shape.rim_hook(u) is shape.rim_hook(u) is hook
+        assert shape.rim_hooks() == hooks
+        assert all(map(operator.is_, shape.rim_hooks(), hooks))
+        # another partition of the same parts builds its own
+        assert Partition((4, 3, 1)).rim_hook((1, 1)) is not shape.rim_hook((1, 1))
+
+    def test_a_list_anchor_gives_the_shared_hook(self):
+        shape = Partition((2, 1))
+        hook = shape.rim_hook([1, 1])
+        assert hook.anchor == (1, 1) and hook.cells == ((2, 1), (1, 1), (1, 2))
+        assert shape.rim_hook((1, 1)) is hook is shape.rim_hook([1, 1])
+
+    @pytest.mark.parametrize("u", [(3, 1), (0, 1), (1, 0), (2, 2), (-1, 2)])
+    def test_a_cell_outside_is_refused_and_not_kept(self, u):
+        shape = Partition((2, 1))
+        shape.rim_hook((1, 2))
+        message = f"^{re.escape(f'cell {format_cell(u)} lies outside the partition 2,1')}$"
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                shape.rim_hook(u)
+        assert list(shape._hooks) == [(1, 2)]
 
     def test_single_cell_hook(self):
         hook = Partition((4, 3, 1)).rim_hook((1, 4))

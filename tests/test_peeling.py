@@ -14,6 +14,9 @@ from rimhooks import (
     peel_tableau,
 )
 from rimhooks.enumeration import enumerate_rpps
+from rimhooks.geometry import _require_outer_corner
+from rimhooks.peeling import _peel
+from rimhooks.rpp import _to_frame
 from conftest import all_partitions, rpps
 from oracles import corner_is_tight
 
@@ -118,6 +121,38 @@ class TestPeel:
     def test_rejects_an_order_that_is_no_peeling(self, steep_example, order, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             peel_tableau(steep_example, order)
+
+    def test_each_cell_is_peeled_or_refused_as_remove_corner_refuses_it(self):
+        # `_peel` tests the corner inline on a running row count; every cell of
+        # and around the diagram, alone and after each corner peeled first
+        def outcome(parts, order):
+            shape = Partition(parts)
+            grid, parts = _to_frame(shape, [[0] * p for p in parts]), list(parts)
+            try:
+                _peel(grid, shape.frame.width, parts, order)
+            except ValueError as exc:
+                return str(exc)
+            return parts
+
+        def expected(parts, y):
+            try:
+                _require_outer_corner(parts, *y)
+            except ValueError as exc:
+                return str(exc)
+            return list(Partition(parts).remove_corner(y).parts)
+
+        for shape in all_partitions(7):
+            cells = [
+                (r, s)
+                for r in range(-1, shape.length + 3)
+                for s in range(-1, (shape.parts[0] if shape else 0) + 3)
+            ]
+            for y in cells:
+                assert outcome(shape.parts, [y]) == expected(shape.parts, y)
+            for x in shape.corners()[1] if shape else ():
+                reduced = shape.remove_corner(x).parts
+                for y in cells:
+                    assert outcome(shape.parts, [x, y]) == expected(reduced, y)
 
 
 class TestCornerTight:

@@ -1,6 +1,7 @@
 """The verify suites as streams: sampling by index, the budget checked before
 any enumeration, and memory that does not grow with the number of fillings."""
 
+import dataclasses
 import gc
 import random
 import tracemalloc
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from rimhooks import BudgetExceededError, Partition, classical, cli, enumeration, verify
+from rimhooks import BudgetExceededError, Partition, classical, cli, enumeration, peeling, verify
 from rimhooks.enumeration import projected_rpp_count
+from rimhooks.insertion import InsertionFailure
+from rimhooks.rpp import Rpp, Tableau
 from rimhooks.verify import (
     READS,
     SUITES,
@@ -17,6 +20,7 @@ from rimhooks.verify import (
     run_suites,
     suite_bijection,
     suite_gk,
+    suite_pak,
 )
 
 
@@ -234,3 +238,74 @@ def test_jobs_are_capped_at_one_worker_per_suite(monkeypatch):
     assert results == list(run_suites(["golden", "stanley"]))
     list(run_suites(["golden"], jobs=5000))
     assert asked == [2]
+
+
+@pytest.mark.parametrize("parts", verify.DEFAULT_SHAPES)
+def test_pak_peels_each_filling_once_per_distinct_order(parts, monkeypatch):
+    # the reference peel, one per outer corner but the one of largest content,
+    # whose forced order is the reference's own, and the reversed policy
+    shape = Partition(parts)
+    calls = []
+    real = peeling.peel_tableau
+
+    def counted(pi, order=None):
+        calls.append(order)
+        return real(pi, order)
+
+    monkeypatch.setattr(peeling, "peel_tableau", counted)
+    config = VerifyConfig(shapes=(parts,))
+    assert all(result.passed for result in suite_pak(config))
+    outer = shape._corner_cells[1]
+    per_filling = len(outer) + 1
+    assert len(calls) == projected_rpp_count(shape, config.size_bound) * per_filling
+    # the default order, each other corner forced first, then the reversed
+    # policy, which starts at the end of the last row
+    starts = [order and order[0] for order in calls[:per_filling]]
+    assert starts == [None, *outer[:-1], (shape.length, shape.parts[-1])]
+
+
+@pytest.mark.parametrize("parts", [(4, 3, 1), (5, 2, 1, 1)])
+def test_a_peel_wrong_off_the_reference_start_fails_pak(parts, monkeypatch):
+    shape = Partition(parts)
+    real = peeling.peel_tableau
+
+    def wrong_off_the_reference_start(pi, order=None):
+        tableau = real(pi, order)
+        if order is not None and order[0] != shape.revlex_cells[0]:
+            first, *rest = tableau.rows
+            tableau = Tableau(shape, ((first[0] + 1, *first[1:]), *rest))
+        return tableau
+
+    monkeypatch.setattr(peeling, "peel_tableau", wrong_off_the_reference_start)
+    agree, independent = suite_pak(VerifyConfig(shapes=(parts,)))
+    assert agree.passed
+    assert not independent.passed and independent.name.startswith("corner choice does not matter")
+
+
+def test_a_wrong_witness_at_a_second_failure_fails_insertion_uniqueness(monkeypatch):
+    # on the first filling with two failed insertions, the second reports a
+    # witness that is no candidate: the candidates read at the first must catch it
+    real_insert, real_candidates = verify.try_insert, Rpp.candidates
+    failures, reads, wrong = {}, {}, []
+
+    def counted_candidates(pi):
+        reads[pi.rows] = reads.get(pi.rows, 0) + 1
+        return real_candidates(pi)
+
+    def wrong_at_a_second_failure(hook, pi):
+        result = real_insert(hook, pi)
+        if isinstance(result, InsertionFailure):
+            failures[pi.rows] = failures.get(pi.rows, 0) + 1
+            if failures[pi.rows] == 2 and not wrong:
+                assert reads[pi.rows] == 1
+                wrong.append(pi.rows)
+                return dataclasses.replace(result, witness=(0, 0))
+        return result
+
+    monkeypatch.setattr(verify, "try_insert", wrong_at_a_second_failure)
+    monkeypatch.setattr(Rpp, "candidates", counted_candidates)
+    (result,) = SUITES["insertion-uniqueness"](VerifyConfig(shapes=((3, 2),)))
+    assert wrong and not result.passed
+    # each filling's candidates are read once, and only at a failure
+    assert set(reads) == set(failures)
+    assert set(reads.values()) == {1}
