@@ -278,20 +278,13 @@ def diag_partition(pi: Rpp, k: int) -> Partition:
 
 
 def _rectangle_corner(shape: Partition, k: int) -> Cell | None:
-    """The south-easternmost content-k cell, None when diagonal k is empty."""
-    parts = shape.parts
-    for i in range(len(parts), 0, -1):
-        if 1 <= i + k <= parts[i - 1]:
-            return (i, i + k)
-    return None
+    """The south-easternmost content-k cell, the rim's, None when diagonal k is empty."""
+    return shape._rim[0][k + shape.length - 1] if k in shape.contents else None
 
 
 def _rectangle_rows(tableau: Tableau, k: int) -> tuple[tuple[int, ...], ...]:
     """The rows of the content-k rectangle of the tableau, () when diagonal k is empty."""
-    corner = _rectangle_corner(tableau.shape, k)
-    if corner is None:
-        return ()
-    a, b = corner
+    a, b = _rectangle_corner(tableau.shape, k) or (0, 0)
     return tuple([row[:b] for row in tableau.rows[:a]])
 
 

@@ -119,12 +119,26 @@ class Region(Enum):
     when it lies between some o_k and i_k or above o_{r+1}. Rim-hooks continue
     east through INNER_DIAG and BAND_A cells and south through BAND_B and
     INNER_DIAG cells.
+
+    As steps of the rim (`Partition._rim`), which enters from the west and
+    leaves north, a diagonal's region is its rim cell's (in, out) pair:
+    OUTER_DIAG (east, north), INNER_DIAG (north, east), BAND_A (east, east)
+    and BAND_B (north, north).
     """
 
     INNER_DIAG = "inner"
     OUTER_DIAG = "outer"
     BAND_A = "A"
     BAND_B = "B"
+
+
+# a diagonal's region by the rim's (in, out) steps on it, each True when north
+_REGION_BY_STEPS = {
+    (False, True): Region.OUTER_DIAG,
+    (True, False): Region.INNER_DIAG,
+    (False, False): Region.BAND_A,
+    (True, True): Region.BAND_B,
+}
 
 
 class Partition:
@@ -197,12 +211,9 @@ class Partition:
 
     @cached_property
     def _conjugate_parts(self) -> tuple[int, ...]:
-        # bottom to top, row i adds one column of length i per cell it
-        # extends past the rows below it
-        conj: list[int] = []
-        for i in range(len(self.parts), 0, -1):
-            conj.extend([i] * (self.parts[i - 1] - len(conj)))
-        return tuple(conj)
+        # column j ends in the row where the rim enters it from the west
+        cells, up = self._rim
+        return tuple([i for (i, _), a in zip(cells, up) if not a])
 
     def conjugate(self) -> "Partition":
         return Partition(self._conjugate_parts)
@@ -232,20 +243,29 @@ class Partition:
         return self.parts[i - 1] + self.col_length(j) - i - j + 1
 
     @cached_property
+    def _rim(self) -> tuple[tuple[Cell, ...], tuple[bool, ...]]:
+        # Each diagonal's rim cell (no cell lies south-east of it), lowest
+        # content first, and whether the rim steps north into it. It enters
+        # (length, 1) from the west and leaves (1, parts[0]) north, so
+        # (up[k], up[k + 1]) is the k-th diagonal's (in, out) pair.
+        parts, n = self.parts, len(self.parts)
+        cells, up = [], [False]
+        i, j = n, 1
+        for _ in self.contents:
+            cells.append((i, j))
+            # east while the cell there has no cell below it, north otherwise
+            north = j == parts[i - 1] or (i < n and parts[i] > j)
+            up.append(north)
+            i, j = (i - 1, j) if north else (i, j + 1)
+        return tuple(cells), tuple(up)
+
+    @cached_property
     def _corner_cells(self) -> tuple[tuple[Cell, ...], tuple[Cell, ...]]:
-        # Row i ends in an outer corner when the row below is shorter, and
-        # then holds an inner corner above the end of that row when it is
-        # not empty. Bottom to top is increasing content.
-        inner, outer = [], []
-        below = 0
-        for i in range(len(self.parts), 0, -1):
-            p = self.parts[i - 1]
-            if below < p:
-                outer.append((i, p))
-                if below:
-                    inner.append((i, below))
-            below = p
-        return tuple(inner), tuple(outer)
+        # an inner corner enters its rim cell north and leaves east, an outer one the reverse
+        cells, up = self._rim
+        steps = list(zip(cells, up, up[1:]))
+        inner = tuple([u for u, a, b in steps if a and not b])
+        return inner, tuple([u for u, a, b in steps if b and not a])
 
     def corners(self) -> tuple[tuple[Cell, ...], tuple[Cell, ...]]:
         """(inner corners, outer corners), each sorted by increasing content."""
@@ -257,46 +277,27 @@ class Partition:
     def regions_by_content(self) -> Mapping[int, Region]:
         """The region of every diagonal of the diagram, keyed by content (read-only).
 
-        Every cell (i, j) of the diagram lies in region `regions_by_content[j - i]`.
-        `region` reads this map, and `frame` lays it out by position once; the
-        bijection kernels read the `Frame` tables, not this map.
+        Every cell (i, j) of the diagram lies in region `regions_by_content[j - i]`,
+        read off the rim's (in, out) steps on that diagonal (`Region`). `region`
+        reads this map; the bijection kernels read the `Frame` tables.
         """
-        # One sweep up the contents: each diagonal up to the next corner is
-        # band B after an outer corner, and band A after an inner one or
-        # before the first corner.
-        inner, outer = self._corner_cells
-        contents = self.contents
-        outer_diag, band_a, band_b = Region.OUTER_DIAG, Region.BAND_A, Region.BAND_B
-        corner_kinds = [None] * len(contents)
-        for i, j in outer:
-            corner_kinds[j - i - contents.start] = outer_diag
-        for i, j in inner:
-            corner_kinds[j - i - contents.start] = Region.INNER_DIAG
-        regions: dict[int, Region] = {}
-        band = band_a
-        for c, kind in zip(contents, corner_kinds):
-            if kind is None:
-                regions[c] = band
-            else:
-                regions[c] = kind
-                band = band_b if kind is outer_diag else band_a
-        return MappingProxyType(regions)
+        up = self._rim[1]
+        regions = map(_REGION_BY_STEPS.get, zip(up, up[1:]))
+        return MappingProxyType(dict(zip(self.contents, regions)))
 
     @cached_property
     def frame(self) -> "Frame":
         """The bordered flat layout of this diagram that the bijection kernels share."""
-        parts = self.parts
-        n = len(parts)
+        parts, n = self.parts, len(self.parts)
         width = (parts[0] if parts else 0) + 2
-        inner, outer = Region.INNER_DIAG, Region.OUTER_DIAG
-        band_a, band_b = Region.BAND_A, Region.BAND_B
+        outer, band_a = Region.OUTER_DIAG, Region.BAND_A
         # per diagonal, lowest content first; row i holds contents 1 - i to
         # p - i, the slice [n - i : n - i + p]
-        regions = self.regions_by_content
-        kinds = [regions[c] for c in self.contents]
-        candidate = [r if r is outer or r is band_a else None for r in kinds]
+        cells, up = self._rim
+        north_in, north_out = up[:-1], up[1:]
+        candidate = [None if a else outer if b else band_a for a, b in zip(north_in, north_out)]
 
-        def by_row(per_content: list, border, outside) -> tuple:
+        def by_row(per_content: Sequence, border, outside) -> tuple:
             # `border` in row 0 and column 0, `outside` at the other positions off the diagram
             laid = [border] * width
             for i, p in enumerate(parts, start=1):
@@ -305,22 +306,20 @@ class Partition:
                 laid += [outside] * (width - 1 - p)
             return tuple(laid + [border] + [outside] * (width - 1))
 
-        # bottom to top along each candidate diagonal, largest content first;
-        # (i, i + c) sits at i * step + c, and row `bottom` ends the diagonal
+        # from each candidate diagonal's rim cell north-west to the border,
+        # largest content first; (i, i + c) sits at i * step + c
         step = width + 1
         order: list[int] = []
-        bottom = 0
-        for c in reversed(self.contents):
-            while bottom < n and parts[bottom] - bottom - 1 >= c:
-                bottom += 1
-            if candidate[c + n - 1]:
-                order += range(bottom * step + c, max(0, -c) * step + c, -step)
+        for (i, j), kind in zip(reversed(cells), reversed(candidate)):
+            if kind:
+                c = j - i
+                order += range(i * step + c, max(0, -c) * step + c, -step)
         return Frame(
             width,
-            by_row([0] * len(kinds), 0, math.inf),
-            by_row([True] * len(kinds), False, False),
-            by_row([r is band_b or r is inner for r in kinds], False, False),
-            by_row([r is inner or r is band_a for r in kinds], False, False),
+            by_row([0] * len(cells), 0, math.inf),
+            by_row([True] * len(cells), False, False),
+            by_row(north_in, False, False),
+            by_row([not b for b in north_out], False, False),
             by_row(candidate, None, None),
             tuple(order),
         )
@@ -351,18 +350,10 @@ class Partition:
             pass
         self._require(u)
         i, j = u
-        head = (self.col_length(j), j)
-        tail = (i, self.parts[i - 1])
-        cells = [head]
-        cur = head
-        while cur != tail:
-            e = east(cur)
-            if e in self and south(e) not in self:
-                cur = e
-            else:
-                cur = north(cur)
-            cells.append(cur)
-        return self._hooks.setdefault((i, j), RimHook(self, (i, j), tuple(cells)))
+        # the rim cells from the head's content to the tail's
+        n = len(self.parts)
+        cells = self._rim[0][j - self.col_length(j) + n - 1 : self.parts[i - 1] - i + n]
+        return self._hooks.setdefault((i, j), RimHook(self, (i, j), cells))
 
     @cached_property
     def _hooks(self) -> dict[Cell, "RimHook"]:

@@ -339,9 +339,9 @@ def try_insert(hook: RimHook, pi: Rpp) -> Rpp | InsertionFailure:
         # the walk's edge tests held (`_insertion_walk`): the result is ordered
         return Rpp._trusted(shape, _from_frame(grid, width, shape.parts))
     path = _sw_path(walk, len(hook), width)
-    # the minimal candidate precedes the head exactly when some candidate does
-    witness = pi.min_candidate()
-    if witness is None or content_key(witness) >= content_key(path.head):
+    # `grid` holds `pi` again; the minimal candidate precedes the head exactly when some does
+    p = next(_candidates_among(shape, grid, shape.frame.candidate_order), None)
+    if p is None or content_key(witness := divmod(p, width)) >= content_key(path.head):
         raise RuntimeError(
             "insertion failed without a preceding candidate; this contradicts "
             f"the failure-witness theorem (shape {pi.shape}, {hook}, "

@@ -423,6 +423,13 @@ class TestRimHooks:
                 assert east(hook.tail) not in shape
                 for u in hook.cells:
                     assert east(south(u)) not in shape
+                # one cell per content from the head's to the tail's, each
+                # step north or east
+                assert [content(u) for u in hook.cells] == list(
+                    range(content(hook.head), content(hook.tail) + 1)
+                )
+                for (i, j), step in zip(hook.cells, hook.cells[1:]):
+                    assert step in ((i - 1, j), (i, j + 1))
 
     def test_region_continuation_on_hooks(self):
         for shape in all_partitions(12):

@@ -109,9 +109,11 @@ def test_the_budget_is_checked_before_the_first_shape_is_enumerated(suite, monke
 
 @pytest.mark.parametrize("suite", ["stanley", "gansner", *ENUMERATING])
 def test_each_suite_that_reads_the_shapes_passes_on_the_empty_shape(suite):
-    # one filling, one tableau, and no corner for `pak` to force or `commute` to toggle
-    results = list(run_suites([suite], VerifyConfig(shapes=((),))))
-    assert results and all(r.passed and '""' in r.line() for r in results)
+    # one filling, one tableau, and no corner for `pak` to force or `commute`
+    # to toggle; then the all-east and all-north rims of one row and one column
+    for parts in ((), (5,), (1, 1, 1, 1)):
+        results = list(run_suites([suite], VerifyConfig(shapes=(parts,))))
+        assert results and all(r.passed and f"{Partition(parts)}" in r.line() for r in results)
 
 
 def _peak_growth(config: VerifyConfig) -> int:
@@ -240,10 +242,11 @@ def test_jobs_are_capped_at_one_worker_per_suite(monkeypatch):
     assert asked == [2]
 
 
-@pytest.mark.parametrize("parts", verify.DEFAULT_SHAPES)
+@pytest.mark.parametrize("parts", [*verify.DEFAULT_SHAPES, (5,), (1, 1, 1, 1), ()])
 def test_pak_peels_each_filling_once_per_distinct_order(parts, monkeypatch):
     # the reference peel, one per outer corner but the one of largest content,
-    # whose forced order is the reference's own, and the reversed policy
+    # whose forced order is the reference's own, and the reversed policy,
+    # unless it too is the reference's order: on one row, one column or none
     shape = Partition(parts)
     calls = []
     real = peeling.peel_tableau
@@ -256,12 +259,14 @@ def test_pak_peels_each_filling_once_per_distinct_order(parts, monkeypatch):
     config = VerifyConfig(shapes=(parts,))
     assert all(result.passed for result in suite_pak(config))
     outer = shape._corner_cells[1]
-    per_filling = len(outer) + 1
+    distinct = shape.length > 1 and shape.parts[0] > 1
+    reversed_start = [(shape.length, shape.parts[-1])] if distinct else []
+    per_filling = 1 + len(outer[:-1]) + len(reversed_start)
     assert len(calls) == projected_rpp_count(shape, config.size_bound) * per_filling
     # the default order, each other corner forced first, then the reversed
     # policy, which starts at the end of the last row
     starts = [order and order[0] for order in calls[:per_filling]]
-    assert starts == [None, *outer[:-1], (shape.length, shape.parts[-1])]
+    assert starts == [None, *outer[:-1], *reversed_start]
 
 
 @pytest.mark.parametrize("parts", [(4, 3, 1), (5, 2, 1, 1)])
